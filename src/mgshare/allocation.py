@@ -393,27 +393,42 @@ def _masks_to_subsets(masks) -> tuple:
 # greedy heuristic (availability, interference ranking, greedy matching)
 
 
-def greedy_match(matrix: np.ndarray, row_ok) -> tuple:
+def greedy_match(matrix: np.ndarray, row_ok, col_sets=None):
     """Repeatedly take the globally smallest entry among free rows/columns.
 
     Ties break toward the lower row (channel), then the lower column
-    (subset). Returns (col, row) pairs sorted by column. At most
-    min(rows, cols) rounds of a full scan, so the work grows like C cubed.
+    (subset): each round is a row-major argmin, which returns the first
+    minimum. Closed rows and rows or columns already matched read +inf.
+
+    Without ``col_sets`` the matrix's own columns form one family and the
+    result is the (col, row) pairs sorted by column. With ``col_sets`` of
+    shape (F, S), every family f is matched on ``matrix[:, col_sets[f]]``
+    at once and the result is an (F, S) array holding the row each slot got,
+    -1 where the slot stayed unmatched. Either way min(open rows, S) rounds.
     """
-    C, S = matrix.shape
-    rows = [k for k in range(C) if row_ok[k]]
-    cols = list(range(S))
-    pairs = []
-    while rows and cols:
-        best_v, best_k, best_s = math.inf, None, None
-        for k in rows:
-            for s in cols:
-                if matrix[k, s] < best_v:
-                    best_v, best_k, best_s = matrix[k, s], k, s
-        pairs.append((best_s, best_k))
-        rows.remove(best_k)
-        cols.remove(best_s)
-    return tuple(sorted(pairs))
+    matrix = np.asarray(matrix, dtype=np.float64)
+    C = matrix.shape[0]
+    single = col_sets is None
+    if single:
+        col_sets = np.arange(matrix.shape[1])[None, :]
+    F, S = col_sets.shape
+    work = np.empty((F, C, S))
+    for k in range(C):
+        # the indices are in range; "clip" lets take write into out unbuffered
+        np.take(matrix[k], col_sets, out=work[:, k], mode="clip")
+    closed = ~np.asarray(row_ok, dtype=bool)
+    work[:, closed] = math.inf
+    row_of = np.full((F, S), -1, dtype=np.int64)
+    fam = np.arange(F)
+    flat = work.reshape(F, C * S)
+    for _ in range(min(C - int(closed.sum()), S)):
+        k, s = np.divmod(flat.argmin(axis=1), S)
+        row_of[fam, s] = k
+        work[fam, k, :] = math.inf
+        work[fam, :, s] = math.inf
+    if single:
+        return tuple((s, int(k)) for s, k in enumerate(row_of[0]) if k >= 0)
+    return row_of
 
 
 def _stage2_matrix_direct(ctx: EvalContext, subset_masks) -> np.ndarray:
@@ -579,33 +594,51 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
         # covers the most groups (muted ones count too, so this is not the
         # number that transmit), keeping enumeration order among equals.
         union = np.bitwise_or.reduce(fam_masks, axis=1)
-        cov = np.array([int(u).bit_count() for u in union])
+        cov = np.zeros(F, dtype=np.int64)
+        for g in range(ctx.G):
+            cov += (union >> g) & 1
         flat = int(ties[np.argmax(cov[ties // len(pats)])])
     fi, pi = divmod(flat, len(pats))
     return fi, pats[pi], float(tv[fi, pi])
 
 
 def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray):
-    I2 = ctx.stage2
-    avail = ctx.avail
+    """Greedy matching of every family at once; the best family's
+    (index, pairs, value), the first family winning exact ties.
+
+    A family's value adds its matched slots' gains onto the baseline in
+    slot order; an unmatched slot adds 0.0, which is exact.
+    """
     value = ctx.value
-    base = ctx.baseline
-    best = (-math.inf, None, None)
-    for fi in range(fam_masks.shape[0]):
-        masks = fam_masks[fi]
-        matrix = I2[:, masks]
-        pairs = greedy_match(matrix, avail)
-        v = base
-        for s, k in pairs:
-            v += float(value[k, masks[s]]) - float(value[k, 0])
-        if v > best[0]:
-            best = (v, fi, pairs)
-    return best[1], best[2], best[0]
+    row_of = greedy_match(ctx.stage2, ctx.avail, fam_masks)
+    tv = np.full(fam_masks.shape[0], ctx.baseline)
+    for s in range(fam_masks.shape[1]):
+        k = np.maximum(row_of[:, s], 0)
+        gain = value[k, fam_masks[:, s]] - value[k, 0]
+        tv += np.where(row_of[:, s] >= 0, gain, 0.0)
+    fi = int(np.argmax(tv))
+    pairs = tuple((s, int(k)) for s, k in enumerate(row_of[fi]) if k >= 0)
+    return fi, pairs, float(tv[fi])
 
 
-def _grid_refine(ctx: EvalContext, masks_by_channel, mg_power: np.ndarray, n_points: int, sweeps: int = 3):
+def _grid_refine(
+    ctx: EvalContext,
+    masks_by_channel,
+    mg_power: np.ndarray,
+    n_points: int,
+    sweeps: int = 3,
+    table_value: float | None = None,
+):
     """Coordinate ascent over a geometric power grid, starting at the top of
-    each feasible interval (so the result never falls below max_feasible)."""
+    each feasible interval.
+
+    The ascent re-sums per-channel scores, which can land an ulp or two
+    below the table-backed score of the starting point. Given that score as
+    ``table_value``, a result that does not exceed it returns the starting
+    powers and ``table_value`` itself, so the result never falls below
+    max_feasible, exactly.
+    """
+    start = mg_power
     mg_power = mg_power.copy()
     chan_of = {}
     for k, m in enumerate(masks_by_channel):
@@ -639,7 +672,10 @@ def _grid_refine(ctx: EvalContext, masks_by_channel, mg_power: np.ndarray, n_poi
                     mg_power[g] = cur
         if not improved:
             break
-    return mg_power, float(sum(vals))
+    total = float(sum(vals))
+    if table_value is not None and not total > table_value:
+        return start.copy(), table_value
+    return mg_power, total
 
 
 def _silence_gate_failures(ctx: EvalContext, assignment, mg_power: np.ndarray) -> np.ndarray:
@@ -707,7 +743,7 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     mg_power = _silence_gate_failures(ctx, assignment, mg_power)
     if policy == "grid":
         chan_masks = assignment.channel_masks(C)
-        mg_power, tv = _grid_refine(ctx, chan_masks, mg_power, grid_n)
+        mg_power, tv = _grid_refine(ctx, chan_masks, mg_power, grid_n, table_value=tv)
     return assignment, PowerVector(ctx.cu_power_w.copy(), mg_power), tv
 
 

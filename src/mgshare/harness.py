@@ -24,6 +24,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -291,23 +292,34 @@ def _eval_scenarios(args):
     return out
 
 
-def _gather_point(cfg, params, schemes):
+def _worker_pool(cfg):
+    """One worker pool for a whole run, or a null context when serial.
+
+    Leaving the context shuts the pool down and joins its workers, so their
+    CPU time is reaped before the run returns.
+    """
+    if cfg.parallelism <= 1 or cfg.n_scenarios < 2:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=cfg.parallelism)
+
+
+def _gather_point(cfg, params, schemes, pool=None):
     """All scenario results for one sweep value, in scenario-index order.
 
     The scenario stream is the same at every sweep value, so points differ
-    only through their parameters.
+    only through their parameters. With a pool the scenarios are split into
+    one contiguous block per worker.
     """
     sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
     n = cfg.n_scenarios
-    if cfg.parallelism <= 1 or n < 2:
+    if pool is None:
         return _eval_scenarios((params, schemes, sweep_master, 0, n))
     chunk = -(-n // cfg.parallelism)
     blocks = [
         (params, schemes, sweep_master, lo, min(lo + chunk, n))
         for lo in range(0, n, chunk)
     ]
-    with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-        parts = list(pool.map(_eval_scenarios, blocks))
+    parts = list(pool.map(_eval_scenarios, blocks))
     return [r for part in parts for r in part]
 
 
@@ -315,28 +327,29 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
     """Sweep, average, and return one ResultRow per (sweep value, scheme)."""
     cfg.validate()
     rows = []
-    for value in cfg.sweep_values:
-        params, scheme_tokens = apply_sweep(
-            cfg.base, cfg.sweep_variable, value, cfg.schemes
-        )
-        params.validate()
-        t0 = time.perf_counter()
-        results = _gather_point(cfg, params, scheme_tokens)
-        elapsed_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
-        n_degenerate = sum(1 for r in results if r is None)
-        valid = [r[0] for r in results if r is not None]
-        for si, name in enumerate(cfg.schemes):
-            vals = np.array([v[si] for v in valid]) if valid else np.zeros(0)
-            rows.append(
-                ResultRow(
-                    sweep_value=value,
-                    scheme_name=name,
-                    mean_throughput=float(vals.mean()) if len(vals) else 0.0,
-                    std_dev=float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-                    n_degenerate=n_degenerate,
-                    wall_ms=elapsed_ms,
-                )
+    with _worker_pool(cfg) as pool:
+        for value in cfg.sweep_values:
+            params, scheme_tokens = apply_sweep(
+                cfg.base, cfg.sweep_variable, value, cfg.schemes
             )
+            params.validate()
+            t0 = time.perf_counter()
+            results = _gather_point(cfg, params, scheme_tokens, pool)
+            elapsed_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
+            n_degenerate = sum(1 for r in results if r is None)
+            valid = [r[0] for r in results if r is not None]
+            for si, name in enumerate(cfg.schemes):
+                vals = np.array([v[si] for v in valid]) if valid else np.zeros(0)
+                rows.append(
+                    ResultRow(
+                        sweep_value=value,
+                        scheme_name=name,
+                        mean_throughput=float(vals.mean()) if len(vals) else 0.0,
+                        std_dev=float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
+                        n_degenerate=n_degenerate,
+                        wall_ms=elapsed_ms,
+                    )
+                )
     return rows
 
 
@@ -353,16 +366,17 @@ def winning_combination_histogram(cfg: ExperimentConfig) -> dict:
     """
     cfg.validate()
     out = {}
-    for value in cfg.sweep_values:
-        params, _ = apply_sweep(cfg.base, cfg.sweep_variable, value, cfg.schemes)
-        params.validate()
-        results = _gather_point(cfg, params, ("optimal",))
-        counts: dict[tuple, int] = {}
-        for r in results:
-            if r is None:
-                continue
-            counts[r[1]] = counts.get(r[1], 0) + 1
-        out[value] = counts
+    with _worker_pool(cfg) as pool:
+        for value in cfg.sweep_values:
+            params, _ = apply_sweep(cfg.base, cfg.sweep_variable, value, cfg.schemes)
+            params.validate()
+            results = _gather_point(cfg, params, ("optimal",), pool)
+            counts: dict[tuple, int] = {}
+            for r in results:
+                if r is None:
+                    continue
+                counts[r[1]] = counts.get(r[1], 0) + 1
+            out[value] = counts
     return out
 
 

@@ -1,4 +1,4 @@
-"""Hot per-scenario table builds, compiled with numba when available.
+"""Hot per-scenario table builds, as numpy subset-sum doublings.
 
 Two tables drive every allocation search. The value table holds, for each
 channel k and each bitmask m over active groups, the throughput of channel k
@@ -8,136 +8,77 @@ interference table holds, for the same (k, m) grid, the worst sum
 interference any member of m's groups would see, evaluated at maximum powers
 with unit fading, which is what the assignment heuristic ranks channels by.
 
-Both builds walk masks in increasing order and extend the interference sums
-from mask minus its lowest set bit, so the cost is one vector add per mask
-instead of a fresh sum. A receiver's own-group term is excluded by reading
-the row at the mask with that bit cleared, never by subtracting it back out
-of the inclusive sum: the own term dominates by orders of magnitude and the
-subtraction would wipe out the co-channel digits. The numba and numpy paths
-run the same function body and therefore produce bit-identical tables; set
-MGSHARE_NO_NUMBA=1 to force the plain path (the benchmark script times one
-against the other).
+Both builds start from the interference sums over every mask, made by
+doubling (the sum-over-subsets or fast zeta transform, Yates 1937): adding
+group g to every mask built so far fills the masks whose lowest member is g
+in one vector add, so all 2^G sums cost 2^G row adds. Groups are added
+highest index first. The sum at mask m is then ((base + c_top) + ...) +
+c_lowest, which is exactly what the recursion I[m] = I[m minus its lowest
+bit] + c_lowest gives when unrolled, so the tables are bitwise equal to that
+scalar recursion (tests/ keeps it as the oracle). Adding the lowest group
+first would sum in a different order and drift by an ulp or so.
+
+A receiver's own-group term is excluded by reading the sum at the mask with
+that group's bit cleared, never by subtracting it back out of the inclusive
+sum: the own term dominates by orders of magnitude and the subtraction would
+wipe out the co-channel digits. Each group's worst member SIR is gathered
+over the masks that hold it, and group rates are added onto the CU rate in
+increasing group order, a failing group adding 0.0, which is exact. Rates
+take log2 from libm one value at a time rather than from numpy's vectorized
+log2, which may differ in the last bit depending on the SIMD extensions of
+the CPU; the tables, and so the results, are then the same on every machine.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:  # pragma: no cover - exercised via the env flag in tests
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
+def _subset_sums(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """(2^G, *base.shape) sums: row m is base plus terms[g] for each g in m.
 
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _value_table_impl(
-    base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes, mg_th, cu_th, bw, cap
-):
-    C, n = base_I_rx.shape
-    G = contrib_rx.shape[0]
-    M = 1 << G
-    out = np.zeros((C, M))
-    passing = np.zeros((C, M), dtype=np.int64)
-    I_rx = np.zeros((M, n))
-    I_bs = np.zeros(M)
-    for k in range(C):
-        for j in range(n):
-            I_rx[0, j] = base_I_rx[k, j]
-        I_bs[0] = 0.0
-        out[k, 0] = bw * math.log2(1.0 + cap) if cap >= cu_th else 0.0
-        for m in range(1, M):
-            b = m & (-m)
-            g = 0
-            while (1 << g) != b:
-                g += 1
-            prev = m ^ b
-            for j in range(n):
-                I_rx[m, j] = I_rx[prev, j] + contrib_rx[g, j, k]
-            I_bs[m] = I_bs[prev] + contrib_bs[g, k]
-            den = I_bs[m]
-            if den <= 0.0:
-                gam = cap
-            else:
-                gam = sig_cu[k] / den
-                if gam > cap:
-                    gam = cap
-            total = bw * math.log2(1.0 + gam) if gam >= cu_th else 0.0
-            ok = 0
-            mm = m
-            while mm:
-                bb = mm & (-mm)
-                g2 = 0
-                while (1 << g2) != bb:
-                    g2 += 1
-                mm ^= bb
-                worst = math.inf
-                excl = m ^ bb
-                for t in range(sizes[g2]):
-                    j = offsets[g2] + t
-                    sig = contrib_rx[g2, j, k]
-                    den_r = I_rx[excl, j]
-                    if den_r <= 0.0:
-                        gr = cap
-                    else:
-                        gr = sig / den_r
-                        if gr > cap:
-                            gr = cap
-                    if gr < worst:
-                        worst = gr
-                if worst >= mg_th:
-                    total += bw * math.log2(1.0 + worst)
-                    ok |= bb
-            out[k, m] = total
-            passing[k, m] = ok
-    return out, passing
-
-
-def _stage2_table_impl(cu_victim, mg_victim, rx_group):
-    C, n = cu_victim.shape
-    G = mg_victim.shape[0]
-    M = 1 << G
-    tot = np.zeros((M, n))
-    out = np.zeros((C, M))
-    for m in range(1, M):
-        b = m & (-m)
-        g = 0
-        while (1 << g) != b:
-            g += 1
-        prev = m ^ b
-        for j in range(n):
-            tot[m, j] = tot[prev, j] + mg_victim[g, j]
-    for k in range(C):
-        for m in range(1, M):
-            worst = 0.0
-            for j in range(n):
-                bit = 1 << rx_group[j]
-                if m & bit:
-                    v = cu_victim[k, j] + tot[m ^ bit, j]
-                    if v > worst:
-                        worst = v
-            out[k, m] = worst
+    Group G-1 goes in first and group 0 last, so every row sums from the
+    highest group down, the lowest-bit recursion's order.
+    """
+    G = terms.shape[0]
+    out = np.empty((1 << G,) + base.shape)
+    out[0] = base
+    for g in range(G - 1, -1, -1):
+        # masks whose bits below g are clear: without g at [:, 0, 0], with g at [:, 1, 0]
+        blocks = out.reshape((-1, 2, 1 << g) + base.shape)
+        blocks[:, 1, 0] = blocks[:, 0, 0] + terms[g]
     return out
 
 
-_value_table_numba = njit(cache=True)(_value_table_impl) if _HAVE_NUMBA else None
-_stage2_table_numba = njit(cache=True)(_stage2_table_impl) if _HAVE_NUMBA else None
+def _with_group(table: np.ndarray, g: int) -> np.ndarray:
+    """View of a (2^G, ...) table as (masks without g, masks with g) halves.
+
+    Index [:, 0] holds the masks that lack g and [:, 1] the same masks with
+    g set, both in increasing mask order, shaped (2^(G-g-1), 2^g, ...).
+    """
+    return table.reshape((-1, 2, 1 << g) + table.shape[1:])
 
 
-def numba_active() -> bool:
-    """True when the compiled path will be used for the next table build."""
-    return _HAVE_NUMBA and not os.environ.get("MGSHARE_NO_NUMBA")
+def _sir(sig, den, cap):
+    """sig / den capped at cap; a non-positive denominator gives the cap."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den <= 0.0, cap, np.minimum(sig / den, cap))
+
+
+def _rate(sir: np.ndarray, bw: float) -> np.ndarray:
+    """bw * log2(1 + sir), with libm's log2 applied value by value."""
+    logs = np.fromiter(map(math.log2, (1.0 + sir).ravel().tolist()), float, sir.size)
+    return bw * logs.reshape(sir.shape)
+
+
+def _gated_rate(sir: np.ndarray, threshold: float, bw: float):
+    """Rates where sir clears the threshold, 0.0 elsewhere, and that gate."""
+    ok = sir >= threshold
+    rate = np.zeros(sir.shape)
+    rate[ok] = _rate(sir[ok], bw)
+    return rate, ok
 
 
 def build_value_table(
@@ -150,30 +91,44 @@ def build_value_table(
     member SIR threshold when all of m transmits on channel k, which is what
     the one-shot silencing step in the allocator keys off.
     """
-    args = (
-        np.ascontiguousarray(base_I_rx, dtype=np.float64),
-        np.ascontiguousarray(contrib_rx, dtype=np.float64),
-        np.ascontiguousarray(sig_cu, dtype=np.float64),
-        np.ascontiguousarray(contrib_bs, dtype=np.float64),
-        np.ascontiguousarray(offsets, dtype=np.int64),
-        np.ascontiguousarray(sizes, dtype=np.int64),
-        float(mg_th),
-        float(cu_th),
-        float(bw),
-        float(cap),
-    )
-    if numba_active():
-        return _value_table_numba(*args)
-    return _value_table_impl(*args)
+    base_I_rx = np.asarray(base_I_rx, dtype=np.float64)  # (C, n)
+    contrib_rx = np.asarray(contrib_rx, dtype=np.float64)  # (G, n, C)
+    sig_cu = np.asarray(sig_cu, dtype=np.float64)  # (C,)
+    contrib_bs = np.asarray(contrib_bs, dtype=np.float64)  # (G, C)
+    mg_th, cu_th, bw, cap = float(mg_th), float(cu_th), float(bw), float(cap)
+    C = base_I_rx.shape[0]
+    G = contrib_rx.shape[0]
+
+    I_rx = _subset_sums(base_I_rx, contrib_rx.transpose(0, 2, 1))  # (M, C, n)
+    I_bs = _subset_sums(np.zeros(C), contrib_bs)  # (M, C)
+    total, _ = _gated_rate(_sir(sig_cu, I_bs, cap), cu_th, bw)
+    passing = np.zeros(total.shape, dtype=np.int64)
+    for g in range(G):
+        lo = int(offsets[g])
+        hi = lo + int(sizes[g])
+        den = _with_group(I_rx, g)[:, 0, :, :, lo:hi]  # (.., .., C, members)
+        sig = contrib_rx[g, lo:hi, :].T  # (C, members)
+        worst = _sir(sig, den, cap).min(axis=-1, initial=math.inf)
+        rate, ok = _gated_rate(worst, mg_th, bw)
+        _with_group(total, g)[:, 1] += rate
+        _with_group(passing, g)[:, 1] |= ok.astype(np.int64) << g
+    return np.ascontiguousarray(total.T), np.ascontiguousarray(passing.T)
 
 
 def build_stage2_table(cu_victim, mg_victim, rx_group) -> np.ndarray:
     """(C, 2^G) worst member sum interference at max power, unit fading."""
-    args = (
-        np.ascontiguousarray(cu_victim, dtype=np.float64),
-        np.ascontiguousarray(mg_victim, dtype=np.float64),
-        np.ascontiguousarray(rx_group, dtype=np.int64),
-    )
-    if numba_active():
-        return _stage2_table_numba(*args)
-    return _stage2_table_impl(*args)
+    cu_victim = np.asarray(cu_victim, dtype=np.float64)  # (C, n)
+    mg_victim = np.asarray(mg_victim, dtype=np.float64)  # (G, n)
+    rx_group = np.asarray(rx_group, dtype=np.int64)
+    C, n = cu_victim.shape
+    G = mg_victim.shape[0]
+    tot = _subset_sums(np.zeros(n), mg_victim)  # (M, n)
+    out = np.zeros((1 << G, C))
+    for g in range(G):
+        members = np.flatnonzero(rx_group == g)
+        others = _with_group(tot, g)[:, 0][..., members]  # (.., .., members)
+        victim = cu_victim[:, members] + others[..., None, :]  # (.., .., C, members)
+        worst = victim.max(axis=-1, initial=0.0)
+        side = _with_group(out, g)[:, 1]
+        np.maximum(side, worst, out=side)
+    return np.ascontiguousarray(out.T)

@@ -19,11 +19,14 @@ from mgshare.allocation import (
     greedy_assign,
     greedy_match,
     _family_mask_array,
+    _greedy_best,
     _stage2_matrix_direct,
 )
 from mgshare.geometry import generate_scenario
 from mgshare.params import SimParams
 from mgshare.radio import PowerVector, sir_group, sum_throughput
+from mgshare.seeds import child_seed
+from oracles import greedy_best_loop, greedy_pairs_loop
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +244,37 @@ def test_greedy_assign_agrees_with_stage2_table():
     assert a.channel_to_groups == expect
 
 
+def _scenarios_with(num_groups, count):
+    p = SimParams(num_groups=num_groups)
+    out = []
+    for idx in range(200):
+        s = generate_scenario(p, idx)
+        if not s.degenerate and len(s.groups) == num_groups:
+            out.append(s)
+            if len(out) == count:
+                return out
+    raise RuntimeError("not enough scenarios with every transmitter active")
+
+
+@pytest.mark.parametrize("num_groups", [7, 9])
+def test_batched_greedy_equals_per_family_oracle(num_groups):
+    """All-family matching picks the same (family, pairs, value) as running
+    greedy_match family by family, exactly, closed channels included."""
+    open_counts = []
+    for s in _scenarios_with(num_groups, 5):
+        ctx = build_context(s)
+        fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")
+        family_pairs = greedy_pairs_loop(ctx, fams)
+        rows = greedy_match(ctx.stage2, ctx.avail, fams)
+        assert family_pairs == [
+            tuple((slot, k) for slot, k in enumerate(row) if k >= 0) for row in rows
+        ]
+        assert _greedy_best(ctx, fams) == greedy_best_loop(ctx, fams, family_pairs)
+        open_counts.append(int(ctx.avail.sum()))
+    S = min(SimParams().num_channels, num_groups)
+    assert min(open_counts) < S  # a closed channel, so fewer open channels than subsets
+
+
 def test_greedy_assign_all_channels_closed():
     # a sky-high CU threshold closes every channel in the availability stage
     p = SimParams(cu_sir_threshold_db=90.0)
@@ -284,6 +318,25 @@ def test_grid_policy_never_loses_to_max_feasible():
             if arr[g] >= 0:
                 # zero is legal for a group the silencing pass muted
                 assert 0.0 <= powers.mg_power_w[g] <= ctx.p_gk[g, arr[g]] * (1 + 1e-12)
+
+
+def test_grid_never_below_optimal_exactly():
+    """grid(n) starts from the max_feasible point, so it may not score below
+    optimal by even one ulp; its re-summed ascent score used to."""
+    scheme_opt, scheme_grid = SchemeConfig(), SchemeConfig(power_policy="grid(3)")
+    stream = child_seed(SimParams().master_seed, 81, 0)
+    cases = [(50.0, 8)] + [(d, i) for d in (20.0, 50.0, 100.0) for i in range(40)]
+    checked = 0
+    for d, idx in cases:
+        s = generate_scenario(SimParams(exclusion_radius_m=d).copy_with(master_seed=stream), idx)
+        if s.degenerate:
+            continue
+        ctx = build_context(s)
+        _, _, tv_opt = allocate(ctx, scheme_opt)
+        _, _, tv_grid = allocate(ctx, scheme_grid)
+        assert tv_grid >= tv_opt, (d, idx)
+        checked += 1
+    assert checked >= 100
 
 
 def test_fixed_mode_without_enough_groups_degrades_to_cu_only():

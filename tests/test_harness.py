@@ -1,10 +1,13 @@
 """Config parsing, sweep plumbing, CSV output, and run determinism."""
 
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mgshare import harness
 from mgshare.harness import (
     CSV_HEADER,
     ConfigError,
@@ -138,6 +141,26 @@ def test_run_is_deterministic_and_parallel_invariant():
     b = format_rows("D", run_experiment(cfg1))
     c = format_rows("D", run_experiment(cfg2))
     assert a == b == c
+
+
+def test_one_worker_pool_per_run(monkeypatch):
+    """A pooled sweep opens one pool for all its points, has joined every
+    worker by the time it returns, and writes the serial run's bytes."""
+    opened = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *a, **kw):
+            opened.append(self)
+            super().__init__(*a, **kw)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    cfg = _tiny_config(sweep_values=(20.0, 50.0, 80.0), schemes=("optimal",), n_scenarios=4)
+    serial = format_rows("D", run_experiment(cfg))
+    assert not opened
+    pooled = format_rows("D", run_experiment(replace(cfg, parallelism=2)))
+    assert len(opened) == 1
+    assert not multiprocessing.active_children()
+    assert pooled == serial
 
 
 def test_sweep_points_share_one_scenario_stream():

@@ -1,8 +1,8 @@
-"""Table kernels: numba and numpy paths must agree bitwise, and the tables
-must reproduce what the radio layer computes link by link."""
+"""Table kernels: the numpy doublings must agree bitwise with the scalar
+loop oracles, and the tables must reproduce what the radio layer computes
+link by link."""
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -12,18 +12,24 @@ from mgshare.allocation import EvalContext, _stage2_matrix_direct
 from mgshare.geometry import generate_scenario
 from mgshare.params import SIR_CAP, SimParams
 from mgshare.radio import PowerVector, rate_cu, rate_mg, sir_cu, sir_group
+from oracles import stage2_table_loop, value_table_loop
 
 
-def _random_inputs(seed, C=3, G=5, n=13):
+def _random_inputs(seed, G, C=3):
+    """Kernel inputs for G groups of 1 to 3 receivers each, with own-group
+    signals spread over three decades so that groups both clear and miss
+    the decode threshold."""
     rng = np.random.default_rng(seed)
-    sizes = rng.integers(1, 4, G)
-    sizes[-1] += max(0, n - int(sizes.sum()))
+    sizes = rng.integers(1, 4, G).astype(np.int64)
     n = int(sizes.sum())
-    sizes = sizes.astype(np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
+    offsets = (np.cumsum(sizes) - sizes).astype(np.int64)
+    contrib_rx = rng.exponential(1e-8, (G, n, C))
+    for g in range(G):
+        own = slice(offsets[g], offsets[g] + sizes[g])
+        contrib_rx[g, own] *= 10.0 ** rng.uniform(2.0, 5.0, (sizes[g], C))
     return dict(
         base_I_rx=rng.exponential(1e-9, (C, n)),
-        contrib_rx=rng.exponential(1e-8, (G, n, C)),
+        contrib_rx=contrib_rx,
         sig_cu=rng.exponential(1e-7, C),
         contrib_bs=rng.exponential(1e-9, (G, C)),
         offsets=offsets,
@@ -35,46 +41,87 @@ def _random_inputs(seed, C=3, G=5, n=13):
     )
 
 
-def _flag_off():
-    return os.environ.get("MGSHARE_NO_NUMBA")
-
-
-def test_numba_flag_controls_dispatch(monkeypatch):
-    monkeypatch.delenv("MGSHARE_NO_NUMBA", raising=False)
-    with_numba = kernels.numba_active()
-    monkeypatch.setenv("MGSHARE_NO_NUMBA", "1")
-    assert not kernels.numba_active()
-    if kernels._HAVE_NUMBA:
-        monkeypatch.delenv("MGSHARE_NO_NUMBA")
-        assert with_numba
-
-
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba not installed")
-def test_value_table_paths_bit_identical(monkeypatch):
-    kw = _random_inputs(7)
-    monkeypatch.delenv("MGSHARE_NO_NUMBA", raising=False)
-    fast, fast_pass = kernels.build_value_table(**kw)
-    monkeypatch.setenv("MGSHARE_NO_NUMBA", "1")
-    slow, slow_pass = kernels.build_value_table(**kw)
-    assert fast.shape == (3, 1 << 5) and fast_pass.shape == (3, 1 << 5)
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(fast_pass, slow_pass)
+def _assert_value_table_matches_loop(kw):
+    G = kw["contrib_rx"].shape[0]
+    C = kw["base_I_rx"].shape[0]
+    table, passing = kernels.build_value_table(**kw)
+    want, want_pass = value_table_loop(**kw)
+    assert table.shape == passing.shape == (C, 1 << G)
+    assert np.array_equal(table, want)
+    assert np.array_equal(passing, want_pass)
     # the pass-mask is always a sub-mask of the evaluated mask
-    assert all((int(fast_pass[k, m]) & ~m) == 0 for k in range(3) for m in range(1 << 5))
+    assert not (passing & ~np.arange(1 << G)).any()
 
 
-@pytest.mark.skipif(not kernels._HAVE_NUMBA, reason="numba not installed")
-def test_stage2_table_paths_bit_identical(monkeypatch):
-    rng = np.random.default_rng(11)
-    C, G, n = 4, 6, 15
-    rx_group = np.sort(rng.integers(0, G, n)).astype(np.int64)
-    cu_victim = rng.exponential(1e-9, (C, n))
-    mg_victim = rng.exponential(1e-8, (G, n))
-    monkeypatch.delenv("MGSHARE_NO_NUMBA", raising=False)
-    fast = kernels.build_stage2_table(cu_victim, mg_victim, rx_group)
-    monkeypatch.setenv("MGSHARE_NO_NUMBA", "1")
-    slow = kernels.build_stage2_table(cu_victim, mg_victim, rx_group)
-    assert np.array_equal(fast, slow)
+def _stage2_inputs(kw, seed):
+    rng = np.random.default_rng(seed)
+    G, n, _ = kw["contrib_rx"].shape
+    rx_group = np.repeat(np.arange(G), kw["sizes"]).astype(np.int64)
+    return kw["base_I_rx"], rng.exponential(1e-8, (G, n)), rx_group
+
+
+@pytest.mark.parametrize("G", [0, 1, 2, 5, 9, 11])
+def test_value_table_bitwise_equal_to_loop_oracle(G):
+    _assert_value_table_matches_loop(_random_inputs(7 + G, G, C=2 if G > 9 else 3))
+
+
+@pytest.mark.parametrize("G", [0, 1, 2, 5, 9, 11])
+def test_stage2_table_bitwise_equal_to_loop_oracle(G):
+    args = _stage2_inputs(_random_inputs(11 + G, G, C=2 if G > 9 else 4), G)
+    table = kernels.build_stage2_table(*args)
+    assert table.shape == (args[0].shape[0], 1 << G)
+    assert np.array_equal(table, stage2_table_loop(*args))
+
+
+def test_value_table_bitwise_equal_with_muted_group():
+    """A muted group transmits at zero power: all its contributions are 0.0."""
+    kw = _random_inputs(3, 5)
+    kw["contrib_rx"][2] = 0.0
+    kw["contrib_bs"][2] = 0.0
+    _assert_value_table_matches_loop(kw)
+    args = _stage2_inputs(kw, 3)
+    args[1][2] = 0.0
+    assert np.array_equal(kernels.build_stage2_table(*args), stage2_table_loop(*args))
+
+
+def test_value_table_bitwise_equal_with_zero_cu_interference():
+    """No group reaches the base station: every CU denominator is 0.0 and the
+    CU's SIR sits at the cap for every mask."""
+    kw = _random_inputs(5, 5)
+    kw["contrib_bs"][:] = 0.0
+    _assert_value_table_matches_loop(kw)
+    table, _ = kernels.build_value_table(**kw)
+    assert (table >= math.log2(1.0 + SIR_CAP)).all()
+
+
+def test_value_table_bitwise_equal_on_real_scenarios():
+    p = SimParams(num_groups=9)
+    checked = 0
+    for idx in range(12):
+        s = generate_scenario(p, idx)
+        if s.degenerate:
+            continue
+        ctx = EvalContext(s)
+        _assert_value_table_matches_loop(
+            dict(
+                base_I_rx=ctx.base_I_rx,
+                contrib_rx=ctx.u_contrib_rx * ctx.p_gk[:, None, :],
+                sig_cu=ctx.sig_cu,
+                contrib_bs=ctx.u_contrib_bs * ctx.p_gk,
+                offsets=ctx.links.offsets,
+                sizes=ctx.links.group_sizes,
+                mg_th=p.mg_sir_threshold,
+                cu_th=p.cu_sir_threshold,
+                bw=p.bandwidth_hz,
+                cap=SIR_CAP,
+            )
+        )
+        args = (p.max_cu_power_w * ctx._g_cu_rx, p.max_mg_power_w * ctx._g_mg_rx, ctx.links.rx_group)
+        assert np.array_equal(kernels.build_stage2_table(*args), stage2_table_loop(*args))
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
 
 
 def _context():
