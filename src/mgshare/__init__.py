@@ -2,7 +2,7 @@
 assignment search (exhaustive and greedy), and a reproducible Monte Carlo
 experiment harness."""
 
-from .allocation import Assignment, SchemeConfig, allocate, build_context, evaluate
+from .allocation import Assignment, SchemeConfig, allocate, build_context
 from .combinatorics import (
     distinct_count,
     enumerate_families,
@@ -29,7 +29,6 @@ __all__ = [
     "distinct_count",
     "enumerate_families",
     "enumerate_size_vectors",
-    "evaluate",
     "generate_scenario",
     "outage_cu",
     "outage_mg",

@@ -29,28 +29,29 @@ import numpy as np
 
 from .combinatorics import enumerate_families, enumerate_size_vectors, parse_mode
 from .kernels import build_stage2_table, build_value_table
-from .outage import outage_cu, outage_mg
 from .params import SIR_CAP
 from .power import power_interval
-from .radio import PowerVector, draw_fading, path_gain, scenario_links, sum_throughput
+from .radio import PowerVector, draw_fading, path_gain, scenario_links
 from .seeds import rng_for
 
 # Stream tag for the fading draw derived from a scenario's seed; the harness
 # uses the same tag so allocation and reporting see one realization.
 FADING_STREAM = 1
 
+# Largest (groups, channels) the exhaustive search takes on: its tables grow
+# as 2^G columns and its candidates as families times channel matchings.
+EXHAUSTIVE_GUARD = (10, 5)
+
 
 @dataclass(eq=True)
 class Assignment:
     """Channels mapped to disjoint sets of active-group indices.
 
-    ``cu_only_channels`` lists channels the heuristic's availability stage
-    closed to sharing; ``unassigned_subsets`` keeps the family subsets that
-    ended up without a channel.
+    ``unassigned_subsets`` keeps the family subsets that ended up without a
+    channel.
     """
 
     channel_to_groups: dict
-    cu_only_channels: frozenset = frozenset()
     unassigned_subsets: tuple = ()
 
     def __post_init__(self):
@@ -89,17 +90,21 @@ class SchemeConfig:
     selection_mode: str = "all"
     assignment_method: str = "exhaustive"
     power_policy: str = "max_feasible"
-    throughput_mode: str = "instantaneous"
-    search_guard: tuple = (10, 5)
-    allow_large: bool = False
 
     def __post_init__(self):
         parse_mode(self.selection_mode)
         if self.assignment_method not in ("exhaustive", "greedy"):
             raise ValueError(f"unknown assignment method {self.assignment_method!r}")
         _parse_policy(self.power_policy)
-        if self.throughput_mode not in ("instantaneous", "analytic"):
-            raise ValueError(f"unknown throughput mode {self.throughput_mode!r}")
+
+
+def check_exhaustive_size(G: int, C: int) -> None:
+    gmax, cmax = EXHAUSTIVE_GUARD
+    if G > gmax or C > cmax:
+        raise ValueError(
+            f"exhaustive search refused for G={G}, C={C}: "
+            f"it takes at most {gmax} groups and {cmax} channels"
+        )
 
 
 def _parse_policy(policy: str):
@@ -120,19 +125,18 @@ def _parse_policy(policy: str):
 class EvalContext:
     """Link gains, feasible powers, and score tables for one scenario.
 
-    Built once per (scenario, fading, throughput mode); the allocation
-    searches then run on table lookups. Tables are lazy: the heuristic's
-    interference table is only built when the heuristic runs.
+    Built once per (scenario, fading); the allocation searches then run on
+    table lookups. Tables are lazy: the heuristic's interference table is
+    only built when the heuristic runs.
     """
 
-    def __init__(self, scenario, fading=None, throughput_mode="instantaneous"):
+    def __init__(self, scenario, fading=None):
         self.scenario = scenario
         self.params = scenario.params
         self.links = scenario_links(scenario)
         if fading is None:
             fading = draw_fading(self.links, rng_for(scenario.scenario_seed, FADING_STREAM))
         self.fading = fading
-        self.throughput_mode = throughput_mode
         p = self.params
         L = self.links
         self.C = p.num_channels
@@ -147,14 +151,13 @@ class EvalContext:
 
         # feasible power interval per (group, channel): the floor binds at the
         # group's farthest member, the cap at the channel CU's distance
-        self.worst_d = np.array(
+        worst_d = np.array(
             [
                 float(L.d_mg_rx[g, L.offsets[g] : L.offsets[g] + L.group_sizes[g]].max())
                 for g in range(self.G)
             ]
         )
         self.p_inf = np.zeros(self.G)
-        self.p_sup_k = np.zeros((self.G, self.C))
         self.p_gk = np.zeros((self.G, self.C))
         for g in range(self.G):
             for k in range(self.C):
@@ -163,7 +166,7 @@ class EvalContext:
                     p.group_density_per_m2,
                     p.max_cu_power_w,
                     p.exclusion_radius_m,
-                    self.worst_d[g],
+                    worst_d[g],
                     p.mg_sir_threshold,
                     p.mg_outage_budget,
                     L.d_cu_bs[k],
@@ -173,7 +176,6 @@ class EvalContext:
                     alpha,
                 )
                 self.p_inf[g] = b.p_inf_w
-                self.p_sup_k[g, k] = b.p_sup_w
                 if b.feasible:
                     self.p_gk[g, k] = b.p_sup_w
 
@@ -199,80 +201,38 @@ class EvalContext:
     def value(self) -> np.ndarray:
         """(C, 2^G) channel score for every co-channel group mask.
 
-        Instantaneous mode layers a one-shot silencing step on the raw
-        table. Every granted group transmits at the top of its feasible
-        interval; a group whose realized worst member SIR still misses the
-        decode threshold at those powers earns nothing while interfering
-        with everyone else, so it is muted. Muting can only raise the
-        remaining SIRs, hence nobody new fails and one pass settles. The
-        silenced score is therefore just the raw entry at the surviving
-        sub-mask, which keeps the kernel the single arithmetic authority.
+        A one-shot silencing step sits on the raw table. Every granted group
+        transmits at the top of its feasible interval; a group whose
+        realized worst member SIR still misses the decode threshold at those
+        powers earns nothing while interfering with everyone else, so it is
+        muted. Muting can only raise the remaining SIRs, hence nobody new
+        fails and one pass settles. The silenced score is therefore just the
+        raw entry at the surviving sub-mask, which keeps the kernel the
+        single arithmetic authority.
         """
         if self._value is None:
-            if self.throughput_mode == "instantaneous":
-                contrib_rx = self.u_contrib_rx * self.p_gk[:, None, :]
-                contrib_bs = self.u_contrib_bs * self.p_gk
-                raw, surv = build_value_table(
-                    self.base_I_rx,
-                    contrib_rx,
-                    self.sig_cu,
-                    contrib_bs,
-                    self.links.offsets,
-                    self.links.group_sizes,
-                    self.params.mg_sir_threshold,
-                    self.params.cu_sir_threshold,
-                    self.params.bandwidth_hz,
-                    SIR_CAP,
-                )
-                self._surv = surv
-                self._value = np.take_along_axis(raw, surv, axis=1)
-            else:
-                self._value = self._analytic_table()
+            contrib_rx = self.u_contrib_rx * self.p_gk[:, None, :]
+            contrib_bs = self.u_contrib_bs * self.p_gk
+            raw, surv = build_value_table(
+                self.base_I_rx,
+                contrib_rx,
+                self.sig_cu,
+                contrib_bs,
+                self.links.offsets,
+                self.links.group_sizes,
+                self.params.mg_sir_threshold,
+                self.params.cu_sir_threshold,
+                self.params.bandwidth_hz,
+                SIR_CAP,
+            )
+            self._surv = surv
+            self._value = np.take_along_axis(raw, surv, axis=1)
         return self._value
 
     def survivor_mask(self, k: int, mask: int) -> int:
         """Sub-mask of `mask` still transmitting after the silencing pass."""
         _ = self.value
-        if self._surv is None:  # analytic scores carry no realized fading to gate on
-            return mask
         return int(self._surv[k, mask])
-
-    def _analytic_table(self) -> np.ndarray:
-        p = self.params
-        bw = p.bandwidth_hz
-        c_th, g_th = p.cu_sir_threshold, p.mg_sir_threshold
-        alpha = p.path_loss_exponent
-        M = 1 << self.G
-        grate = np.zeros((self.G, self.C))
-        for g in range(self.G):
-            for k in range(self.C):
-                pw = self.p_gk[g, k]
-                if pw <= 0.0:
-                    continue
-                succ = 1.0 - outage_mg(
-                    p.cu_density_per_m2, p.group_density_per_m2,
-                    p.max_cu_power_w, pw, p.exclusion_radius_m,
-                    self.worst_d[g], g_th, alpha,
-                )
-                grate[g, k] = p.group_density_per_m2 * bw * math.log2(1.0 + g_th) * succ
-        cu_log = p.cu_density_per_m2 * bw * math.log2(1.0 + c_th)
-        out = np.zeros((self.C, M))
-        for k in range(self.C):
-            for m in range(M):
-                live = [g for g in range(self.G) if (m >> g) & 1 and self.p_gk[g, k] > 0.0]
-                if live:
-                    p_field = float(np.mean([self.p_gk[g, k] for g in live]))
-                    succ_c = 1.0 - outage_cu(
-                        p.group_density_per_m2, p_field, p.max_cu_power_w,
-                        self.links.d_cu_bs[k], c_th, alpha,
-                    )
-                else:
-                    succ_c = 1.0
-                total = cu_log * succ_c
-                for g in live:
-                    total += grate[g, k]
-                out[k, m] = total
-        return out
 
     @property
     def stage2(self) -> np.ndarray:
@@ -305,13 +265,6 @@ class EvalContext:
         """Throughput with every channel CU-only."""
         return float(self.value[:, 0].sum())
 
-    def pattern_value(self, masks_by_channel) -> float:
-        total = self.baseline
-        for k, m in enumerate(masks_by_channel):
-            if m:
-                total += float(self.value[k, m]) - float(self.value[k, 0])
-        return total
-
     def channel_value(self, k: int, mask: int, mg_power_w: np.ndarray) -> float:
         """Recompute one channel's score for arbitrary group powers.
 
@@ -343,8 +296,8 @@ class EvalContext:
         return total
 
 
-def build_context(scenario, fading=None, throughput_mode="instantaneous") -> EvalContext:
-    return EvalContext(scenario, fading, throughput_mode)
+def build_context(scenario, fading=None) -> EvalContext:
+    return EvalContext(scenario, fading)
 
 
 # ---------------------------------------------------------------------------
@@ -393,24 +346,19 @@ def _masks_to_subsets(masks) -> tuple:
 # greedy heuristic (availability, interference ranking, greedy matching)
 
 
-def greedy_match(matrix: np.ndarray, row_ok, col_sets=None):
+def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray:
     """Repeatedly take the globally smallest entry among free rows/columns.
 
-    Ties break toward the lower row (channel), then the lower column
-    (subset): each round is a row-major argmin, which returns the first
-    minimum. Closed rows and rows or columns already matched read +inf.
-
-    Without ``col_sets`` the matrix's own columns form one family and the
-    result is the (col, row) pairs sorted by column. With ``col_sets`` of
-    shape (F, S), every family f is matched on ``matrix[:, col_sets[f]]``
-    at once and the result is an (F, S) array holding the row each slot got,
-    -1 where the slot stayed unmatched. Either way min(open rows, S) rounds.
+    Every family f of ``col_sets`` (shape (F, S)) is matched on
+    ``matrix[:, col_sets[f]]`` at once, in min(open rows, S) rounds. Ties
+    break toward the lower row (channel), then the lower column (subset):
+    each round is a row-major argmin, which returns the first minimum.
+    Closed rows and rows or columns already matched read +inf. The result
+    is an (F, S) array holding the row each slot got, -1 where the slot
+    stayed unmatched.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     C = matrix.shape[0]
-    single = col_sets is None
-    if single:
-        col_sets = np.arange(matrix.shape[1])[None, :]
     F, S = col_sets.shape
     work = np.empty((F, C, S))
     for k in range(C):
@@ -426,136 +374,14 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets=None):
         row_of[fam, s] = k
         work[fam, k, :] = math.inf
         work[fam, :, s] = math.inf
-    if single:
-        return tuple((s, int(k)) for s, k in enumerate(row_of[0]) if k >= 0)
     return row_of
 
 
-def _stage2_matrix_direct(ctx: EvalContext, subset_masks) -> np.ndarray:
-    """Worst member sum interference per (channel, subset), from scratch.
-
-    Entry (k, s): max over members r of s's groups of the interference r
-    would collect from s's other groups plus channel k's CU, everything at
-    maximum power with unit fading.
-    """
-    p = ctx.params
-    L = ctx.links
-    out = np.zeros((ctx.C, len(subset_masks)))
-    for s, mask in enumerate(subset_masks):
-        groups = [g for g in range(ctx.G) if (int(mask) >> g) & 1]
-        victims = [
-            int(L.offsets[g]) + t for g in groups for t in range(int(L.group_sizes[g]))
-        ]
-        for k in range(ctx.C):
-            worst = 0.0
-            for j in victims:
-                tot = p.max_cu_power_w * ctx._g_cu_rx[k, j]
-                for g2 in groups:
-                    if g2 != L.rx_group[j]:
-                        tot += p.max_mg_power_w * ctx._g_mg_rx[g2, j]
-                worst = max(worst, tot)
-            out[k, s] = worst
-    return out
-
-
-def greedy_assign(scenario, subsets, p_c_w=None, p_g_w=None) -> Assignment:
-    """Three-stage heuristic assignment of subsets to channels.
-
-    Stage 1 closes channels whose CU could not decode next to even the
-    friendliest single group at maximum powers. Stage 2 scores each
-    (channel, subset) pair by the worst sum interference a member would see.
-    Stage 3 greedily matches smallest scores first. Subsets left over when
-    channels run out are returned unassigned.
-
-    ``p_c_w`` / ``p_g_w`` override the maximum powers the stages assume.
-    """
-    ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(scenario)
-    if p_c_w is not None or p_g_w is not None:
-        # rebuild the premise powers on a scratch copy of the parameters
-        import copy
-
-        scn = ctx.scenario
-        kw = {}
-        if p_c_w is not None:
-            kw["max_cu_power_dbm"] = 10.0 * math.log10(p_c_w) + 30.0
-        if p_g_w is not None:
-            kw["max_mg_power_dbm"] = 10.0 * math.log10(p_g_w) + 30.0
-        scn2 = copy.copy(scn)
-        scn2.params = scn.params.copy_with(**kw)
-        ctx = EvalContext(scn2)
-    masks = [sum(1 << g for g in s) for s in subsets]
-    matrix = _stage2_matrix_direct(ctx, masks)
-    pairs = greedy_match(matrix, ctx.avail)
-    return _pairs_to_assignment(ctx, masks, pairs)
-
-
-def _pairs_to_assignment(ctx: EvalContext, masks, pairs) -> Assignment:
-    chan_map = {k: frozenset() for k in range(ctx.C)}
-    taken = set()
-    for s, k in pairs:
-        chan_map[k] = _masks_to_subsets([masks[s]])[0]
-        taken.add(s)
-    unassigned = tuple(
-        _masks_to_subsets([masks[s]])[0] for s in range(len(masks)) if s not in taken
-    )
-    return Assignment(
-        channel_to_groups=chan_map,
-        cu_only_channels=frozenset(int(k) for k in range(ctx.C) if not ctx.avail[k]),
-        unassigned_subsets=unassigned,
-    )
-
-
 # ---------------------------------------------------------------------------
-# exhaustive search
+# full per-scenario allocation
 
 
-def _guard_check(scheme: SchemeConfig, G: int, C: int) -> None:
-    gmax, cmax = scheme.search_guard
-    if (G > gmax or C > cmax) and not scheme.allow_large:
-        raise ValueError(
-            f"exhaustive search refused for G={G}, C={C} "
-            f"(guard {scheme.search_guard}); set allow_large=True to override"
-        )
-
-
-def exhaustive_assign(
-    scenario,
-    subsets,
-    power_policy: str = "max_feasible",
-    throughput_mode: str = "instantaneous",
-    fading=None,
-    search_guard: tuple = (10, 5),
-    allow_large: bool = False,
-):
-    """Best matching of the given subsets to channels, with drops allowed.
-
-    Scores every injective partial matching through the value table and
-    returns (Assignment, throughput). Ties keep the earliest pattern, i.e.
-    the first complete matching in lexicographic channel order.
-    """
-    ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(scenario, fading, throughput_mode)
-    if ctx.G > search_guard[0] or ctx.C > search_guard[1]:
-        if not allow_large:
-            raise ValueError(
-                f"exhaustive search refused for G={ctx.G}, C={ctx.C} "
-                f"(guard {search_guard}); set allow_large=True to override"
-            )
-    masks = [sum(1 << g for g in s) for s in subsets]
-    if len(masks) > ctx.C:
-        raise ValueError("more subsets than channels")
-    best_v, best_pat = -math.inf, None
-    for pat in assignment_patterns(len(masks), ctx.C):
-        chan_masks = [0] * ctx.C
-        for s, k in pat:
-            chan_masks[k] = masks[s]
-        v = ctx.pattern_value(chan_masks)
-        if v > best_v:
-            best_v, best_pat = v, pat
-    assignment = _pairs_to_assignment_plain(ctx.C, masks, best_pat)
-    return assignment, best_v
-
-
-def _pairs_to_assignment_plain(C, masks, pairs) -> Assignment:
+def _pairs_to_assignment(C: int, masks, pairs) -> Assignment:
     chan_map = {k: frozenset() for k in range(C)}
     taken = set()
     for s, k in pairs:
@@ -565,10 +391,6 @@ def _pairs_to_assignment_plain(C, masks, pairs) -> Assignment:
         _masks_to_subsets([masks[s]])[0] for s in range(len(masks)) if s not in taken
     )
     return Assignment(channel_to_groups=chan_map, unassigned_subsets=unassigned)
-
-
-# ---------------------------------------------------------------------------
-# full per-scenario allocation
 
 
 def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
@@ -606,6 +428,12 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray):
     """Greedy matching of every family at once; the best family's
     (index, pairs, value), the first family winning exact ties.
 
+    The heuristic has three stages: ``avail`` closes channels whose CU could
+    not decode next to even the friendliest single group at maximum powers,
+    ``stage2`` scores each (channel, subset) pair by the worst sum
+    interference a member would see, and greedy_match takes the smallest
+    scores first. Subsets left over when channels run out stay unassigned.
+
     A family's value adds its matched slots' gains onto the baseline in
     slot order; an unmatched slot adds 0.0, which is exact.
     """
@@ -627,16 +455,17 @@ def _grid_refine(
     mg_power: np.ndarray,
     n_points: int,
     sweeps: int = 3,
-    table_value: float | None = None,
+    *,
+    table_value: float,
 ):
     """Coordinate ascent over a geometric power grid, starting at the top of
     each feasible interval.
 
     The ascent re-sums per-channel scores, which can land an ulp or two
-    below the table-backed score of the starting point. Given that score as
-    ``table_value``, a result that does not exceed it returns the starting
-    powers and ``table_value`` itself, so the result never falls below
-    max_feasible, exactly.
+    below ``table_value``, the table-backed score of the starting point. A
+    result that does not exceed it returns the starting powers and
+    ``table_value`` itself, so the result never falls below max_feasible,
+    exactly.
     """
     start = mg_power
     mg_power = mg_power.copy()
@@ -673,7 +502,7 @@ def _grid_refine(
         if not improved:
             break
     total = float(sum(vals))
-    if table_value is not None and not total > table_value:
+    if not total > table_value:
         return start.copy(), table_value
     return mg_power, total
 
@@ -682,10 +511,8 @@ def _silence_gate_failures(ctx: EvalContext, assignment, mg_power: np.ndarray) -
     """Zero the powers the one-shot silencing step decided against.
 
     Keeps the returned PowerVector consistent with the table-backed score:
-    feeding these powers to the radio layer reproduces the reported value.
+    rescoring the assignment at these powers reproduces the reported value.
     """
-    if ctx.throughput_mode != "instantaneous":
-        return mg_power
     for k, m in enumerate(assignment.channel_masks(ctx.C)):
         dead = int(m) & ~ctx.survivor_mask(k, int(m))
         while dead:
@@ -703,38 +530,27 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     CU-only outcome is always in the running, so an infeasible cell degrades
     to CU-only rather than failing.
     """
-    ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(
-        scenario, fading, scheme.throughput_mode
-    )
+    ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(scenario, fading)
     C = ctx.C
     policy, grid_n = _parse_policy(scheme.power_policy)
     if ctx.G == 0:
-        assignment = Assignment(
-            channel_to_groups={k: frozenset() for k in range(C)},
-            cu_only_channels=frozenset(range(C)),
-        )
+        assignment = Assignment(channel_to_groups={k: frozenset() for k in range(C)})
         return assignment, PowerVector(ctx.cu_power_w.copy(), np.zeros(0)), ctx.baseline
 
     if scheme.assignment_method == "exhaustive":
-        _guard_check(scheme, ctx.G, C)
+        check_exhaustive_size(ctx.G, C)
     C_eff = min(C, ctx.G)
     fam_masks = _family_mask_array(ctx.G, C_eff, scheme.selection_mode)
     if fam_masks.shape[0] == 0:
         # the mode admits no family at this (G, C); degrade to CU-only
-        assignment = Assignment(
-            channel_to_groups={k: frozenset() for k in range(C)},
-            cu_only_channels=frozenset(range(C)),
-        )
+        assignment = Assignment(channel_to_groups={k: frozenset() for k in range(C)})
         return assignment, PowerVector(ctx.cu_power_w.copy(), np.zeros(ctx.G)), ctx.baseline
 
     if scheme.assignment_method == "exhaustive":
-        fi, pat, tv = _exhaustive_best(ctx, fam_masks)
-        masks = fam_masks[fi]
-        assignment = _pairs_to_assignment_plain(C, list(masks), pat)
+        fi, pairs, tv = _exhaustive_best(ctx, fam_masks)
     else:
         fi, pairs, tv = _greedy_best(ctx, fam_masks)
-        masks = fam_masks[fi]
-        assignment = _pairs_to_assignment(ctx, list(masks), pairs)
+    assignment = _pairs_to_assignment(C, list(fam_masks[fi]), pairs)
 
     arr = assignment.as_array(ctx.G)
     mg_power = np.array(
@@ -746,20 +562,3 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
         mg_power, tv = _grid_refine(ctx, chan_masks, mg_power, grid_n, table_value=tv)
     return assignment, PowerVector(ctx.cu_power_w.copy(), mg_power), tv
 
-
-def evaluate(scenario, assignment: Assignment, power_policy="max_feasible",
-             throughput_mode="instantaneous", fading=None) -> float:
-    """Score a given assignment directly through the radio layer."""
-    ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(
-        scenario, fading, throughput_mode
-    )
-    policy, grid_n = _parse_policy(power_policy)
-    arr = assignment.as_array(ctx.G)
-    mg_power = np.array(
-        [ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)]
-    )
-    mg_power = _silence_gate_failures(ctx, assignment, mg_power)
-    if policy == "grid":
-        mg_power, _ = _grid_refine(ctx, assignment.channel_masks(ctx.C), mg_power, grid_n)
-    powers = PowerVector(ctx.cu_power_w.copy(), mg_power)
-    return sum_throughput(ctx.links, ctx.fading, powers, arr, mode=throughput_mode)

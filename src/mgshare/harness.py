@@ -25,11 +25,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .allocation import SchemeConfig, allocate, build_context
+from .allocation import SchemeConfig, allocate, build_context, check_exhaustive_size
 from .geometry import generate_scenario
 from .params import SimParams, param_names, parse_param
 from .seeds import child_seed
@@ -96,6 +96,8 @@ class ExperimentConfig:
     parallelism: int = 1
 
     def validate(self) -> None:
+        """Check the config and every sweep point's parameters and schemes,
+        so a bad config fails before the first scenario runs."""
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"unknown sweep variable {self.sweep_variable!r}; "
@@ -103,6 +105,8 @@ class ExperimentConfig:
             )
         if not self.sweep_values:
             raise ConfigError("sweep_values must be non-empty")
+        if not all(math.isfinite(v) for v in self.sweep_values):
+            raise ConfigError("sweep_values must be finite")
         if list(self.sweep_values) != sorted(self.sweep_values):
             raise ConfigError("sweep_values must be sorted ascending")
         if not self.schemes:
@@ -113,7 +117,19 @@ class ExperimentConfig:
             raise ConfigError("scenarios must be at least 1")
         if self.parallelism < 1:
             raise ConfigError("parallel must be at least 1")
-        self.base.validate()
+        try:
+            self.base.validate()
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        for value in self.sweep_values:
+            try:
+                params, tokens = apply_sweep(self.base, self.sweep_variable, value, self.schemes)
+                params.validate()
+                if any(resolve_scheme(t).assignment_method == "exhaustive" for t in tokens):
+                    # a scenario never has more active groups than num_groups
+                    check_exhaustive_size(params.num_groups, params.num_channels)
+            except ValueError as e:
+                raise ConfigError(f"{self.sweep_variable} = {value!r}: {e}") from e
 
 
 @dataclass
@@ -332,7 +348,6 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
             params, scheme_tokens = apply_sweep(
                 cfg.base, cfg.sweep_variable, value, cfg.schemes
             )
-            params.validate()
             t0 = time.perf_counter()
             results = _gather_point(cfg, params, scheme_tokens, pool)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
@@ -364,13 +379,13 @@ def winning_combination_histogram(cfg: ExperimentConfig) -> dict:
     several equally good vectors. The vector counts every selected group,
     muted ones included.
     """
+    cfg = replace(cfg, schemes=("optimal",))
     cfg.validate()
     out = {}
     with _worker_pool(cfg) as pool:
         for value in cfg.sweep_values:
-            params, _ = apply_sweep(cfg.base, cfg.sweep_variable, value, cfg.schemes)
-            params.validate()
-            results = _gather_point(cfg, params, ("optimal",), pool)
+            params, schemes = apply_sweep(cfg.base, cfg.sweep_variable, value, cfg.schemes)
+            results = _gather_point(cfg, params, schemes, pool)
             counts: dict[tuple, int] = {}
             for r in results:
                 if r is None:

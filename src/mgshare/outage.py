@@ -8,13 +8,8 @@ functional factor to the success probability of the tagged link. The closed
 forms below are written for alpha = 4; for other exponents only the Monte
 Carlo estimator applies.
 
-The guard-zone factor is offered in three arrangements. `annulus_laplace` is
-the exact evaluation of the guard-zone integral and is the one used by
-`outage_mg`; it is monotone in every parameter and stays in (0, 1]. The two
-alternates reproduce historical arrangements of the same derivation (one
-leaves the boundary term outside the density scaling, the other folds it
-inside after a half-angle rewrite); they are kept for comparison because
-neither satisfies the monotonicity/normalization contracts everywhere.
+The guard-zone factor, `annulus_laplace`, is the exact evaluation of the
+guard-zone integral; it is monotone in every parameter and stays in (0, 1].
 """
 
 from __future__ import annotations
@@ -70,51 +65,6 @@ def annulus_laplace(
     return math.exp(-density * math.pi * root * math.atan(root / guard**2))
 
 
-def annulus_laplace_alt(
-    density: float,
-    power: float,
-    s: float,
-    guard: float,
-    alpha: float = 4.0,
-    form: str = "bracket_sum",
-    tx_power: float | None = None,
-) -> float:
-    """Alternate arrangements of the guard-zone factor, for comparison only.
-
-    form="bracket_sum": exponent -density*pi*sqrt(power*s)*(arctan(sqrt(Y)) +
-    sqrt(Y)/(1+Y)) - Y*guard^2/(1+Y), with Y = power*s/guard^alpha. The
-    boundary term sits outside the density scaling, so the value collapses
-    toward 0 whenever Y*guard^2 is large and is not monotone in guard.
-
-    form="condensed": exponent -density*pi*(sqrt(power*s)*(pi/2 -
-    arctan(1/Y) + sqrt(Y)/(1+Y)) - s*tx_power*guard^(2-alpha)/(1+Y)).
-    Requires the tagged link's transmit power; can exceed 1 when tx_power >
-    power.
-    """
-    _require_alpha4(alpha)
-    _check_nonneg(density=density, power=power, s=s)
-    if guard <= 0:
-        raise ValueError("guard radius must be positive")
-    ps = power * s
-    if ps == 0.0 or density == 0.0:
-        return 1.0
-    y1 = ps / guard**alpha
-    root = math.sqrt(ps)
-    if form == "bracket_sum":
-        bracket = math.atan(math.sqrt(y1)) + math.sqrt(y1) / (1.0 + y1)
-        expo = -density * math.pi * root * bracket - y1 * guard**2 / (1.0 + y1)
-        return math.exp(expo)
-    if form == "condensed":
-        if tx_power is None:
-            raise ValueError("condensed form needs the tagged link's tx_power")
-        bracket = (
-            math.pi / 2.0 - math.atan(1.0 / y1) + math.sqrt(y1) / (1.0 + y1)
-        )
-        boundary = s * tx_power * guard ** (2.0 - alpha) / (1.0 + y1)
-        return math.exp(-density * math.pi * (root * bracket - boundary))
-    raise ValueError(f"unknown form {form!r}")
-
-
 def outage_mg(
     cu_density: float,
     mg_density: float,
@@ -124,16 +74,13 @@ def outage_mg(
     link_d: float,
     threshold: float,
     alpha: float = 4.0,
-    variant: str = "annulus",
 ) -> float:
     """Outage probability of a multicast receiver at distance `link_d` from
     its transmitter, with co-channel CU and multicast interference fields.
 
     1 - guard_zone_factor * plane_factor, evaluated at
     s = threshold * link_d^alpha / p_g. The plane factor is independent of
-    p_g (the interferer and signal powers cancel). `variant` selects the
-    guard-zone arrangement; anything but the default "annulus" is for
-    comparison and may leave [0, 1].
+    p_g (the interferer and signal powers cancel).
     """
     _require_alpha4(alpha)
     _check_nonneg(
@@ -150,13 +97,7 @@ def outage_mg(
     # interferer and signal powers cancel in the plane factor; evaluating the
     # cancelled form keeps it bitwise constant across p_g
     l_plane = plane_laplace(mg_density, 1.0, threshold * link_d**alpha, alpha)
-    if variant == "annulus":
-        l_guard = annulus_laplace(cu_density, p_c, s, guard, alpha)
-    else:
-        l_guard = annulus_laplace_alt(
-            cu_density, p_c, s, guard, alpha, form=variant, tx_power=p_g
-        )
-    return 1.0 - l_guard * l_plane
+    return 1.0 - annulus_laplace(cu_density, p_c, s, guard, alpha) * l_plane
 
 
 def outage_cu(

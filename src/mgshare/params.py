@@ -122,6 +122,10 @@ class SimParams:
         return replace(self, **kw)
 
     def validate(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.cell_radius_m <= 0 or self.exclusion_radius_m < 0:
             raise ValueError("radii must be positive")
         if self.exclusion_radius_m >= self.cell_radius_m:
@@ -130,8 +134,8 @@ class SimParams:
             raise ValueError("need at least one channel and a nonnegative group count")
         if not (0.0 < self.cu_outage_budget < 1.0 and 0.0 < self.mg_outage_budget < 1.0):
             raise ValueError("outage budgets must lie in (0, 1)")
-        if self.path_loss_exponent <= 2.0:
-            raise ValueError("path loss exponent must exceed 2 for finite interference")
+        if not math.isclose(self.path_loss_exponent, 4.0, abs_tol=1e-12):
+            raise ValueError("the closed-form power intervals need path loss exponent 4")
 
 
 # Config keys that may be set from key=value files / CLI overrides, with the

@@ -6,6 +6,11 @@ inverts exactly: the CU outage form is monotone in the multicast power, so
 budget. The receiver-side constraint only yields an approximate closed-form
 floor (`group_power_floor`); its derivation drops terms, so it is validated
 against a bisection oracle in the tests rather than trusted as exact.
+
+Each bound is written once, for path loss exponent 4, and `power_interval`
+clamps the pair to the transmit limit. `bisect_outage_root`,
+`cap_root_residual` and `floor_root_comparison` are the numeric oracles the
+validate-lemmas command and the tests check the bounds against.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ def group_power_floor(
     threshold: float,
     outage_budget: float,
     alpha: float = 4.0,
-    form: str = "derivation",
 ) -> float:
     """Approximate minimum multicast power meeting the receiver outage budget.
 
@@ -39,11 +43,8 @@ def group_power_floor(
     binds, this floor sits far below the true root of the outage equation
     (safe but loose); the tests quantify both effects.
 
-    form="derivation" (default) uses the numerator
-    cu_density*pi*sqrt(p_c)*sqrt(4*th*d^alpha*p_c*guard^-alpha) that the
-    bound's derivation chain produces; form="declared" uses the numerator
-    2*cu_density*pi*p_c*th*d^alpha, an alternate statement of the same bound
-    without the guard-radius dependence. Both share the denominator.
+    The numerator is cu_density*pi*sqrt(p_c)*sqrt(4*th*d^alpha*p_c*guard^-alpha),
+    as the bound's derivation chain produces it.
     """
     if not math.isclose(alpha, 4.0, abs_tol=1e-12):
         raise ValueError("closed-form power bounds require path loss exponent 4")
@@ -66,14 +67,9 @@ def group_power_floor(
     )
     if denom <= 0.0:
         return math.inf
-    if form == "derivation":
-        num = cu_density * math.pi * math.sqrt(p_c) * math.sqrt(
-            4.0 * gd * p_c * guard ** (-alpha)
-        )
-    elif form == "declared":
-        num = 2.0 * cu_density * math.pi * p_c * gd
-    else:
-        raise ValueError(f"unknown form {form!r}")
+    num = cu_density * math.pi * math.sqrt(p_c) * math.sqrt(
+        4.0 * gd * p_c * guard ** (-alpha)
+    )
     return num / denom
 
 

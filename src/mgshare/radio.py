@@ -1,27 +1,19 @@
-"""Link-level physics: path gains, fading draws, SIR, rates, throughput.
+"""Link-level physics: path gains, link distance tables, fading draws.
 
-Everything here is a pure function of a scenario's link geometry, one fading
-realization, a power vector, and a channel assignment. The assignment is an
-integer array over the scenario's active groups: entry g holds the channel
-index serving group g, or -1 when the group is dropped.
-
-Two throughput views exist. ``instantaneous`` scores one fading draw with an
-indicator at the decode threshold; the harness averages it over scenarios
-(the default everywhere schemes are compared). ``analytic`` swaps the
-indicator for the closed-form success probability and weights each term by
-its field density, which makes the result a per-unit-area figure and ties
-the harness to the outage module.
+Everything here is a pure function of a scenario's geometry and a random
+stream. The SIR and rate arithmetic built on them lives in the search
+layer: the kernels score every co-channel group mask at once, and
+``EvalContext.channel_value`` rescores one channel for the grid power
+ascent.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .outage import outage_cu, outage_mg
-from .params import MIN_LINK_DISTANCE_M, SIR_CAP
+from .params import MIN_LINK_DISTANCE_M
 
 # Links shorter than MIN_LINK_DISTANCE_M are evaluated at the clamp distance;
 # every clamped element ticks this counter so sweeps can report how often the
@@ -49,22 +41,6 @@ def path_gain(d, alpha: float):
         arr = np.maximum(arr, MIN_LINK_DISTANCE_M)
     out = arr ** (-alpha)
     return float(out) if np.isscalar(d) or getattr(d, "ndim", 1) == 0 else out
-
-
-@dataclass
-class ChannelModel:
-    """Path-loss exponent with its stable-law index delta = 2/alpha."""
-
-    alpha: float
-    bandwidth_hz: float = 1.0
-
-    def __post_init__(self):
-        if self.alpha <= 2.0:
-            raise ValueError("alpha must exceed 2")
-
-    @property
-    def delta(self) -> float:
-        return 2.0 / self.alpha
 
 
 @dataclass(eq=False)
@@ -128,32 +104,13 @@ def _links_of(x) -> ScenarioLinks:
 
 @dataclass(eq=False)
 class FadingRealization:
-    """One i.i.d. Exp(1) draw for every (transmitter, receiver, channel) link.
-
-    Stored as dense arrays; ``gain`` exposes the map view with node keys
-    ("cu", k), ("mg", g), ("bs",) and ("rx", j) where j is the flat receiver
-    index of the links table.
-    """
+    """One i.i.d. Exp(1) draw for every (transmitter, receiver, channel) link,
+    stored as dense arrays; j is the flat receiver index of the links table."""
 
     h_cu_bs: np.ndarray      # (C,)      CU k -> BS on its own channel
     h_mg_bs: np.ndarray      # (G, C)    group tx g -> BS on channel k
     h_cu_rx: np.ndarray      # (C, n_rx) CU k -> receiver j (channel k implied)
     h_mg_rx: np.ndarray      # (G, n_rx, C)
-
-    def gain(self, tx, rx, channel: int) -> float:
-        if tx[0] == "cu" and rx == ("bs",):
-            if channel != tx[1]:
-                raise KeyError("a CU transmits on its own channel only")
-            return float(self.h_cu_bs[tx[1]])
-        if tx[0] == "mg" and rx == ("bs",):
-            return float(self.h_mg_bs[tx[1], channel])
-        if tx[0] == "cu" and rx[0] == "rx":
-            if channel != tx[1]:
-                raise KeyError("a CU transmits on its own channel only")
-            return float(self.h_cu_rx[tx[1], rx[1]])
-        if tx[0] == "mg" and rx[0] == "rx":
-            return float(self.h_mg_rx[tx[1], rx[1], channel])
-        raise KeyError(f"no such link {tx} -> {rx}")
 
 
 def draw_fading(scenario_or_links, rng: np.random.Generator) -> FadingRealization:
@@ -179,200 +136,3 @@ class PowerVector:
 
     cu_power_w: np.ndarray
     mg_power_w: np.ndarray
-
-
-# Ticks once per SIR evaluated against an empty interference denominator
-# (no co-channel transmitter at all); such ratios come back as SIR_CAP.
-_cap_count = 0
-
-
-def cap_count() -> int:
-    return _cap_count
-
-
-def reset_cap_count() -> None:
-    global _cap_count
-    _cap_count = 0
-
-
-def _capped(signal: float, denom: float) -> float:
-    global _cap_count
-    if denom <= 0.0:
-        _cap_count += 1
-        return SIR_CAP
-    return min(signal / denom, SIR_CAP)
-
-
-def sir_mg_receiver(scenario_or_links, fading, powers, assignment, g, r, k) -> float:
-    """SIR of member r of group g on channel k.
-
-    Interference: the channel's CU plus every other group assigned to k. The
-    ratio is capped at SIR_CAP, which also covers an interference-free
-    channel.
-    """
-    links = _links_of(scenario_or_links)
-    assignment = np.asarray(assignment)
-    if assignment[g] != k:
-        raise ValueError(f"group {g} is not assigned to channel {k}")
-    if not (0 <= r < links.group_sizes[g]):
-        raise IndexError("receiver index outside the group")
-    alpha = links.params.path_loss_exponent
-    j = int(links.offsets[g]) + r
-    sig = (
-        powers.mg_power_w[g]
-        * fading.h_mg_rx[g, j, k]
-        * path_gain(links.d_mg_rx[g, j], alpha)
-    )
-    den = (
-        powers.cu_power_w[k]
-        * fading.h_cu_rx[k, j]
-        * path_gain(links.d_cu_rx[k, j], alpha)
-    )
-    for g2 in range(links.num_groups):
-        if g2 != g and assignment[g2] == k:
-            den += (
-                powers.mg_power_w[g2]
-                * fading.h_mg_rx[g2, j, k]
-                * path_gain(links.d_mg_rx[g2, j], alpha)
-            )
-    return _capped(sig, den)
-
-
-def sir_group(scenario_or_links, fading, powers, assignment, g, k) -> float:
-    """Worst-member SIR of group g on channel k."""
-    links = _links_of(scenario_or_links)
-    size = int(links.group_sizes[g])
-    if size == 0:
-        raise ValueError(f"group {g} has no receivers")
-    return min(
-        sir_mg_receiver(links, fading, powers, assignment, g, r, k)
-        for r in range(size)
-    )
-
-
-def sir_cu(scenario_or_links, fading, powers, assignment, k) -> float:
-    """SIR of channel k's cellular user at the base station."""
-    links = _links_of(scenario_or_links)
-    assignment = np.asarray(assignment)
-    alpha = links.params.path_loss_exponent
-    sig = (
-        powers.cu_power_w[k]
-        * fading.h_cu_bs[k]
-        * path_gain(links.d_cu_bs[k], alpha)
-    )
-    den = 0.0
-    for g in range(links.num_groups):
-        if assignment[g] == k:
-            den += (
-                powers.mg_power_w[g]
-                * fading.h_mg_bs[g, k]
-                * path_gain(links.d_mg_bs[g], alpha)
-            )
-    return _capped(sig, den)
-
-
-def rate_mg(
-    gamma: float,
-    threshold: float,
-    bandwidth_hz: float = 1.0,
-    mode: str = "instantaneous",
-    density: float = 1.0,
-    success_prob: float | None = None,
-) -> float:
-    """Group rate for one SIR value.
-
-    instantaneous: B log2(1+gamma) gated by the decode indicator. analytic:
-    the indicator becomes a caller-supplied closed-form success probability
-    and the term is weighted by the field density (per-unit-area view);
-    gamma is then the fixed reference SIR the rate is quoted at.
-    """
-    if mode == "instantaneous":
-        if gamma < threshold:
-            return 0.0
-        return bandwidth_hz * math.log2(1.0 + gamma)
-    if mode == "analytic":
-        if success_prob is None:
-            raise ValueError("analytic mode needs a success probability")
-        return density * bandwidth_hz * math.log2(1.0 + gamma) * success_prob
-    raise ValueError(f"unknown rate mode {mode!r}")
-
-
-def rate_cu(
-    gamma: float,
-    threshold: float,
-    bandwidth_hz: float = 1.0,
-    mode: str = "instantaneous",
-    density: float = 1.0,
-    success_prob: float | None = None,
-) -> float:
-    """Cellular rate; same semantics as rate_mg with the CU threshold."""
-    return rate_mg(gamma, threshold, bandwidth_hz, mode, density, success_prob)
-
-
-def sum_throughput(
-    scenario_or_links,
-    fading,
-    powers,
-    assignment,
-    mode: str = "instantaneous",
-    per_area: bool = False,
-) -> float:
-    """Scenario throughput: CU rate plus member-group rates on each channel.
-
-    instantaneous mode returns the per-network sum (bps/Hz at B_w = 1);
-    per_area=True weights each term by its field density instead. analytic
-    mode is per-unit-area by construction: group terms use the worst-member
-    link and the group's closed-form success against its channel's CU power,
-    the CU term uses the mean power of its co-channel groups as the
-    interfering field power (no sharer means certain success).
-    """
-    links = _links_of(scenario_or_links)
-    p = links.params
-    assignment = np.asarray(assignment)
-    bw = p.bandwidth_hz
-    g_th, c_th = p.mg_sir_threshold, p.cu_sir_threshold
-    total = 0.0
-    if mode == "instantaneous":
-        w_c = p.cu_density_per_m2 if per_area else 1.0
-        w_g = p.group_density_per_m2 if per_area else 1.0
-        for k in range(p.num_channels):
-            total += w_c * rate_cu(sir_cu(links, fading, powers, assignment, k), c_th, bw)
-            for g in range(links.num_groups):
-                if assignment[g] == k:
-                    total += w_g * rate_mg(
-                        sir_group(links, fading, powers, assignment, g, k), g_th, bw
-                    )
-        return total
-    if mode != "analytic":
-        raise ValueError(f"unknown throughput mode {mode!r}")
-    alpha = p.path_loss_exponent
-    for k in range(p.num_channels):
-        # a muted group (zero power) radiates nothing: it neither counts
-        # toward the interfering field power nor earns a rate term
-        on_k = [
-            g
-            for g in range(links.num_groups)
-            if assignment[g] == k and powers.mg_power_w[g] > 0.0
-        ]
-        if on_k:
-            p_field = float(np.mean([powers.mg_power_w[g] for g in on_k]))
-            succ_c = 1.0 - outage_cu(
-                p.group_density_per_m2, p_field, powers.cu_power_w[k],
-                links.d_cu_bs[k], c_th, alpha,
-            )
-        else:
-            succ_c = 1.0
-        total += rate_cu(
-            c_th, c_th, bw, "analytic", p.cu_density_per_m2, succ_c
-        )
-        for g in on_k:
-            worst_d = float(links.d_mg_rx[g, links.offsets[g]:links.offsets[g] + links.group_sizes[g]].max())
-            succ_g = 1.0 - outage_mg(
-                p.cu_density_per_m2, p.group_density_per_m2,
-                powers.cu_power_w[k], powers.mg_power_w[g],
-                p.exclusion_radius_m, worst_d, g_th, alpha,
-            )
-            total += rate_mg(
-                g_th, g_th, bw, "analytic", p.group_density_per_m2, succ_g
-            )
-    return total

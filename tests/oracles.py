@@ -1,16 +1,125 @@
-"""Scalar loop versions of the search core, kept as test oracles.
+"""Scalar reference implementations the package is checked against.
 
-The table loops walk masks in increasing order and extend each
-interference sum from the mask minus its lowest set bit; the greedy search
-runs greedy_match one family at a time. The vectorized code in the package
-must agree with them bitwise.
+The radio-layer scorer (SIR per receiver, group and CU, rates, sum
+throughput) recomputes one assignment's throughput from the link tables,
+one term at a time; `evaluate` scores an assignment through it at the
+powers allocate would grant. The table loops walk masks in increasing order
+and extend each interference sum from the mask minus its lowest set bit.
+The greedy oracle matches one family at a time with its own scan. The
+vectorized code in the package must agree with these bitwise or to within
+re-summation noise, as each test states.
 """
 
 import math
 
 import numpy as np
 
-from mgshare.allocation import greedy_match
+from mgshare.allocation import _silence_gate_failures
+from mgshare.params import SIR_CAP
+from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
+
+# ---------------------------------------------------------------------------
+# radio-layer scoring of one assignment
+
+
+def _links_of(x):
+    return x if isinstance(x, ScenarioLinks) else scenario_links(x)
+
+
+def _capped(signal, denom):
+    return SIR_CAP if denom <= 0.0 else min(signal / denom, SIR_CAP)
+
+
+def sir_mg_receiver(scenario_or_links, fading, powers, assignment, g, r, k):
+    """SIR of member r of group g on channel k.
+
+    Interference: the channel's CU plus every other group assigned to k. The
+    ratio is capped at SIR_CAP, which also covers an interference-free
+    channel.
+    """
+    links = _links_of(scenario_or_links)
+    assignment = np.asarray(assignment)
+    if assignment[g] != k:
+        raise ValueError(f"group {g} is not assigned to channel {k}")
+    if not (0 <= r < links.group_sizes[g]):
+        raise IndexError("receiver index outside the group")
+    alpha = links.params.path_loss_exponent
+    j = int(links.offsets[g]) + r
+    sig = powers.mg_power_w[g] * fading.h_mg_rx[g, j, k] * path_gain(links.d_mg_rx[g, j], alpha)
+    den = powers.cu_power_w[k] * fading.h_cu_rx[k, j] * path_gain(links.d_cu_rx[k, j], alpha)
+    for g2 in range(links.num_groups):
+        if g2 != g and assignment[g2] == k:
+            den += (
+                powers.mg_power_w[g2]
+                * fading.h_mg_rx[g2, j, k]
+                * path_gain(links.d_mg_rx[g2, j], alpha)
+            )
+    return _capped(sig, den)
+
+
+def sir_group(scenario_or_links, fading, powers, assignment, g, k):
+    """Worst-member SIR of group g on channel k."""
+    links = _links_of(scenario_or_links)
+    size = int(links.group_sizes[g])
+    if size == 0:
+        raise ValueError(f"group {g} has no receivers")
+    return min(
+        sir_mg_receiver(links, fading, powers, assignment, g, r, k) for r in range(size)
+    )
+
+
+def sir_cu(scenario_or_links, fading, powers, assignment, k):
+    """SIR of channel k's cellular user at the base station."""
+    links = _links_of(scenario_or_links)
+    assignment = np.asarray(assignment)
+    alpha = links.params.path_loss_exponent
+    sig = powers.cu_power_w[k] * fading.h_cu_bs[k] * path_gain(links.d_cu_bs[k], alpha)
+    den = 0.0
+    for g in range(links.num_groups):
+        if assignment[g] == k:
+            den += (
+                powers.mg_power_w[g] * fading.h_mg_bs[g, k] * path_gain(links.d_mg_bs[g], alpha)
+            )
+    return _capped(sig, den)
+
+
+def rate(gamma, threshold, bandwidth_hz=1.0):
+    """B log2(1 + gamma), gated by the decode threshold."""
+    if gamma < threshold:
+        return 0.0
+    return bandwidth_hz * math.log2(1.0 + gamma)
+
+
+def sum_throughput(scenario_or_links, fading, powers, assignment):
+    """CU rate plus the rates of the groups assigned to it, summed over
+    channels (bps/Hz at B_w = 1)."""
+    links = _links_of(scenario_or_links)
+    p = links.params
+    assignment = np.asarray(assignment)
+    bw = p.bandwidth_hz
+    total = 0.0
+    for k in range(p.num_channels):
+        total += rate(sir_cu(links, fading, powers, assignment, k), p.cu_sir_threshold, bw)
+        for g in range(links.num_groups):
+            if assignment[g] == k:
+                total += rate(
+                    sir_group(links, fading, powers, assignment, g, k), p.mg_sir_threshold, bw
+                )
+    return total
+
+
+def evaluate(ctx, assignment):
+    """Score an assignment through the radio-layer oracle at the powers
+    allocate grants it under max_feasible: the top of each feasible
+    interval, with the one-shot silencing applied."""
+    arr = assignment.as_array(ctx.G)
+    mg_power = np.array([ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)])
+    mg_power = _silence_gate_failures(ctx, assignment, mg_power)
+    return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg_power), arr)
+
+
+# ---------------------------------------------------------------------------
+# table builds
 
 
 def value_table_loop(
@@ -102,22 +211,75 @@ def stage2_table_loop(cu_victim, mg_victim, rx_group):
     return out
 
 
+def stage2_matrix_direct(ctx, subset_masks):
+    """Worst member sum interference per (channel, subset), from scratch.
+
+    Entry (k, s): max over members r of s's groups of the interference r
+    would collect from s's other groups plus channel k's CU, everything at
+    maximum power with unit fading.
+    """
+    p = ctx.params
+    L = ctx.links
+    out = np.zeros((ctx.C, len(subset_masks)))
+    for s, mask in enumerate(subset_masks):
+        groups = [g for g in range(ctx.G) if (int(mask) >> g) & 1]
+        victims = [int(L.offsets[g]) + t for g in groups for t in range(int(L.group_sizes[g]))]
+        for k in range(ctx.C):
+            worst = 0.0
+            for j in victims:
+                tot = p.max_cu_power_w * ctx._g_cu_rx[k, j]
+                for g2 in groups:
+                    if g2 != L.rx_group[j]:
+                        tot += p.max_mg_power_w * ctx._g_mg_rx[g2, j]
+                worst = max(worst, tot)
+            out[k, s] = worst
+    return out
+
+
+# ---------------------------------------------------------------------------
+# greedy matching
+
+
+def greedy_match_loop(matrix, row_ok):
+    """(slot, channel) pairs, sorted by slot, of the greedy matching of one
+    family: each round scans the open channels and free slots row by row and
+    takes the first smallest entry."""
+    rows = [k for k, ok in enumerate(row_ok) if ok]
+    cols = list(range(len(matrix[0]))) if len(matrix) else []
+    pairs = []
+    while rows and cols:
+        best = None
+        for k in rows:
+            for s in cols:
+                if best is None or matrix[k][s] < best[0]:
+                    best = (matrix[k][s], k, s)
+        _, k, s = best
+        pairs.append((s, k))
+        rows.remove(k)
+        cols.remove(s)
+    return tuple(sorted(pairs))
+
+
 def greedy_pairs_loop(ctx, fam_masks):
-    """greedy_match's (slot, channel) pairs for each family, one at a time."""
-    return [greedy_match(ctx.stage2[:, masks], ctx.avail) for masks in fam_masks]
+    """greedy_match_loop's (slot, channel) pairs for each family."""
+    table = ctx.stage2.tolist()
+    row_ok = ctx.avail.tolist()
+    return [
+        greedy_match_loop([[row[m] for m in masks] for row in table], row_ok)
+        for masks in fam_masks.tolist()
+    ]
 
 
 def greedy_best_loop(ctx, fam_masks, family_pairs):
     """(family index, pairs, value) of the best greedy matching, given each
     family's pairs; the first family wins exact ties."""
-    value = ctx.value
+    value = ctx.value.tolist()
     base = ctx.baseline
     best = (-math.inf, None, None)
-    for fi, pairs in enumerate(family_pairs):
-        masks = fam_masks[fi]
+    for fi, (masks, pairs) in enumerate(zip(fam_masks.tolist(), family_pairs)):
         v = base
         for s, k in pairs:
-            v += float(value[k, masks[s]]) - float(value[k, 0])
+            v += value[k][masks[s]] - value[k][0]
         if v > best[0]:
             best = (v, fi, pairs)
     return best[1], best[2], best[0]

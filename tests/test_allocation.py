@@ -2,61 +2,75 @@
 exhaustive search against a brute-force radio-layer oracle, and the exact
 dominance relations the schemes must satisfy scenario by scenario."""
 
-import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mgshare.allocation import (
     Assignment,
-    EvalContext,
     SchemeConfig,
     allocate,
     assignment_patterns,
     build_context,
-    evaluate,
-    exhaustive_assign,
-    greedy_assign,
     greedy_match,
     _family_mask_array,
     _greedy_best,
-    _stage2_matrix_direct,
+    _masks_to_subsets,
 )
 from mgshare.geometry import generate_scenario
 from mgshare.params import SimParams
-from mgshare.radio import PowerVector, sir_group, sum_throughput
+from mgshare.radio import PowerVector
 from mgshare.seeds import child_seed
-from oracles import greedy_best_loop, greedy_pairs_loop
+from oracles import (
+    evaluate,
+    greedy_best_loop,
+    greedy_match_loop,
+    greedy_pairs_loop,
+    sir_group,
+    stage2_matrix_direct,
+    sum_throughput,
+)
 
 
 # ---------------------------------------------------------------------------
 # greedy matching on synthetic matrices
 
 
+def _match(m, row_ok):
+    """greedy_match on the one family made of all of m's columns, as
+    (slot, channel) pairs sorted by slot."""
+    row = greedy_match(m, row_ok, np.arange(m.shape[1])[None, :])[0]
+    return tuple((s, int(k)) for s, k in enumerate(row) if k >= 0)
+
+
 def test_greedy_match_basic():
     # global minimum first: entry (0, 0) is smallest, then (1, 1) remains
     m = np.array([[1.0, 5.0], [4.0, 2.0]])
-    assert greedy_match(m, [True, True]) == ((0, 0), (1, 1))
+    assert _match(m, [True, True]) == ((0, 0), (1, 1))
 
 
 def test_greedy_match_takes_global_minimum_not_row_order():
     # subset 0 prefers channel 0 (1 < 1.5) even though channel 1's column
     # would leave a cheap seat; subset 1 then pays the 9
     m = np.array([[1.0, 2.0], [1.5, 9.0]])
-    assert greedy_match(m, [True, True]) == ((0, 0), (1, 1))
+    assert _match(m, [True, True]) == ((0, 0), (1, 1))
 
 
 def test_greedy_match_tie_breaks_low_channel_then_low_subset():
     m = np.full((2, 2), 3.0)
-    assert greedy_match(m, [True, True]) == ((0, 0), (1, 1))
+    assert _match(m, [True, True]) == ((0, 0), (1, 1))
     m2 = np.array([[7.0, 3.0], [3.0, 7.0]])
     # two 3.0 entries tie; the lower channel index wins the first pick
-    assert greedy_match(m2, [True, True]) == ((0, 1), (1, 0))
+    assert _match(m2, [True, True]) == ((0, 1), (1, 0))
+    # ties that compete for one channel or one subset decide the matching
+    assert _match(np.array([[3.0, 3.0], [9.0, 9.0]]), [True, True]) == ((0, 0), (1, 1))
+    assert _match(np.array([[3.0, 9.0], [3.0, 9.0]]), [True, True]) == ((0, 0), (1, 1))
 
 
 def test_greedy_match_respects_closed_rows_and_leftovers():
     m = np.array([[1.0, 2.0, 0.5], [9.0, 8.0, 7.0]])
-    pairs = greedy_match(m, [False, True])
+    pairs = _match(m, [False, True])
     assert len(pairs) == 1 and pairs[0][1] == 1
     assert pairs[0][0] == 2  # cheapest column of the only open row
 
@@ -110,6 +124,9 @@ def test_assignment_array_round_trip():
 
 
 def test_scheme_config_validation():
+    assert [f.name for f in fields(SchemeConfig)] == [
+        "selection_mode", "assignment_method", "power_policy"
+    ]
     SchemeConfig("all", "greedy", "grid(4)")
     with pytest.raises(ValueError):
         SchemeConfig(selection_mode="bogus")
@@ -117,8 +134,6 @@ def test_scheme_config_validation():
         SchemeConfig(assignment_method="simulated_annealing")
     with pytest.raises(ValueError):
         SchemeConfig(power_policy="grid(0)")
-    with pytest.raises(ValueError):
-        SchemeConfig(throughput_mode="ergodic")
 
 
 # ---------------------------------------------------------------------------
@@ -138,45 +153,47 @@ def _scenario(max_groups=7, min_groups=1, start=0, params=None):
 # exhaustive search vs brute force through the radio layer
 
 
+def _silenced_throughput(ctx, arr):
+    """Radio-layer throughput of an assignment array at full feasible power,
+    after the one-shot silencing: whoever misses the decode threshold at
+    those powers goes quiet."""
+    mg = np.array([ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)])
+    full = PowerVector(ctx.cu_power_w, mg.copy())
+    for g in range(ctx.G):
+        if arr[g] >= 0 and (
+            sir_group(ctx.links, ctx.fading, full, arr, g, int(arr[g]))
+            < ctx.params.mg_sir_threshold
+        ):
+            mg[g] = 0.0
+    return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg), arr)
+
+
 def test_exhaustive_assign_matches_radio_brute_force():
+    """optimal is the best of every (family, channel matching) candidate
+    the "all" mode admits, each scored by the radio-layer oracle; candidates
+    that put every group on the same channel are scored once."""
     s = _scenario(max_groups=5, min_groups=3)
     ctx = build_context(s)
-    fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")
-    masks = [int(m) for m in fams[len(fams) // 2]]
-    subsets = [frozenset(g for g in range(ctx.G) if m >> g & 1) for m in masks]
-    assignment, tv = exhaustive_assign(ctx, subsets)
-
-    best = -math.inf
-    for pat in assignment_patterns(len(subsets), ctx.C):
-        arr = np.full(ctx.G, -1, dtype=np.int64)
-        for slot, k in pat:
-            for g in subsets[slot]:
-                arr[g] = k
-        mg = np.array(
-            [ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)]
-        )
-        # one-shot silencing, replayed through the radio layer: whoever
-        # misses the decode threshold at full feasible power goes quiet
-        full = PowerVector(ctx.cu_power_w, mg.copy())
-        for g in range(ctx.G):
-            if arr[g] >= 0 and (
-                sir_group(ctx.links, ctx.fading, full, arr, g, int(arr[g]))
-                < ctx.params.mg_sir_threshold
-            ):
-                mg[g] = 0.0
-        powers = PowerVector(ctx.cu_power_w, mg)
-        best = max(best, sum_throughput(ctx.links, ctx.fading, powers, arr))
+    assignment, _, tv = allocate(ctx, SchemeConfig())
+    arrays = set()
+    for masks in _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all"):
+        for pat in assignment_patterns(len(masks), ctx.C):
+            arr = [-1] * ctx.G
+            for slot, k in pat:
+                for g in range(ctx.G):
+                    if int(masks[slot]) >> g & 1:
+                        arr[g] = k
+            arrays.add(tuple(arr))
+    best = max(_silenced_throughput(ctx, np.array(a)) for a in arrays)
     assert tv == pytest.approx(best, rel=1e-12)
     assert evaluate(ctx, assignment) == pytest.approx(tv, rel=1e-12)
 
 
-def test_exhaustive_guard_names_override():
-    s = _scenario(min_groups=4)
-    with pytest.raises(ValueError, match="allow_large"):
-        exhaustive_assign(s, [frozenset({0})], search_guard=(2, 2))
-    with pytest.raises(ValueError, match="allow_large"):
-        allocate(s, SchemeConfig(search_guard=(2, 2)))
-    allocate(s, SchemeConfig(search_guard=(2, 2), allow_large=True))
+def test_exhaustive_guard_names_its_limits():
+    s = _scenario(min_groups=11, max_groups=11, params=SimParams(num_groups=11))
+    with pytest.raises(ValueError, match="at most 10 groups and 5 channels"):
+        allocate(s, SchemeConfig())
+    allocate(s, SchemeConfig(selection_mode="fixed(2)", assignment_method="greedy"))
 
 
 # ---------------------------------------------------------------------------
@@ -218,29 +235,34 @@ def test_greedy_best_uses_same_table_as_exhaustive():
     s = _scenario(max_groups=6, min_groups=3)
     ctx = build_context(s)
     a, _, tv = allocate(ctx, SchemeConfig(assignment_method="greedy"))
-    assert tv == pytest.approx(ctx.pattern_value(a.channel_masks(ctx.C)), rel=1e-15)
+    expect = ctx.baseline
+    for k, m in enumerate(a.channel_masks(ctx.C)):
+        if m:
+            expect += float(ctx.value[k, m]) - float(ctx.value[k, 0])
+    assert tv == pytest.approx(expect, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
-# public greedy wrapper
+# greedy search against the stage-2 matrix and matcher oracles
 
 
 def test_greedy_assign_agrees_with_stage2_table():
+    """allocate's greedy assignment is the greedy matching of its family on
+    the stage-2 matrix recomputed from scratch, by the oracle's own matcher."""
     s = _scenario(max_groups=6, min_groups=3)
     ctx = build_context(s)
+    a, _, _ = allocate(ctx, SchemeConfig("almost_equal", "greedy"))
     fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "almost_equal")
-    masks = [int(m) for m in fams[0]]
-    subsets = [frozenset(g for g in range(ctx.G) if m >> g & 1) for m in masks]
+    fi, pairs, _ = _greedy_best(ctx, fams)
+    masks = [int(m) for m in fams[fi]]
 
-    direct = _stage2_matrix_direct(ctx, masks)
-    table = ctx.stage2[:, masks]
-    assert direct == pytest.approx(table, rel=1e-12)
+    direct = stage2_matrix_direct(ctx, masks)
+    assert direct == pytest.approx(ctx.stage2[:, masks], rel=1e-12)
+    assert greedy_match_loop(direct.tolist(), ctx.avail.tolist()) == pairs
 
-    a = greedy_assign(ctx, subsets)
-    pairs = greedy_match(table, ctx.avail)
     expect = {k: frozenset() for k in range(ctx.C)}
     for slot, k in pairs:
-        expect[k] = subsets[slot]
+        expect[k] = _masks_to_subsets([masks[slot]])[0]
     assert a.channel_to_groups == expect
 
 
@@ -267,7 +289,7 @@ def test_batched_greedy_equals_per_family_oracle(num_groups):
         family_pairs = greedy_pairs_loop(ctx, fams)
         rows = greedy_match(ctx.stage2, ctx.avail, fams)
         assert family_pairs == [
-            tuple((slot, k) for slot, k in enumerate(row) if k >= 0) for row in rows
+            tuple((slot, k) for slot, k in enumerate(row) if k >= 0) for row in rows.tolist()
         ]
         assert _greedy_best(ctx, fams) == greedy_best_loop(ctx, fams, family_pairs)
         open_counts.append(int(ctx.avail.sum()))
@@ -281,13 +303,13 @@ def test_greedy_assign_all_channels_closed():
     s = _scenario(min_groups=2, params=p)
     ctx = build_context(s)
     assert not ctx.avail.any()
-    subsets = [frozenset({0}), frozenset({1})]
-    a = greedy_assign(ctx, subsets)
-    assert a.cu_only_channels == frozenset(range(ctx.C))
-    assert all(not gs for gs in a.channel_to_groups.values())
-    assert set(a.unassigned_subsets) == set(subsets)
-    _, _, tv = allocate(ctx, SchemeConfig(assignment_method="greedy"))
+    a, powers, tv = allocate(ctx, SchemeConfig(assignment_method="greedy"))
     assert tv == ctx.baseline
+    assert all(not gs for gs in a.channel_to_groups.values())
+    # every family ties at the baseline, so the first one is chosen
+    first = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")[0]
+    assert a.unassigned_subsets == _masks_to_subsets(first)
+    assert (powers.mg_power_w == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +377,7 @@ def test_no_groups_returns_cu_only_baseline():
     assert s.degenerate and len(s.groups) == 0
     a, powers, tv = allocate(s, SchemeConfig())
     assert tv == pytest.approx(build_context(s).baseline)
-    assert a.cu_only_channels == frozenset(range(p.num_channels))
+    assert a.channel_to_groups == {k: frozenset() for k in range(p.num_channels)}
     assert powers.mg_power_w.shape == (0,)
 
 
@@ -368,7 +390,7 @@ def test_fewer_groups_than_channels():
 
 
 # ---------------------------------------------------------------------------
-# evaluate vs the radio layer, both throughput modes
+# allocate vs the radio-layer oracle
 
 
 def test_allocate_value_matches_radio_evaluation():
@@ -380,15 +402,6 @@ def test_allocate_value_matches_radio_evaluation():
         direct = sum_throughput(ctx.links, ctx.fading, powers, arr)
         assert tv == pytest.approx(direct, rel=1e-12)
         assert evaluate(ctx, a) == pytest.approx(tv, rel=1e-12)
-
-
-def test_analytic_mode_consistent_between_table_and_radio():
-    s = _scenario(min_groups=3, max_groups=7)
-    ctx = build_context(s, throughput_mode="analytic")
-    a, powers, tv = allocate(ctx, SchemeConfig(throughput_mode="analytic"))
-    arr = a.as_array(ctx.G)
-    direct = sum_throughput(ctx.links, ctx.fading, powers, arr, mode="analytic")
-    assert tv == pytest.approx(direct, rel=1e-9)
 
 
 def test_default_fading_is_reproducible():

@@ -102,15 +102,34 @@ def test_apply_sweep_variables():
     assert s == ("optimal", "fixed(3):exhaustive:max_feasible")
 
 
+def _validates(**kw) -> bool:
+    kw.setdefault("schemes", ("optimal",))
+    try:
+        ExperimentConfig(**kw).validate()
+    except ConfigError:
+        return False
+    return True
+
+
 def test_config_validate_rejects_bad_shapes():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(sweep_variable="Q", sweep_values=(1,), schemes=("optimal",)).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(sweep_values=(), schemes=("optimal",)).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(sweep_values=(1,), schemes=()).validate()
-    with pytest.raises(ConfigError):
-        ExperimentConfig(sweep_values=(1,), schemes=("optimal",), n_scenarios=0).validate()
+    bad = [
+        dict(sweep_variable="Q", sweep_values=(1,)),
+        dict(sweep_values=()),
+        dict(sweep_values=(1,), schemes=()),
+        dict(sweep_values=(1,), n_scenarios=0),
+        # sweep points are checked too, before any scenario runs
+        dict(sweep_values=(50.0, 600.0)),  # D = 600 m covers the 500 m cell
+        dict(sweep_values=(math.nan,)),
+        dict(sweep_values=(50.0, math.inf)),
+        dict(base=SimParams(exclusion_radius_m=math.nan), sweep_variable="P_G", sweep_values=(20.0,)),
+        dict(base=SimParams(path_loss_exponent=3.5), sweep_values=(50.0,)),
+        # 1.5e-5 per m^2 derives 12 transmitters, past the exhaustive limit
+        dict(sweep_variable="lambda_g", sweep_values=(1e-5, 1.5e-5)),
+        dict(base=SimParams(num_channels=6), sweep_values=(50.0,)),
+    ]
+    assert [kw for kw in bad if _validates(**kw)] == []
+    # the greedy search has no group limit
+    assert _validates(sweep_variable="lambda_g", sweep_values=(1.5e-5,), schemes=("heuristic",))
 
 
 def _tiny_config(**kw):

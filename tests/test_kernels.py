@@ -1,6 +1,6 @@
 """Table kernels: the numpy doublings must agree bitwise with the scalar
-loop oracles, and the tables must reproduce what the radio layer computes
-link by link."""
+loop oracles, and the tables must reproduce what the radio-layer oracle
+computes link by link."""
 
 import math
 
@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from mgshare import kernels
-from mgshare.allocation import EvalContext, _stage2_matrix_direct
+from mgshare.allocation import EvalContext
 from mgshare.geometry import generate_scenario
 from mgshare.params import SIR_CAP, SimParams
-from mgshare.radio import PowerVector, rate_cu, rate_mg, sir_cu, sir_group
-from oracles import stage2_table_loop, value_table_loop
+from mgshare.radio import PowerVector
+from oracles import rate, sir_cu, sir_group, stage2_matrix_direct, stage2_table_loop, value_table_loop
 
 
 def _random_inputs(seed, G, C=3):
@@ -162,13 +162,13 @@ def test_value_table_matches_radio_layer():
                 ):
                     kept[g] = 0.0
             powers = PowerVector(ctx.cu_power_w, kept)
-            expect = rate_cu(
+            expect = rate(
                 sir_cu(ctx.links, ctx.fading, powers, assignment, k),
                 p.cu_sir_threshold,
             )
             for g in range(ctx.G):
                 if (m >> g) & 1 and kept[g] > 0.0:
-                    expect += rate_mg(
+                    expect += rate(
                         sir_group(ctx.links, ctx.fading, powers, assignment, g, k),
                         p.mg_sir_threshold,
                     )
@@ -189,7 +189,7 @@ def test_stage2_matches_direct_recompute():
     table = ctx.stage2
     rng = np.random.default_rng(5)
     masks = [0, 1, (1 << ctx.G) - 1] + list(rng.integers(1, 1 << ctx.G, 8))
-    direct = _stage2_matrix_direct(ctx, masks)
+    direct = stage2_matrix_direct(ctx, masks)
     for s, m in enumerate(masks):
         for k in range(ctx.C):
             assert table[k, int(m)] == pytest.approx(direct[k, s], rel=1e-12, abs=1e-30)

@@ -65,14 +65,9 @@ def test_cap_inverts_cu_outage_exactly(lam, p_c, d, th, budget):
 # floor: approximation, documented defects
 
 
-def test_floor_pinned_values_both_forms():
+def test_floor_pinned_value():
     args = (2e-5, 2e-5, 1.0, 50.0, 25.0, GAMMA_25DB, 0.1)
     assert group_power_floor(*args) == pytest.approx(2.6439485843058897e-4, rel=1e-12)
-    assert group_power_floor(*args, form="declared") == pytest.approx(
-        7346.37395105113, rel=1e-9
-    )
-    with pytest.raises(ValueError):
-        group_power_floor(*args, form="???")
 
 
 def test_floor_trivial_limits():

@@ -1,4 +1,6 @@
-"""Link physics checked by hand arithmetic and brute-force recomputation."""
+"""Link physics checked by hand arithmetic and brute-force recomputation:
+the package's path gains and fading draws, and the radio-layer scoring
+oracle (tests/oracles.py) that the tables are checked against."""
 
 import math
 
@@ -8,31 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario, generate_scenario
-from mgshare.outage import MCLink, mc_outage, outage_mg
 from mgshare.params import SIR_CAP, SimParams
 from mgshare.radio import (
-    ChannelModel,
     FadingRealization,
     PowerVector,
-    cap_count,
     clamp_count,
     draw_fading,
     path_gain,
-    rate_cu,
-    rate_mg,
-    reset_cap_count,
     reset_clamp_count,
     scenario_links,
-    sir_cu,
-    sir_group,
-    sir_mg_receiver,
-    sum_throughput,
 )
 from mgshare.seeds import rng_for
+from oracles import rate, sir_cu, sir_group, sir_mg_receiver, sum_throughput
 
 
 # ---------------------------------------------------------------------------
-# path gain and channel model
+# path gain
 
 
 def test_path_gain_values():
@@ -50,14 +43,6 @@ def test_path_gain_clamp_counter():
     assert path_gain(0.25, 4.0) == 1.0  # evaluated at the 1 m guard
     path_gain(np.array([0.1, 5.0, 0.9]), 4.0)
     assert clamp_count() == 3
-
-
-def test_channel_model_delta():
-    cm = ChannelModel(alpha=4.0)
-    assert cm.delta == 0.5
-    assert ChannelModel(alpha=3.0).delta == pytest.approx(2.0 / 3.0)
-    with pytest.raises(ValueError):
-        ChannelModel(alpha=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +102,8 @@ def test_sir_cu_hand_value_and_cap():
     d_gb = math.hypot(0.0, 50.0)
     expect = (20.0 * 1.5 * 100.0**-4) / (1.0 * 0.7 * d_gb**-4)
     assert got == pytest.approx(expect, rel=1e-12)
-    # dropping the group empties the denominator: capped and flagged
-    reset_cap_count()
+    # dropping the group empties the denominator: capped
     assert sir_cu(scn, fading, powers, [-1], 0) == SIR_CAP
-    assert cap_count() == 1
 
 
 def test_sir_mg_requires_matching_assignment():
@@ -156,6 +139,24 @@ def test_sir_group_empty_group_errors():
 # random instance versus a scalar-loop oracle
 
 
+def _fading_gain(fading, tx, rx, channel):
+    """Map view of a fading draw, with node keys ("cu", k), ("mg", g), ("bs",)
+    and ("rx", j), j the flat receiver index of the links table."""
+    if tx[0] == "cu" and rx == ("bs",):
+        if channel != tx[1]:
+            raise KeyError("a CU transmits on its own channel only")
+        return float(fading.h_cu_bs[tx[1]])
+    if tx[0] == "mg" and rx == ("bs",):
+        return float(fading.h_mg_bs[tx[1], channel])
+    if tx[0] == "cu" and rx[0] == "rx":
+        if channel != tx[1]:
+            raise KeyError("a CU transmits on its own channel only")
+        return float(fading.h_cu_rx[tx[1], rx[1]])
+    if tx[0] == "mg" and rx[0] == "rx":
+        return float(fading.h_mg_rx[tx[1], rx[1], channel])
+    raise KeyError(f"no such link {tx} -> {rx}")
+
+
 def _oracle_sir_tables(scn, links, fading, powers, assignment):
     """Recompute every SIR with explicit loops from raw positions."""
     p = scn.params
@@ -175,20 +176,20 @@ def _oracle_sir_tables(scn, links, fading, powers, assignment):
             j = offsets[g] + r
             sig = (
                 powers.mg_power_w[g]
-                * fading.gain(("mg", g), ("rx", j), k)
+                * _fading_gain(fading, ("mg", g), ("rx", j), k)
                 * gain(math.hypot(*(pos - grp.tx_position)))
             )
             cu = scn.cus[k]
             den = (
                 powers.cu_power_w[k]
-                * fading.gain(("cu", k), ("rx", j), k)
+                * _fading_gain(fading, ("cu", k), ("rx", j), k)
                 * gain(math.hypot(*(pos - cu.position)))
             )
             for g2, grp2 in enumerate(scn.groups):
                 if g2 != g and assignment[g2] == k:
                     den += (
                         powers.mg_power_w[g2]
-                        * fading.gain(("mg", g2), ("rx", j), k)
+                        * _fading_gain(fading, ("mg", g2), ("rx", j), k)
                         * gain(math.hypot(*(pos - grp2.tx_position)))
                     )
             mg_sirs[(g, r)] = cap if den == 0 else min(sig / den, cap)
@@ -196,7 +197,7 @@ def _oracle_sir_tables(scn, links, fading, powers, assignment):
     for k, cu in enumerate(scn.cus):
         sig = (
             powers.cu_power_w[k]
-            * fading.gain(("cu", k), ("bs",), k)
+            * _fading_gain(fading, ("cu", k), ("bs",), k)
             * gain(cu.dist_to_bs_m)
         )
         den = 0.0
@@ -204,7 +205,7 @@ def _oracle_sir_tables(scn, links, fading, powers, assignment):
             if assignment[g] == k:
                 den += (
                     powers.mg_power_w[g]
-                    * fading.gain(("mg", g), ("bs",), k)
+                    * _fading_gain(fading, ("mg", g), ("bs",), k)
                     * gain(math.hypot(*grp.tx_position))
                 )
         cu_sirs[k] = cap if den == 0 else min(sig / den, cap)
@@ -280,29 +281,10 @@ def test_added_interferer_never_raises_sir():
 
 
 def test_rate_values():
-    assert rate_mg(3.0, 1.0) == pytest.approx(2.0)  # log2(4)
-    assert rate_mg(0.5, 1.0) == 0.0
-    assert rate_cu(3.0, 1.0, 2.0) == pytest.approx(4.0)
-    got = rate_mg(10.0, 10.0, 1.0, "analytic", density=2e-6, success_prob=0.25)
-    assert got == pytest.approx(2e-6 * math.log2(11.0) * 0.25)
-    with pytest.raises(ValueError):
-        rate_mg(1.0, 1.0, 1.0, "analytic")
-    with pytest.raises(ValueError):
-        rate_mg(1.0, 1.0, 1.0, "nope")
-
-
-def test_analytic_rate_matches_fading_average():
-    # Fixed reference rate, random indicator: the analytic success factor
-    # should match the Monte Carlo decode frequency on the same field.
-    gamma_th = 10.0**2.5
-    kw = dict(cu_density=1.2e-5, mg_density=1.2e-5, p_c=1.0, p_g=1.0,
-              guard=50.0, link_d=30.0, threshold=gamma_th)
-    succ_closed = 1.0 - outage_mg(**kw)
-    est = mc_outage(MCLink(kind="mg", **kw), 20_000, rng_for(901, 1))
-    succ_mc = 1.0 - est.outage
-    r_closed = rate_mg(gamma_th, gamma_th, 1.0, "analytic", 1.2e-5, succ_closed)
-    r_mc = rate_mg(gamma_th, gamma_th, 1.0, "analytic", 1.2e-5, succ_mc)
-    assert r_closed == pytest.approx(r_mc, rel=0.05)
+    assert rate(3.0, 1.0) == pytest.approx(2.0)  # log2(4)
+    assert rate(0.5, 1.0) == 0.0
+    assert rate(1.0, 1.0) == 1.0  # the threshold itself decodes
+    assert rate(3.0, 1.0, 2.0) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,27 +307,27 @@ def test_sum_throughput_additivity_single_pair():
     scn, fading, powers = _tiny_scenario()
     links = scenario_links(scn)
     a = [0]
-    want = rate_cu(
+    want = rate(
         sir_cu(links, fading, powers, a, 0), scn.params.cu_sir_threshold
-    ) + rate_mg(
+    ) + rate(
         sir_group(links, fading, powers, a, 0, 0), scn.params.mg_sir_threshold
     )
     assert sum_throughput(links, fading, powers, a) == pytest.approx(want, rel=1e-12)
 
 
-def _oracle_sum_throughput(scn, fading, powers, assignment, w_c=1.0, w_g=1.0):
+def _oracle_sum_throughput(scn, fading, powers, assignment):
     p = scn.params
     mg_sirs, cu_sirs = _oracle_sir_tables(scn, scenario_links(scn), fading, powers, assignment)
     total = 0.0
     for k, gam in cu_sirs.items():
         if gam >= p.cu_sir_threshold:
-            total += w_c * p.bandwidth_hz * math.log2(1.0 + gam)
+            total += p.bandwidth_hz * math.log2(1.0 + gam)
     for g, grp in enumerate(scn.groups):
         if assignment[g] < 0:
             continue
         worst = min(mg_sirs[(g, r)] for r in range(grp.num_receivers))
         if worst >= p.mg_sir_threshold:
-            total += w_g * p.bandwidth_hz * math.log2(1.0 + worst)
+            total += p.bandwidth_hz * math.log2(1.0 + worst)
     return total
 
 
@@ -354,14 +336,6 @@ def test_sum_throughput_matches_bruteforce():
     got = sum_throughput(links, fading, powers, assignment)
     want = _oracle_sum_throughput(scn, fading, powers, assignment)
     assert got == pytest.approx(want, rel=1e-12)
-    # per-area weighting scales CU and group terms by their own densities
-    p = scn.params
-    scaled = sum_throughput(links, fading, powers, assignment, per_area=True)
-    want_area = _oracle_sum_throughput(
-        scn, fading, powers, assignment,
-        w_c=p.cu_density_per_m2, w_g=p.group_density_per_m2,
-    )
-    assert scaled == pytest.approx(want_area, rel=1e-12)
 
 
 def test_sum_throughput_permutation_symmetry():
@@ -398,18 +372,6 @@ def test_sum_throughput_permutation_symmetry():
     )
     got = sum_throughput(scn2, fading2, powers2, assignment2)
     assert got == pytest.approx(base, rel=1e-12)
-
-
-def test_sum_throughput_analytic_cu_only():
-    p = SimParams(num_groups=0, receiver_density_per_m2=1e-4)
-    scn = generate_scenario(p, 0)
-    links = scenario_links(scn)
-    fading = draw_fading(links, rng_for(8, 0))
-    powers = PowerVector(np.full(p.num_channels, 0.5), np.zeros(0))
-    got = sum_throughput(links, fading, powers, np.zeros(0, dtype=int), mode="analytic")
-    # no sharers: success 1 on every channel at the 0 dB reference
-    expect = p.num_channels * p.cu_density_per_m2 * math.log2(2.0)
-    assert got == pytest.approx(expect, rel=1e-12)
 
 
 def test_draw_fading_deterministic_and_positive():
