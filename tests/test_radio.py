@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario, generate_scenario
+from mgshare.outage import MCLink, mc_outage, outage_mg
 from mgshare.params import SIR_CAP, SimParams
 from mgshare.radio import (
     FadingRealization,
@@ -285,6 +286,20 @@ def test_rate_values():
     assert rate(0.5, 1.0) == 0.0
     assert rate(1.0, 1.0) == 1.0  # the threshold itself decodes
     assert rate(3.0, 1.0, 2.0) == pytest.approx(4.0)
+
+
+def test_analytic_rate_matches_fading_average():
+    # Fixed reference rate, random indicator: the closed-form success factor
+    # should match the Monte Carlo decode frequency on the same field, so the
+    # area rate density * log2(1 + gamma_th) * success agrees within 5 %.
+    gamma_th = 10.0**2.5
+    kw = dict(cu_density=1.2e-5, mg_density=1.2e-5, p_c=1.0, p_g=1.0,
+              guard=50.0, link_d=30.0, threshold=gamma_th)
+    succ_closed = 1.0 - outage_mg(**kw)
+    est = mc_outage(MCLink(kind="mg", **kw), 20_000, rng_for(901, 1))
+    succ_mc = 1.0 - est.outage
+    per_link = 1.2e-5 * math.log2(1.0 + gamma_th)
+    assert per_link * succ_closed == pytest.approx(per_link * succ_mc, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
