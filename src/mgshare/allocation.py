@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -99,8 +99,10 @@ class SchemeConfig:
 
 
 def check_exhaustive_size(G: int, C: int) -> None:
+    """Refuse sizes past EXHAUSTIVE_GUARD. Only min(C, G) channels take a
+    subset, so that is the channel count the guard holds to."""
     gmax, cmax = EXHAUSTIVE_GUARD
-    if G > gmax or C > cmax:
+    if G > gmax or min(C, G) > cmax:
         raise ValueError(
             f"exhaustive search refused for G={G}, C={C}: "
             f"it takes at most {gmax} groups and {cmax} channels"
@@ -151,12 +153,8 @@ class EvalContext:
 
         # feasible power interval per (group, channel): the floor binds at the
         # group's farthest member, the cap at the channel CU's distance
-        worst_d = np.array(
-            [
-                float(L.d_mg_rx[g, L.offsets[g] : L.offsets[g] + L.group_sizes[g]].max())
-                for g in range(self.G)
-            ]
-        )
+        own_d = L.d_mg_rx[L.rx_group, np.arange(L.num_rx)]
+        worst_d = np.maximum.reduceat(own_d, L.offsets) if self.G else np.zeros(0)
         self.p_inf = np.zeros(self.G)
         self.p_gk = np.zeros((self.G, self.C))
         for g in range(self.G):
@@ -186,10 +184,6 @@ class EvalContext:
         self.u_contrib_rx = fading.h_mg_rx * g_mg_rx[:, :, None] if self.G else np.zeros((0, n, self.C))
         self.u_contrib_bs = fading.h_mg_bs * g_mg_bs[:, None] if self.G else np.zeros((0, self.C))
 
-        self._value = None
-        self._surv = None
-        self._stage2 = None
-        self._avail = None
         self._g_mg_bs = g_mg_bs
         self._g_cu_rx = g_cu_rx
         self._g_mg_rx = g_mg_rx
@@ -197,68 +191,61 @@ class EvalContext:
 
     # -- tables ---------------------------------------------------------------
 
+    @cached_property
+    def _silenced(self) -> tuple:
+        """(value, survivors) after the one-shot silencing step.
+
+        Every granted group transmits at the top of its feasible interval; a
+        group whose realized worst member SIR still misses the decode
+        threshold at those powers earns nothing while interfering with
+        everyone else, so it is muted. Muting can only raise the remaining
+        SIRs, hence nobody new fails and one pass settles. The silenced score
+        is therefore just the raw entry at the surviving sub-mask, which
+        keeps the kernel the single arithmetic authority.
+        """
+        contrib_rx = self.u_contrib_rx * self.p_gk[:, None, :]
+        contrib_bs = self.u_contrib_bs * self.p_gk
+        raw, surv = build_value_table(
+            self.base_I_rx,
+            contrib_rx,
+            self.sig_cu,
+            contrib_bs,
+            self.links.offsets,
+            self.links.group_sizes,
+            self.params.mg_sir_threshold,
+            self.params.cu_sir_threshold,
+            self.params.bandwidth_hz,
+            SIR_CAP,
+        )
+        return np.take_along_axis(raw, surv, axis=1), surv
+
     @property
     def value(self) -> np.ndarray:
-        """(C, 2^G) channel score for every co-channel group mask.
-
-        A one-shot silencing step sits on the raw table. Every granted group
-        transmits at the top of its feasible interval; a group whose
-        realized worst member SIR still misses the decode threshold at those
-        powers earns nothing while interfering with everyone else, so it is
-        muted. Muting can only raise the remaining SIRs, hence nobody new
-        fails and one pass settles. The silenced score is therefore just the
-        raw entry at the surviving sub-mask, which keeps the kernel the
-        single arithmetic authority.
-        """
-        if self._value is None:
-            contrib_rx = self.u_contrib_rx * self.p_gk[:, None, :]
-            contrib_bs = self.u_contrib_bs * self.p_gk
-            raw, surv = build_value_table(
-                self.base_I_rx,
-                contrib_rx,
-                self.sig_cu,
-                contrib_bs,
-                self.links.offsets,
-                self.links.group_sizes,
-                self.params.mg_sir_threshold,
-                self.params.cu_sir_threshold,
-                self.params.bandwidth_hz,
-                SIR_CAP,
-            )
-            self._surv = surv
-            self._value = np.take_along_axis(raw, surv, axis=1)
-        return self._value
-
-    def survivor_mask(self, k: int, mask: int) -> int:
-        """Sub-mask of `mask` still transmitting after the silencing pass."""
-        _ = self.value
-        return int(self._surv[k, mask])
+        """(C, 2^G) channel score for every co-channel group mask, silenced."""
+        return self._silenced[0]
 
     @property
+    def survivors(self) -> np.ndarray:
+        """(C, 2^G) sub-mask of each mask still transmitting after silencing."""
+        return self._silenced[1]
+
+    @cached_property
     def stage2(self) -> np.ndarray:
-        if self._stage2 is None:
-            p = self.params
-            cu_victim = p.max_cu_power_w * self._g_cu_rx
-            mg_victim = p.max_mg_power_w * self._g_mg_rx
-            self._stage2 = build_stage2_table(cu_victim, mg_victim, self.links.rx_group)
-        return self._stage2
+        p = self.params
+        cu_victim = p.max_cu_power_w * self._g_cu_rx
+        mg_victim = p.max_mg_power_w * self._g_mg_rx
+        return build_stage2_table(cu_victim, mg_victim, self.links.rx_group)
 
-    @property
+    @cached_property
     def avail(self) -> np.ndarray:
         """Stage-1 channel availability: some group alone could keep the CU
         decodable at maximum powers under unit fading."""
-        if self._avail is None:
-            p = self.params
-            out = np.zeros(self.C, dtype=bool)
-            for k in range(self.C):
-                sig = p.max_cu_power_w * self._g_cu_bs[k]
-                for g in range(self.G):
-                    den = p.max_mg_power_w * self._g_mg_bs[g]
-                    if den <= 0.0 or sig / den >= p.cu_sir_threshold:
-                        out[k] = True
-                        break
-            self._avail = out
-        return self._avail
+        p = self.params
+        sig = p.max_cu_power_w * self._g_cu_bs[:, None]
+        den = p.max_mg_power_w * self._g_mg_bs[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ok = (den <= 0.0) | (sig / den >= p.cu_sir_threshold)
+        return ok.any(axis=1)
 
     @property
     def baseline(self) -> float:
@@ -268,14 +255,17 @@ class EvalContext:
     def channel_value(self, k: int, mask: int, mg_power_w: np.ndarray) -> float:
         """Recompute one channel's score for arbitrary group powers.
 
-        Same formula as the value table, used by the grid power ascent where
-        powers leave the precomputed operating point.
+        Used by the grid power ascent where powers leave the precomputed
+        operating point. It sums in the kernel's order, interference highest
+        group first and rates lowest group first, so at the table powers it
+        reproduces the raw value table bitwise.
         """
         p = self.params
         bw, cap = p.bandwidth_hz, SIR_CAP
         live = [g for g in range(self.G) if (mask >> g) & 1]
+        down = live[::-1]
         I_bs = 0.0
-        for g in live:
+        for g in down:
             I_bs += mg_power_w[g] * self.u_contrib_bs[g, k]
         gam = cap if I_bs <= 0.0 else min(self.sig_cu[k] / I_bs, cap)
         total = bw * math.log2(1.0 + gam) if gam >= p.cu_sir_threshold else 0.0
@@ -286,7 +276,7 @@ class EvalContext:
                 j = L.offsets[g] + t
                 sig = mg_power_w[g] * self.u_contrib_rx[g, j, k]
                 den = self.base_I_rx[k, j]
-                for g2 in live:
+                for g2 in down:
                     if g2 != g:
                         den += mg_power_w[g2] * self.u_contrib_rx[g2, j, k]
                 gr = cap if den <= 0.0 else min(sig / den, cap)
@@ -338,8 +328,15 @@ def _family_mask_array(G: int, C: int, mode: str):
     return np.array(rows, dtype=np.int64)
 
 
-def _masks_to_subsets(masks) -> tuple:
-    return tuple(frozenset(g for g in range(64) if (int(m) >> g) & 1) for m in masks)
+def _groups_of(mask) -> list:
+    """Indices of the set bits of a group mask, lowest first."""
+    out = []
+    m = int(mask)
+    while m:
+        b = m & -m
+        out.append(b.bit_length() - 1)
+        m ^= b
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +376,6 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray
 
 # ---------------------------------------------------------------------------
 # full per-scenario allocation
-
-
-def _pairs_to_assignment(C: int, masks, pairs) -> Assignment:
-    chan_map = {k: frozenset() for k in range(C)}
-    taken = set()
-    for s, k in pairs:
-        chan_map[k] = _masks_to_subsets([masks[s]])[0]
-        taken.add(s)
-    unassigned = tuple(
-        _masks_to_subsets([masks[s]])[0] for s in range(len(masks)) if s not in taken
-    )
-    return Assignment(channel_to_groups=chan_map, unassigned_subsets=unassigned)
 
 
 def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
@@ -469,12 +454,9 @@ def _grid_refine(
     """
     start = mg_power
     mg_power = mg_power.copy()
-    chan_of = {}
-    for k, m in enumerate(masks_by_channel):
-        for g in range(ctx.G):
-            if (int(m) >> g) & 1:
-                chan_of[g] = k
-    vals = [ctx.channel_value(k, int(m), mg_power) for k, m in enumerate(masks_by_channel)]
+    masks = [int(m) for m in masks_by_channel]
+    chan_of = {g: k for k, m in enumerate(masks) for g in _groups_of(m)}
+    vals = [ctx.channel_value(k, m, mg_power) for k, m in enumerate(masks)]
     for _ in range(sweeps):
         improved = False
         for g in sorted(chan_of):
@@ -492,7 +474,7 @@ def _grid_refine(
                 if cand == cur:
                     continue
                 mg_power[g] = cand
-                new_v = ctx.channel_value(k, int(masks_by_channel[k]), mg_power)
+                new_v = ctx.channel_value(k, masks[k], mg_power)
                 if new_v > vals[k]:
                     vals[k] = new_v
                     cur = cand
@@ -507,21 +489,6 @@ def _grid_refine(
     return mg_power, total
 
 
-def _silence_gate_failures(ctx: EvalContext, assignment, mg_power: np.ndarray) -> np.ndarray:
-    """Zero the powers the one-shot silencing step decided against.
-
-    Keeps the returned PowerVector consistent with the table-backed score:
-    rescoring the assignment at these powers reproduces the reported value.
-    """
-    for k, m in enumerate(assignment.channel_masks(ctx.C)):
-        dead = int(m) & ~ctx.survivor_mask(k, int(m))
-        while dead:
-            b = dead & (-dead)
-            mg_power[b.bit_length() - 1] = 0.0
-            dead ^= b
-    return mg_power
-
-
 def allocate(scenario, scheme: SchemeConfig, fading=None):
     """Run one scheme on one scenario: (Assignment, PowerVector, throughput).
 
@@ -531,34 +498,38 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     to CU-only rather than failing.
     """
     ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(scenario, fading)
-    C = ctx.C
+    C, G = ctx.C, ctx.G
     policy, grid_n = _parse_policy(scheme.power_policy)
-    if ctx.G == 0:
-        assignment = Assignment(channel_to_groups={k: frozenset() for k in range(C)})
-        return assignment, PowerVector(ctx.cu_power_w.copy(), np.zeros(0)), ctx.baseline
-
     if scheme.assignment_method == "exhaustive":
-        check_exhaustive_size(ctx.G, C)
-    C_eff = min(C, ctx.G)
-    fam_masks = _family_mask_array(ctx.G, C_eff, scheme.selection_mode)
-    if fam_masks.shape[0] == 0:
-        # the mode admits no family at this (G, C); degrade to CU-only
-        assignment = Assignment(channel_to_groups={k: frozenset() for k in range(C)})
-        return assignment, PowerVector(ctx.cu_power_w.copy(), np.zeros(ctx.G)), ctx.baseline
+        check_exhaustive_size(G, C)
+    fam_masks = _family_mask_array(G, min(C, G), scheme.selection_mode) if G else ()
+    chan = np.zeros(C, dtype=np.int64)  # group mask on each channel
+    mg_power = np.zeros(G)
+    if len(fam_masks) == 0:
+        # no active group, or the mode admits no family at this (G, C): CU-only
+        return _assignment(chan, ()), PowerVector(ctx.cu_power_w.copy(), mg_power), ctx.baseline
 
     if scheme.assignment_method == "exhaustive":
         fi, pairs, tv = _exhaustive_best(ctx, fam_masks)
     else:
         fi, pairs, tv = _greedy_best(ctx, fam_masks)
-    assignment = _pairs_to_assignment(C, list(fam_masks[fi]), pairs)
-
-    arr = assignment.as_array(ctx.G)
-    mg_power = np.array(
-        [ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)]
-    )
-    mg_power = _silence_gate_failures(ctx, assignment, mg_power)
+    family = fam_masks[fi]
+    for s, k in pairs:
+        chan[k] = family[s]
+    taken = {s for s, _ in pairs}
+    unassigned = [family[s] for s in range(len(family)) if s not in taken]
+    # groups the silencing step muted stay at zero power
+    for k, live in enumerate(ctx.survivors[np.arange(C), chan].tolist()):
+        for g in _groups_of(live):
+            mg_power[g] = ctx.p_gk[g, k]
     if policy == "grid":
-        chan_masks = assignment.channel_masks(C)
-        mg_power, tv = _grid_refine(ctx, chan_masks, mg_power, grid_n, table_value=tv)
-    return assignment, PowerVector(ctx.cu_power_w.copy(), mg_power), tv
+        mg_power, tv = _grid_refine(ctx, chan, mg_power, grid_n, table_value=tv)
+    return _assignment(chan, unassigned), PowerVector(ctx.cu_power_w.copy(), mg_power), tv
 
+
+def _assignment(chan: np.ndarray, unassigned) -> Assignment:
+    """The Assignment of per-channel group masks and leftover subset masks."""
+    return Assignment(
+        channel_to_groups={k: frozenset(_groups_of(m)) for k, m in enumerate(chan.tolist())},
+        unassigned_subsets=tuple(frozenset(_groups_of(m)) for m in unassigned),
+    )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -148,9 +149,14 @@ class ResultRow:
 _REQUIRED_KEYS = ("sweep", "sweep_values", "schemes")
 _HARNESS_KEYS = _REQUIRED_KEYS + ("scenarios", "out", "parallel")
 
+# A comment runs from a "#" at the start of a line or after whitespace to the
+# end of the line, so a value such as an output path may contain "#".
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
 
 def parse_config(text_or_path: str) -> ExperimentConfig:
-    """Parse the line-oriented key=value format (``#`` starts a comment).
+    """Parse the line-oriented key=value format (``#`` at the start of a
+    line or after whitespace starts a comment).
 
     Accepts either a file path or the config text itself; refuses unknown
     keys and reports missing required keys by name.
@@ -162,7 +168,7 @@ def parse_config(text_or_path: str) -> ExperimentConfig:
         text = text_or_path
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw, count=1).strip()
         if not line:
             continue
         if "=" not in line:
@@ -252,6 +258,8 @@ def apply_sweep(base: SimParams, variable: str, value: float, schemes: tuple) ->
         n = max(1, round(value * math.pi * base.cell_radius_m**2))
         return base.copy_with(group_density_per_m2=value, num_groups=n), schemes
     if variable == "n_per_channel":
+        if not float(value).is_integer():
+            raise ConfigError(f"n_per_channel must be a whole number, got {value!r}")
         n = int(value)
         out = tuple(
             _with_fixed_size(tok, n) if _is_fixed(tok) else tok for tok in schemes

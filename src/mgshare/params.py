@@ -16,16 +16,8 @@ def db_to_linear(x_db):
     return 10.0 ** (x_db / 10.0)
 
 
-def linear_to_db(x):
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watt(x_dbm):
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
-def watt_to_dbm(x_w):
-    return 10.0 * math.log10(x_w) + 30.0
 
 
 # Receivers closer than this to a transmitter see the d = D_MIN gain
@@ -78,7 +70,6 @@ class SimParams:
 
     # Experiment control
     master_seed: int = 20240817
-    num_scenarios: int = 100
 
     # -- derived conveniences -------------------------------------------------
 
@@ -140,7 +131,7 @@ class SimParams:
 
 # Config keys that may be set from key=value files / CLI overrides, with the
 # parser used for each. Booleans or lists are not part of this surface.
-_INT_KEYS = {"num_channels", "num_groups", "master_seed", "num_scenarios"}
+_INT_KEYS = {"num_channels", "num_groups", "master_seed"}
 
 
 def param_names() -> list[str]:

@@ -4,7 +4,9 @@ Everything here is a pure function of a scenario's geometry and a random
 stream. The SIR and rate arithmetic built on them lives in the search
 layer: the kernels score every co-channel group mask at once, and
 ``EvalContext.channel_value`` rescores one channel for the grid power
-ascent.
+ascent, summing in the kernels' order so that at the table powers it
+returns the value table's entry bit for bit. The link-by-link radio scorer
+the tests hold both against is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

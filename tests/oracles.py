@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from mgshare.allocation import _silence_gate_failures
 from mgshare.params import SIR_CAP
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
 
@@ -108,14 +107,26 @@ def sum_throughput(scenario_or_links, fading, powers, assignment):
     return total
 
 
+def silenced_throughput(ctx, arr):
+    """Radio-layer throughput of an assignment array at full feasible power,
+    after the one-shot silencing: whoever misses the decode threshold at
+    those powers goes quiet."""
+    mg = np.array([ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)])
+    full = PowerVector(ctx.cu_power_w, mg.copy())
+    for g in range(ctx.G):
+        if arr[g] >= 0 and (
+            sir_group(ctx.links, ctx.fading, full, arr, g, int(arr[g]))
+            < ctx.params.mg_sir_threshold
+        ):
+            mg[g] = 0.0
+    return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg), arr)
+
+
 def evaluate(ctx, assignment):
     """Score an assignment through the radio-layer oracle at the powers
     allocate grants it under max_feasible: the top of each feasible
     interval, with the one-shot silencing applied."""
-    arr = assignment.as_array(ctx.G)
-    mg_power = np.array([ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)])
-    mg_power = _silence_gate_failures(ctx, assignment, mg_power)
-    return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg_power), arr)
+    return silenced_throughput(ctx, assignment.as_array(ctx.G))
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,16 @@ from mgshare.allocation import (
     greedy_match,
     _family_mask_array,
     _greedy_best,
-    _masks_to_subsets,
 )
 from mgshare.geometry import generate_scenario
 from mgshare.params import SimParams
-from mgshare.radio import PowerVector
 from mgshare.seeds import child_seed
 from oracles import (
     evaluate,
     greedy_best_loop,
     greedy_match_loop,
     greedy_pairs_loop,
-    sir_group,
+    silenced_throughput,
     stage2_matrix_direct,
     sum_throughput,
 )
@@ -140,6 +138,10 @@ def test_scheme_config_validation():
 # scenario fixtures
 
 
+def _groups(mask, G):
+    return frozenset(g for g in range(G) if int(mask) >> g & 1)
+
+
 def _scenario(max_groups=7, min_groups=1, start=0, params=None):
     p = params or SimParams()
     for idx in range(start, start + 400):
@@ -151,21 +153,6 @@ def _scenario(max_groups=7, min_groups=1, start=0, params=None):
 
 # ---------------------------------------------------------------------------
 # exhaustive search vs brute force through the radio layer
-
-
-def _silenced_throughput(ctx, arr):
-    """Radio-layer throughput of an assignment array at full feasible power,
-    after the one-shot silencing: whoever misses the decode threshold at
-    those powers goes quiet."""
-    mg = np.array([ctx.p_gk[g, arr[g]] if arr[g] >= 0 else 0.0 for g in range(ctx.G)])
-    full = PowerVector(ctx.cu_power_w, mg.copy())
-    for g in range(ctx.G):
-        if arr[g] >= 0 and (
-            sir_group(ctx.links, ctx.fading, full, arr, g, int(arr[g]))
-            < ctx.params.mg_sir_threshold
-        ):
-            mg[g] = 0.0
-    return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg), arr)
 
 
 def test_exhaustive_assign_matches_radio_brute_force():
@@ -184,7 +171,7 @@ def test_exhaustive_assign_matches_radio_brute_force():
                     if int(masks[slot]) >> g & 1:
                         arr[g] = k
             arrays.add(tuple(arr))
-    best = max(_silenced_throughput(ctx, np.array(a)) for a in arrays)
+    best = max(silenced_throughput(ctx, np.array(a)) for a in arrays)
     assert tv == pytest.approx(best, rel=1e-12)
     assert evaluate(ctx, assignment) == pytest.approx(tv, rel=1e-12)
 
@@ -194,6 +181,12 @@ def test_exhaustive_guard_names_its_limits():
     with pytest.raises(ValueError, match="at most 10 groups and 5 channels"):
         allocate(s, SchemeConfig())
     allocate(s, SchemeConfig(selection_mode="fixed(2)", assignment_method="greedy"))
+    # six channels pass with four groups: at most four subsets take a channel
+    s = _scenario(min_groups=4, max_groups=4, params=SimParams(num_channels=6, num_groups=4))
+    ctx = build_context(s)
+    a, _, tv = allocate(ctx, SchemeConfig())
+    assert tv >= ctx.baseline
+    assert evaluate(ctx, a) == pytest.approx(tv, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +255,7 @@ def test_greedy_assign_agrees_with_stage2_table():
 
     expect = {k: frozenset() for k in range(ctx.C)}
     for slot, k in pairs:
-        expect[k] = _masks_to_subsets([masks[slot]])[0]
+        expect[k] = _groups(masks[slot], ctx.G)
     assert a.channel_to_groups == expect
 
 
@@ -308,7 +301,7 @@ def test_greedy_assign_all_channels_closed():
     assert all(not gs for gs in a.channel_to_groups.values())
     # every family ties at the baseline, so the first one is chosen
     first = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")[0]
-    assert a.unassigned_subsets == _masks_to_subsets(first)
+    assert a.unassigned_subsets == tuple(_groups(m, ctx.G) for m in first)
     assert (powers.mg_power_w == 0.0).all()
 
 

@@ -6,10 +6,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgshare import harness
 from mgshare.harness import (
     CSV_HEADER,
+    SCHEME_PRESETS,
     ConfigError,
     ExperimentConfig,
     apply_sweep,
@@ -56,6 +59,9 @@ def test_parse_round_trip():
 def test_parse_errors_are_named():
     with pytest.raises(ConfigError, match="unknown key 'bogus'"):
         parse_config(MINIMAL + "bogus = 1\n")
+    # a retired key is refused rather than silently ignored
+    with pytest.raises(ConfigError, match="unknown key 'num_scenarios'"):
+        parse_config(MINIMAL + "num_scenarios = 1000\n")
     with pytest.raises(ConfigError, match="sweep, sweep_values, schemes"):
         parse_config("")
     with pytest.raises(ConfigError, match="duplicate"):
@@ -68,6 +74,56 @@ def test_parse_errors_are_named():
         parse_config("sweep = D\nsweep_values = 30\nschemes = optimal:extra:bits:more\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("sweep D\n")
+
+
+def test_comment_starts_at_line_start_or_after_whitespace():
+    cfg = parse_config(
+        "sweep = D   # exclusion radius\n"
+        "sweep_values = 30, 50\t# metres\n"
+        "schemes = optimal\n"
+        "out = runs/a#b.csv # kept up to the space\n"
+    )
+    assert cfg.sweep_variable == "D" and cfg.sweep_values == (30.0, 50.0)
+    assert cfg.output_path == "runs/a#b.csv"
+
+
+# valid values per sweep variable at the default base parameters
+_SWEEP_VALUES = {
+    "D": st.floats(0.0, 400.0),
+    "R": st.floats(100.0, 1000.0),
+    "R_c_min": st.floats(0.0, 10.0),
+    "P_G": st.floats(-20.0, 40.0),
+    "lambda_g": st.floats(1e-6, 1e-5),
+    "n_per_channel": st.integers(1, 4).map(float),
+}
+
+
+@st.composite
+def _configs(draw):
+    var = draw(st.sampled_from(sorted(_SWEEP_VALUES)))
+    values = draw(st.lists(_SWEEP_VALUES[var], min_size=1, max_size=4))
+    schemes = draw(st.lists(st.sampled_from(sorted(SCHEME_PRESETS)), min_size=1, max_size=3, unique=True))
+    base = SimParams(
+        num_channels=draw(st.integers(1, 5)),
+        max_cu_power_dbm=draw(st.floats(-10.0, 40.0)),
+        master_seed=draw(st.integers(0, 2**63)),
+    )
+    return ExperimentConfig(
+        base=base,
+        sweep_variable=var,
+        sweep_values=tuple(sorted(values)),
+        schemes=tuple(schemes),
+        n_scenarios=draw(st.integers(1, 10**6)),
+        # every path holds a "#" that no whitespace precedes
+        output_path=draw(st.from_regex(r"[a-z0-9_./=-]+#[a-z0-9_./=#-]*", fullmatch=True)),
+        parallelism=draw(st.integers(1, 64)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs())
+def test_render_parse_round_trip_property(cfg):
+    assert parse_config(render_config(cfg)) == cfg
 
 
 def test_resolve_scheme_presets_and_explicit():
@@ -126,10 +182,15 @@ def test_config_validate_rejects_bad_shapes():
         # 1.5e-5 per m^2 derives 12 transmitters, past the exhaustive limit
         dict(sweep_variable="lambda_g", sweep_values=(1e-5, 1.5e-5)),
         dict(base=SimParams(num_channels=6), sweep_values=(50.0,)),
+        # n_per_channel is a subset size, so 2.5 is refused, not truncated
+        dict(sweep_variable="n_per_channel", sweep_values=(2.0, 2.5), schemes=("fixed2",)),
     ]
     assert [kw for kw in bad if _validates(**kw)] == []
     # the greedy search has no group limit
     assert _validates(sweep_variable="lambda_g", sweep_values=(1.5e-5,), schemes=("heuristic",))
+    # six channels but four groups: at most four subsets take a channel
+    assert _validates(base=SimParams(num_channels=6, num_groups=4), sweep_values=(50.0,))
+    assert _validates(sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("fixed2",))
 
 
 def _tiny_config(**kw):

@@ -94,6 +94,23 @@ def test_value_table_bitwise_equal_with_zero_cu_interference():
     assert (table >= math.log2(1.0 + SIR_CAP)).all()
 
 
+def _table_inputs(ctx):
+    """Value-table kernel inputs of a scenario at its table powers."""
+    p = ctx.params
+    return dict(
+        base_I_rx=ctx.base_I_rx,
+        contrib_rx=ctx.u_contrib_rx * ctx.p_gk[:, None, :],
+        sig_cu=ctx.sig_cu,
+        contrib_bs=ctx.u_contrib_bs * ctx.p_gk,
+        offsets=ctx.links.offsets,
+        sizes=ctx.links.group_sizes,
+        mg_th=p.mg_sir_threshold,
+        cu_th=p.cu_sir_threshold,
+        bw=p.bandwidth_hz,
+        cap=SIR_CAP,
+    )
+
+
 def test_value_table_bitwise_equal_on_real_scenarios():
     p = SimParams(num_groups=9)
     checked = 0
@@ -102,26 +119,35 @@ def test_value_table_bitwise_equal_on_real_scenarios():
         if s.degenerate:
             continue
         ctx = EvalContext(s)
-        _assert_value_table_matches_loop(
-            dict(
-                base_I_rx=ctx.base_I_rx,
-                contrib_rx=ctx.u_contrib_rx * ctx.p_gk[:, None, :],
-                sig_cu=ctx.sig_cu,
-                contrib_bs=ctx.u_contrib_bs * ctx.p_gk,
-                offsets=ctx.links.offsets,
-                sizes=ctx.links.group_sizes,
-                mg_th=p.mg_sir_threshold,
-                cu_th=p.cu_sir_threshold,
-                bw=p.bandwidth_hz,
-                cap=SIR_CAP,
-            )
-        )
+        _assert_value_table_matches_loop(_table_inputs(ctx))
         args = (p.max_cu_power_w * ctx._g_cu_rx, p.max_mg_power_w * ctx._g_mg_rx, ctx.links.rx_group)
         assert np.array_equal(kernels.build_stage2_table(*args), stage2_table_loop(*args))
         checked += 1
         if checked == 3:
             break
     assert checked == 3
+
+
+@pytest.mark.parametrize("num_groups", [5, 7, 9])
+def test_channel_value_bitwise_equal_to_raw_table(num_groups):
+    """At the table powers channel_value sums in the kernel's order, so it
+    reproduces every raw value-table cell exactly, failing groups included."""
+    p = SimParams(num_groups=num_groups)
+    checked = 0
+    for idx in range(200):
+        s = generate_scenario(p, idx)
+        if s.degenerate or len(s.groups) != num_groups:
+            continue
+        ctx = EvalContext(s)
+        raw, _ = kernels.build_value_table(**_table_inputs(ctx))
+        for k in range(ctx.C):
+            powers = ctx.p_gk[:, k]
+            off = [m for m in range(1 << ctx.G) if ctx.channel_value(k, m, powers) != raw[k, m]]
+            assert off == [], (idx, k)
+        checked += 1
+        if checked == 4:
+            break
+    assert checked == 4
 
 
 def _context():
@@ -173,7 +199,7 @@ def test_value_table_matches_radio_layer():
                         p.mg_sir_threshold,
                     )
             assert table[k, m] == pytest.approx(expect, rel=1e-12)
-            surv = ctx.survivor_mask(k, m)
+            surv = ctx.survivors[k, m]
             assert surv == sum(1 << g for g in range(ctx.G) if kept[g] > 0.0)
 
 
