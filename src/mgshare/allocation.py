@@ -38,8 +38,9 @@ from .seeds import rng_for
 # uses the same tag so allocation and reporting see one realization.
 FADING_STREAM = 1
 
-# Largest (groups, channels) the exhaustive search takes on: its tables grow
-# as 2^G columns and its candidates as families times channel matchings.
+# Limits of the exhaustive search: its tables grow as 2^G columns and its
+# candidates as families times channel matchings. It takes at most 10 groups
+# and as many matchings as 5 subsets have on 5 channels.
 EXHAUSTIVE_GUARD = (10, 5)
 
 
@@ -68,20 +69,6 @@ class Assignment:
             out |= set(gs)
         return frozenset(out)
 
-    def as_array(self, num_groups: int) -> np.ndarray:
-        arr = np.full(num_groups, -1, dtype=np.int64)
-        for k, gs in self.channel_to_groups.items():
-            for g in gs:
-                arr[g] = k
-        return arr
-
-    def channel_masks(self, num_channels: int) -> list[int]:
-        out = [0] * num_channels
-        for k, gs in self.channel_to_groups.items():
-            for g in gs:
-                out[k] |= 1 << g
-        return out
-
 
 @dataclass
 class SchemeConfig:
@@ -98,14 +85,26 @@ class SchemeConfig:
         _parse_policy(self.power_policy)
 
 
+def matching_count(n_subsets: int, num_channels: int) -> int:
+    """len(assignment_patterns(n_subsets, num_channels)), in closed form."""
+    return sum(
+        math.comb(n_subsets, r) * math.perm(num_channels, r)
+        for r in range(min(n_subsets, num_channels) + 1)
+    )
+
+
 def check_exhaustive_size(G: int, C: int) -> None:
-    """Refuse sizes past EXHAUSTIVE_GUARD. Only min(C, G) channels take a
-    subset, so that is the channel count the guard holds to."""
+    """Refuse sizes past EXHAUSTIVE_GUARD. Families have at most min(C, G)
+    subsets, so the search tries matching_count(min(C, G), C) matchings per
+    family; that count is what the channel limit bounds."""
     gmax, cmax = EXHAUSTIVE_GUARD
-    if G > gmax or min(C, G) > cmax:
+    limit = matching_count(cmax, cmax)
+    n = matching_count(min(C, G), C)
+    if G > gmax or n > limit:
         raise ValueError(
-            f"exhaustive search refused for G={G}, C={C}: "
-            f"it takes at most {gmax} groups and {cmax} channels"
+            f"exhaustive search refused for G={G}, C={C} ({n} channel matchings): "
+            f"it takes at most {gmax} groups and {limit} matchings, "
+            f"as many as {cmax} subsets have on {cmax} channels"
         )
 
 

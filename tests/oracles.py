@@ -122,11 +122,20 @@ def silenced_throughput(ctx, arr):
     return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg), arr)
 
 
+def as_array(assignment, num_groups):
+    """Each group's channel under an Assignment, -1 where it has none."""
+    arr = np.full(num_groups, -1, dtype=np.int64)
+    for k, gs in assignment.channel_to_groups.items():
+        for g in gs:
+            arr[g] = k
+    return arr
+
+
 def evaluate(ctx, assignment):
     """Score an assignment through the radio-layer oracle at the powers
     allocate grants it under max_feasible: the top of each feasible
     interval, with the one-shot silencing applied."""
-    return silenced_throughput(ctx, assignment.as_array(ctx.G))
+    return silenced_throughput(ctx, as_array(assignment, ctx.G))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from mgshare.allocation import (
     assignment_patterns,
     build_context,
     greedy_match,
+    matching_count,
     _family_mask_array,
     _greedy_best,
 )
@@ -21,6 +22,7 @@ from mgshare.geometry import generate_scenario
 from mgshare.params import SimParams
 from mgshare.seeds import child_seed
 from oracles import (
+    as_array,
     evaluate,
     greedy_best_loop,
     greedy_match_loop,
@@ -93,6 +95,12 @@ def test_assignment_patterns_fewer_subsets_than_channels():
     assert all(len({k for _, k in p}) == len(p) for p in pats)
 
 
+def test_matching_count_is_the_pattern_count():
+    for S in range(6):
+        for C in range(1, 8):
+            assert matching_count(S, C) == len(assignment_patterns(S, C))
+
+
 def test_family_mask_arrays_are_disjoint_and_complete():
     arr = _family_mask_array(7, 3, "almost_equal")
     assert arr.shape[1] == 3
@@ -116,8 +124,7 @@ def test_assignment_rejects_overlap():
 
 def test_assignment_array_round_trip():
     a = Assignment(channel_to_groups={0: frozenset({1}), 1: frozenset(), 2: frozenset({0, 3})})
-    assert list(a.as_array(4)) == [2, 0, -1, 2]
-    assert a.channel_masks(3) == [0b0010, 0, 0b1001]
+    assert list(as_array(a, 4)) == [2, 0, -1, 2]
     assert a.assigned_groups == {0, 1, 3}
 
 
@@ -178,10 +185,14 @@ def test_exhaustive_assign_matches_radio_brute_force():
 
 def test_exhaustive_guard_names_its_limits():
     s = _scenario(min_groups=11, max_groups=11, params=SimParams(num_groups=11))
-    with pytest.raises(ValueError, match="at most 10 groups and 5 channels"):
+    with pytest.raises(ValueError, match="at most 10 groups and 1546 matchings"):
         allocate(s, SchemeConfig())
     allocate(s, SchemeConfig(selection_mode="fixed(2)", assignment_method="greedy"))
-    # six channels pass with four groups: at most four subsets take a channel
+    # five groups on 30 channels: 20,641,771 matchings per family
+    s = _scenario(min_groups=5, max_groups=5, params=SimParams(num_channels=30, num_groups=5))
+    with pytest.raises(ValueError, match="G=5, C=30 \\(20641771 channel matchings\\)"):
+        allocate(s, SchemeConfig())
+    # six channels pass with four groups: 1,045 matchings
     s = _scenario(min_groups=4, max_groups=4, params=SimParams(num_channels=6, num_groups=4))
     ctx = build_context(s)
     a, _, tv = allocate(ctx, SchemeConfig())
@@ -229,8 +240,9 @@ def test_greedy_best_uses_same_table_as_exhaustive():
     ctx = build_context(s)
     a, _, tv = allocate(ctx, SchemeConfig(assignment_method="greedy"))
     expect = ctx.baseline
-    for k, m in enumerate(a.channel_masks(ctx.C)):
-        if m:
+    for k, gs in a.channel_to_groups.items():
+        if gs:
+            m = sum(1 << g for g in gs)
             expect += float(ctx.value[k, m]) - float(ctx.value[k, 0])
     assert tv == pytest.approx(expect, rel=1e-15)
 
@@ -328,7 +340,7 @@ def test_grid_policy_never_loses_to_max_feasible():
         # the ascent starts at the max_feasible point; equality is only up to
         # summation order because the refined score is re-accumulated per channel
         assert tv_grid >= tv_max * (1.0 - 1e-12)
-        arr = a.as_array(ctx.G)
+        arr = as_array(a, ctx.G)
         for g in range(ctx.G):
             if arr[g] >= 0:
                 # zero is legal for a group the silencing pass muted
@@ -391,7 +403,7 @@ def test_allocate_value_matches_radio_evaluation():
     ctx = build_context(s)
     for mode in ("all", "equal"):
         a, powers, tv = allocate(ctx, SchemeConfig(selection_mode=mode))
-        arr = a.as_array(ctx.G)
+        arr = as_array(a, ctx.G)
         direct = sum_throughput(ctx.links, ctx.fading, powers, arr)
         assert tv == pytest.approx(direct, rel=1e-12)
         assert evaluate(ctx, a) == pytest.approx(tv, rel=1e-12)

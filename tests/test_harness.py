@@ -182,13 +182,16 @@ def test_config_validate_rejects_bad_shapes():
         # 1.5e-5 per m^2 derives 12 transmitters, past the exhaustive limit
         dict(sweep_variable="lambda_g", sweep_values=(1e-5, 1.5e-5)),
         dict(base=SimParams(num_channels=6), sweep_values=(50.0,)),
+        # five groups on 30 channels: 20,641,771 matchings per family
+        dict(base=SimParams(num_channels=30, num_groups=5), sweep_values=(50.0,)),
+        dict(base=SimParams(num_channels=7, num_groups=4), sweep_values=(50.0,)),
         # n_per_channel is a subset size, so 2.5 is refused, not truncated
         dict(sweep_variable="n_per_channel", sweep_values=(2.0, 2.5), schemes=("fixed2",)),
     ]
     assert [kw for kw in bad if _validates(**kw)] == []
     # the greedy search has no group limit
     assert _validates(sweep_variable="lambda_g", sweep_values=(1.5e-5,), schemes=("heuristic",))
-    # six channels but four groups: at most four subsets take a channel
+    # six channels but four groups: 1,045 matchings, fewer than 5 on 5 channels
     assert _validates(base=SimParams(num_channels=6, num_groups=4), sweep_values=(50.0,))
     assert _validates(sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("fixed2",))
 
