@@ -87,18 +87,16 @@ def test_assignment_patterns_count_and_order():
     assert pats[-1] == ()
     sizes = [len(p) for p in pats]
     assert sizes == sorted(sizes, reverse=True)
+    # the exhaustive guard counts patterns in closed form
+    for S in range(6):
+        for C in range(1, 8):
+            assert matching_count(S, C) == len(assignment_patterns(S, C))
 
 
 def test_assignment_patterns_fewer_subsets_than_channels():
     pats = assignment_patterns(2, 3)
     assert len(pats) == 6 + 2 * 3 + 1
     assert all(len({k for _, k in p}) == len(p) for p in pats)
-
-
-def test_matching_count_is_the_pattern_count():
-    for S in range(6):
-        for C in range(1, 8):
-            assert matching_count(S, C) == len(assignment_patterns(S, C))
 
 
 def test_family_mask_arrays_are_disjoint_and_complete():
