@@ -7,16 +7,35 @@ the exclusion disks of radius D around every cellular user, which turns the
 receiver field into a hole process. Surviving receivers attach to the
 transmitter with the strongest mean received power, provided that power
 clears the association threshold.
+
+Association only scores receivers near a transmitter. Mean power
+P_ref * max(d, 1 m)^-alpha falls with distance, so a receiver farther than
+the reach r = (P_ref / P_min)^(1/alpha) from every transmitter fails the
+threshold everywhere and joins no group (r is about 11.5 m at the defaults,
+and about 0.3% of candidates lie within it). The bound is exact in floating
+point, not only on paper: the reach is padded by a relative 1e-9, which
+lowers the power at the padded reach by a relative alpha * 1e-9, while
+rounding moves the computed reach and power by under 1e-13 relative for any
+exponent of at least 1 and any power ratio a float holds. A receiver
+inside the reach of some transmitter is scored against every transmitter
+with the same sqrt, clamp, power and first-max argmax arithmetic as if all
+were scored, in its original order, so groups and their distances come out
+bit for bit the same. A threshold of 0 W or less, or an exponent below 1,
+bounds nothing, and then every receiver is scored.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import MIN_LINK_DISTANCE_M, SimParams
 from .seeds import child_seed, rng_for
+
+# Relative pad on the association reach (see the module docstring).
+_REACH_PAD = 1e-9
 
 
 def sample_uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -52,6 +71,11 @@ def _positions_of(cus) -> np.ndarray:
     return np.atleast_2d(np.asarray(seq, dtype=float))
 
 
+def _xy(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Contiguous x and y columns of an (n, 2) array."""
+    return np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
+
+
 def apply_exclusion(candidates, cus, exclusion_radius_m: float):
     """Drop candidates lying strictly inside any exclusion disk.
 
@@ -64,9 +88,13 @@ def apply_exclusion(candidates, cus, exclusion_radius_m: float):
     centers = _positions_of(cus)
     if len(pts) == 0 or len(centers) == 0 or exclusion_radius_m == 0.0:
         return pts, 0
-    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    keep = d2.min(axis=1) >= exclusion_radius_m ** 2
-    return pts[keep], int(len(pts) - keep.sum())
+    x, y = _xy(pts)
+    d2_min = exclusion_radius_m ** 2
+    keep = np.ones(len(pts), dtype=bool)
+    for cx, cy in centers:
+        dx, dy = x - cx, y - cy
+        keep &= dx * dx + dy * dy >= d2_min
+    return np.compress(keep, pts, axis=0), int(len(pts) - keep.sum())
 
 
 @dataclass(eq=False)
@@ -110,6 +138,20 @@ class NetworkScenario:
         return len(self.groups) == 0
 
 
+def association_reach(tx_power_w: float, assoc_min_rx_power_w: float, alpha: float) -> float:
+    """Distance past which a transmitter's mean power cannot clear the
+    association threshold: (P_ref / P_min)^(1/alpha), padded by a relative
+    1e-9 and floored at MIN_LINK_DISTANCE_M.
+
+    A threshold of 0 W or less (one that underflows to 0 W included) or an
+    exponent below 1 bounds nothing, and the reach is infinite.
+    """
+    if assoc_min_rx_power_w <= 0.0 or alpha < 1.0:
+        return math.inf
+    reach = (max(tx_power_w, 0.0) / assoc_min_rx_power_w) ** (1.0 / alpha)
+    return max(reach * (1.0 + _REACH_PAD), MIN_LINK_DISTANCE_M)
+
+
 def form_groups(
     tx_positions,
     receivers,
@@ -124,6 +166,10 @@ def form_groups(
     whose best power falls below the association threshold join no group, and
     ties go to the lowest transmitter index. Transmitters left with no
     receivers are omitted from the result.
+
+    Only receivers within `association_reach` of some transmitter are
+    scored; the rest fail the threshold at every transmitter (see the module
+    docstring), so the groups are bitwise those of scoring every receiver.
     """
     txs = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     if len(txs) == 0:
@@ -131,6 +177,17 @@ def form_groups(
     rx = np.atleast_2d(np.asarray(receivers, dtype=float)) if len(receivers) else np.empty((0, 2))
     if len(rx) == 0:
         return []
+    reach = association_reach(tx_power_w, assoc_min_rx_power_w, alpha)
+    if reach < math.inf:
+        x, y = _xy(rx)
+        reach2 = reach * reach
+        near = np.zeros(len(rx), dtype=bool)
+        for tx, ty in txs:
+            dx, dy = x - tx, y - ty
+            near |= dx * dx + dy * dy <= reach2
+        rx = np.compress(near, rx, axis=0)
+        if len(rx) == 0:
+            return []
     d = np.sqrt(((rx[:, None, :] - txs[None, :, :]) ** 2).sum(axis=2))
     d_eff = np.maximum(d, MIN_LINK_DISTANCE_M)
     power = tx_power_w * d_eff ** (-alpha)

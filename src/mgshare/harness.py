@@ -118,6 +118,7 @@ class ExperimentConfig:
             raise ConfigError("scenarios must be at least 1")
         if self.parallelism < 1:
             raise ConfigError("parallel must be at least 1")
+        _check_output_path(self.output_path)
         try:
             self.base.validate()
         except ValueError as e:
@@ -152,6 +153,20 @@ _HARNESS_KEYS = _REQUIRED_KEYS + ("scenarios", "out", "parallel")
 # A comment runs from a "#" at the start of a line or after whitespace to the
 # end of the line, so a value such as an output path may contain "#".
 _COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
+def _check_output_path(path: str) -> None:
+    """Refuse an `out` path that is empty or that the config text cannot
+    carry: `render_config` writes it bare, so parsing it back would strip
+    leading or trailing whitespace, split it at a line break or cut it at a
+    comment."""
+    if not path:
+        raise ConfigError("out must name a file")
+    if path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path):
+        raise ConfigError(
+            f"out = {path!r} cannot be written in a config: it has leading or trailing "
+            "whitespace, a line break, or a '#' at its start or after whitespace"
+        )
 
 
 def parse_config(text_or_path: str) -> ExperimentConfig:

@@ -117,10 +117,31 @@ class SimParams:
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v}")
-        if self.cell_radius_m <= 0 or self.exclusion_radius_m < 0:
-            raise ValueError("radii must be positive")
+        if self.cell_radius_m <= 0:
+            raise ValueError("cell radius must be positive")
+        # The closed-form power floor takes CU interference from beyond the
+        # exclusion radius with unclamped path loss, which diverges as D -> 0.
+        if self.exclusion_radius_m < MIN_LINK_DISTANCE_M:
+            raise ValueError(
+                f"exclusion radius must be at least the {MIN_LINK_DISTANCE_M:g} m link clamp"
+            )
         if self.exclusion_radius_m >= self.cell_radius_m:
             raise ValueError("exclusion radius must be smaller than the cell radius")
+        for name in ("receiver_density_per_m2", "cu_density_per_m2", "group_density_per_m2"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.bandwidth_hz <= 0.0:
+            raise ValueError("bandwidth_hz must be positive")
+        for name in (
+            "max_cu_power_w", "max_mg_power_w", "assoc_min_rx_power_w", "assoc_ref_power_w",
+            "cu_sir_threshold", "mg_sir_threshold",
+        ):
+            try:
+                value = getattr(self, name)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is too large for a float")
         if self.num_channels < 1 or self.num_groups < 0:
             raise ValueError("need at least one channel and a nonnegative group count")
         if not (0.0 < self.cu_outage_budget < 1.0 and 0.0 < self.mg_outage_budget < 1.0):

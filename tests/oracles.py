@@ -6,6 +6,8 @@ one term at a time; `evaluate` scores an assignment through it at the
 powers allocate would grant. The table loops walk masks in increasing order
 and extend each interference sum from the mask minus its lowest set bit.
 The greedy oracle matches one family at a time with its own scan. The
+sampling oracles test exclusion and association for every candidate against
+every CU and transmitter in one broadcast, with no association reach. The
 vectorized code in the package must agree with these bitwise or to within
 re-summation noise, as each test states.
 """
@@ -14,7 +16,8 @@ import math
 
 import numpy as np
 
-from mgshare.params import SIR_CAP
+from mgshare.geometry import MulticastGroup, _positions_of
+from mgshare.params import MIN_LINK_DISTANCE_M, SIR_CAP
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
 
 # ---------------------------------------------------------------------------
@@ -303,3 +306,38 @@ def greedy_best_loop(ctx, fam_masks, family_pairs):
         if v > best[0]:
             best = (v, fi, pairs)
     return best[1], best[2], best[0]
+
+
+# ---------------------------------------------------------------------------
+# scenario sampling: exclusion and association over every candidate
+
+
+def apply_exclusion_dense(candidates, cus, exclusion_radius_m):
+    """`geometry.apply_exclusion` as one (n, C, 2) broadcast."""
+    pts = np.atleast_2d(np.asarray(candidates, dtype=float)) if len(candidates) else np.empty((0, 2))
+    centers = _positions_of(cus)
+    if len(pts) == 0 or len(centers) == 0 or exclusion_radius_m == 0.0:
+        return pts, 0
+    d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    keep = d2.min(axis=1) >= exclusion_radius_m ** 2
+    return pts[keep], int(len(pts) - keep.sum())
+
+
+def form_groups_dense(tx_positions, receivers, tx_power_w, assoc_min_rx_power_w, alpha):
+    """`geometry.form_groups` scoring every receiver at every transmitter."""
+    txs = np.atleast_2d(np.asarray(tx_positions, dtype=float))
+    rx = np.atleast_2d(np.asarray(receivers, dtype=float)) if len(receivers) else np.empty((0, 2))
+    if len(rx) == 0:
+        return []
+    d = np.sqrt(((rx[:, None, :] - txs[None, :, :]) ** 2).sum(axis=2))
+    d_eff = np.maximum(d, MIN_LINK_DISTANCE_M)
+    power = tx_power_w * d_eff ** (-alpha)
+    best = power.argmax(axis=1)
+    best_power = power[np.arange(len(rx)), best]
+    attached = best_power >= assoc_min_rx_power_w
+    groups = []
+    for g in range(len(txs)):
+        members = attached & (best == g)
+        if members.any():
+            groups.append(MulticastGroup(g, txs[g], rx[members], d[members, g]))
+    return groups

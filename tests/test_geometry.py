@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgshare import geometry
 from mgshare.geometry import (
     CellularUser,
     MulticastGroup,
     NetworkScenario,
     apply_exclusion,
+    association_reach,
     form_groups,
     generate_scenario,
     sample_poisson_count,
     sample_uniform_disk,
 )
-from mgshare.params import SimParams
+from mgshare.params import MIN_LINK_DISTANCE_M, SimParams
+from oracles import apply_exclusion_dense, form_groups_dense
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +161,103 @@ def test_form_groups_matches_bruteforce_argmax():
 def test_form_groups_requires_transmitter():
     with pytest.raises(ValueError):
         form_groups(np.empty((0, 2)), np.array([[1.0, 1.0]]), 1.0, 0.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
+# association reach: the near-transmitter path against the dense oracle
+
+
+def test_association_reach():
+    p = SimParams()
+    reach = association_reach(p.assoc_ref_power_w, p.assoc_min_rx_power_w, 4.0)
+    exact = (p.assoc_ref_power_w / p.assoc_min_rx_power_w) ** 0.25
+    assert reach == pytest.approx(11.4815, abs=1e-4)
+    assert exact < reach <= exact * (1.0 + 2e-9)
+    # a threshold of 0 W, one that underflows to 0 W, or an exponent below 1
+    # bounds nothing
+    assert association_reach(1.0, 0.0, 4.0) == np.inf
+    underflow = SimParams(assoc_min_rx_power_dbm=-4000.0).assoc_min_rx_power_w
+    assert underflow == 0.0 and association_reach(1.0, underflow, 4.0) == np.inf
+    assert association_reach(1.0, 1e-3, 0.5) == np.inf
+    # floored at the distance clamp
+    assert association_reach(1.0, 10.0, 4.0) == MIN_LINK_DISTANCE_M
+    assert association_reach(0.0, 1.0, 4.0) == MIN_LINK_DISTANCE_M
+
+
+def _assert_groups_identical(got, want):
+    assert [g.id for g in got] == [g.id for g in want]
+    for x, y in zip(got, want):
+        assert x.tx_position.tobytes() == y.tx_position.tobytes()
+        assert x.receivers.tobytes() == y.receivers.tobytes()
+        assert x.tx_rx_dists_m.tobytes() == y.tx_rx_dists_m.tobytes()
+
+
+_coord = st.floats(-60.0, 60.0, allow_nan=False)
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def _layouts(draw):
+    """Transmitters, CUs and receivers, with receivers placed exactly at a
+    transmitter's reach, on an exclusion boundary, on a transmitter and
+    under the 1 m clamp."""
+    txs = np.array(draw(st.lists(_point, min_size=1, max_size=5)))
+    cus = np.array(draw(st.lists(_point, min_size=1, max_size=3)))
+    alpha = draw(st.sampled_from([0.5, 2.0, 3.0, 4.0, 5.5]))
+    tx_power = draw(st.sampled_from([1e-3, 1.0, 2.5]))
+    p_min = draw(st.sampled_from([0.0, 1e-8, 5.5e-5, 1e-3, 0.7]))
+    radius = draw(st.sampled_from([0.0, 5.0, 12.5]) | st.floats(0.0, 40.0))
+    reach = (tx_power / p_min) ** (1.0 / alpha) if p_min > 0.0 else 10.0
+    theta = draw(st.floats(0.0, 2.0 * np.pi))
+    t, c = txs[draw(st.integers(0, len(txs) - 1))], cus[draw(st.integers(0, len(cus) - 1))]
+    specials = [
+        t + (reach, 0.0),
+        t - (0.0, reach),
+        t + reach * np.array([np.cos(theta), np.sin(theta)]),
+        t,
+        t + (0.5, 0.0),
+        c + (radius, 0.0),
+        c - (0.0, radius),
+        c + radius * np.array([np.cos(theta), np.sin(theta)]),
+    ]
+    rx = [np.array(p) for p in draw(st.lists(_point, max_size=30))]
+    rx += draw(st.lists(st.sampled_from(specials), max_size=10))
+    rx = np.array(draw(st.permutations(rx))).reshape(-1, 2)
+    return txs, cus, rx, radius, tx_power, p_min, alpha
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout=_layouts())
+def test_sampling_matches_dense_oracle_on_drawn_layouts(layout):
+    txs, cus, rx, radius, tx_power, p_min, alpha = layout
+    kept, removed = apply_exclusion(rx, cus, radius)
+    want_kept, want_removed = apply_exclusion_dense(rx, cus, radius)
+    assert removed == want_removed
+    assert kept.tobytes() == want_kept.tobytes()
+    _assert_groups_identical(
+        form_groups(txs, kept, tx_power, p_min, alpha),
+        form_groups_dense(txs, kept, tx_power, p_min, alpha),
+    )
+
+
+def test_scenarios_match_dense_oracle(monkeypatch):
+    """Real scenarios over D, G and the threshold, bitwise equal to sampling
+    with the dense exclusion and association."""
+    cases = [
+        SimParams(exclusion_radius_m=d, num_groups=g, assoc_min_rx_power_dbm=p_min)
+        for d in (0.0, 20.0, 50.0, 100.0)
+        for g in (5, 7, 9)
+        for p_min in (-12.4, -30.0)
+    ]
+    got = [generate_scenario(p, i) for p in cases for i in range(4)]
+    monkeypatch.setattr(geometry, "apply_exclusion", apply_exclusion_dense)
+    monkeypatch.setattr(geometry, "form_groups", form_groups_dense)
+    want = [generate_scenario(p, i) for p in cases for i in range(4)]
+    assert sum(len(s.groups) for s in want) > 0
+    for a, b in zip(got, want):
+        assert a.candidate_receiver_count == b.candidate_receiver_count
+        assert a.excluded_receiver_count == b.excluded_receiver_count
+        _assert_groups_identical(a.groups, b.groups)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare import harness
+from mgshare.allocation import build_context
+from mgshare.geometry import generate_scenario
 from mgshare.harness import (
     CSV_HEADER,
     SCHEME_PRESETS,
@@ -89,13 +92,20 @@ def test_comment_starts_at_line_start_or_after_whitespace():
 
 # valid values per sweep variable at the default base parameters
 _SWEEP_VALUES = {
-    "D": st.floats(0.0, 400.0),
+    "D": st.floats(1.0, 400.0),  # below the 1 m link clamp is refused
     "R": st.floats(100.0, 1000.0),
     "R_c_min": st.floats(0.0, 10.0),
     "P_G": st.floats(-20.0, 40.0),
     "lambda_g": st.floats(1e-6, 1e-5),
     "n_per_channel": st.integers(1, 4).map(float),
 }
+
+
+# paths the config text carries: each holds a "#" that no whitespace precedes
+_CARRIED = r"[a-z0-9_./=-]+#[a-z0-9_./=#-]*"
+_CARRIED_PATHS = st.from_regex(_CARRIED, fullmatch=True)
+# paths with whitespace, line breaks and "#" anywhere, the empty one included
+_AWKWARD_PATHS = st.text(st.sampled_from("ab./=#- \t\n\r\x0b\x0c\x85\u2028\u3000"), max_size=8)
 
 
 @st.composite
@@ -114,8 +124,7 @@ def _configs(draw):
         sweep_values=tuple(sorted(values)),
         schemes=tuple(schemes),
         n_scenarios=draw(st.integers(1, 10**6)),
-        # every path holds a "#" that no whitespace precedes
-        output_path=draw(st.from_regex(r"[a-z0-9_./=-]+#[a-z0-9_./=#-]*", fullmatch=True)),
+        output_path=draw(_CARRIED_PATHS | _AWKWARD_PATHS),
         parallelism=draw(st.integers(1, 64)),
     )
 
@@ -123,7 +132,27 @@ def _configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(_configs())
 def test_render_parse_round_trip_property(cfg):
+    """Every config is refused by validate(), or round-trips exactly."""
+    try:
+        cfg.validate()
+    except ConfigError as e:
+        assert "out" in str(e)
+        assert re.fullmatch(_CARRIED, cfg.output_path) is None
+        return
     assert parse_config(render_config(cfg)) == cfg
+
+
+def test_output_path_refused_when_the_config_text_cannot_carry_it():
+    for path in ("", " lead.csv", "trail.csv ", "#x.csv", "a #b.csv", "a\t#c", "a\nb.csv"):
+        with pytest.raises(ConfigError, match="out"):
+            _tiny_config(output_path=path).validate()
+    # the comment that empties it is caught when the file is parsed
+    with pytest.raises(ConfigError, match="out must name a file"):
+        parse_config(MINIMAL + "out = #x.csv\n")
+    for path in ("runs/a#b.csv", "a b.csv", "a=b.csv"):
+        cfg = _tiny_config(output_path=path)
+        cfg.validate()
+        assert parse_config(render_config(cfg)) == cfg
 
 
 def test_resolve_scheme_presets_and_explicit():
@@ -194,6 +223,78 @@ def test_config_validate_rejects_bad_shapes():
     # six channels but four groups: 1,045 matchings, fewer than 5 on 5 channels
     assert _validates(base=SimParams(num_channels=6, num_groups=4), sweep_values=(50.0,))
     assert _validates(sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("fixed2",))
+
+
+def test_sim_params_validate_refuses_range_gaps():
+    bad = [
+        # each of these used to pass and then raise inside the first scenario
+        dict(receiver_density_per_m2=-1e-3),
+        dict(bandwidth_hz=0.0, cu_min_rate_bps_hz=1.0),
+        dict(bandwidth_hz=1e-3, cu_min_rate_bps_hz=5.0),  # 2^5000 - 1 overflows
+        dict(exclusion_radius_m=0.0),  # the power floor needs a positive guard
+        dict(exclusion_radius_m=0.5),
+        dict(max_mg_power_dbm=4000.0),
+        dict(cu_density_per_m2=-1e-6),
+        dict(group_density_per_m2=-1e-6),
+        dict(bandwidth_hz=-1.0),
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            SimParams(**kw).validate()
+    SimParams(exclusion_radius_m=1.0, receiver_density_per_m2=0.0).validate()
+
+
+_DB = st.floats(-40.0, 60.0)
+_SIM_RANGES = dict(
+    cell_radius_m=st.floats(20.0, 800.0),
+    exclusion_radius_m=st.floats(1.0, 200.0),
+    num_channels=st.integers(1, 4),
+    num_groups=st.integers(0, 7),
+    receiver_density_per_m2=st.floats(0.0, 1e-2),
+    assoc_min_rx_power_dbm=st.floats(-60.0, 10.0),
+    assoc_ref_power_dbm=st.floats(-10.0, 60.0),
+    max_cu_power_dbm=_DB,
+    max_mg_power_dbm=_DB,
+    cu_sir_threshold_db=_DB,
+    mg_sir_threshold_db=_DB,
+    cu_min_rate_bps_hz=st.floats(0.0, 10.0),
+    bandwidth_hz=st.floats(1e-3, 1e6),
+    cu_outage_budget=st.floats(1e-3, 0.999),
+    mg_outage_budget=st.floats(1e-3, 0.999),
+    cu_density_per_m2=st.floats(0.0, 1e-3),
+    group_density_per_m2=st.floats(0.0, 1e-3),
+    master_seed=st.integers(0, 2**64 - 1),
+)
+# each case pushes one field to an edge or out of range
+_SIM_EDGES = [
+    ("cell_radius_m", 0.0), ("exclusion_radius_m", 0.0), ("exclusion_radius_m", 1e-300),
+    ("exclusion_radius_m", 0.999), ("num_channels", 0), ("num_groups", -1),
+    ("receiver_density_per_m2", -1e-3), ("cu_density_per_m2", -1e-6),
+    ("group_density_per_m2", -1e-6), ("bandwidth_hz", 0.0), ("bandwidth_hz", 1e-300),
+    ("max_cu_power_dbm", 4000.0), ("max_mg_power_dbm", 4000.0),
+    ("assoc_ref_power_dbm", 4000.0), ("assoc_min_rx_power_dbm", -4000.0),
+    ("mg_sir_threshold_db", 4000.0), ("cu_min_rate_bps_hz", 3000.0),
+    ("cu_outage_budget", 1.0), ("mg_outage_budget", 0.0),
+]
+
+
+_IN_RANGE = st.builds(SimParams, **_SIM_RANGES)
+
+
+@pytest.mark.parametrize("edge", [None] + _SIM_EDGES, ids=str)
+@settings(max_examples=10, deadline=None)
+@given(params=_IN_RANGE)
+def test_valid_sim_params_generate_and_build(params, edge):
+    """Whatever validate() accepts samples a scenario and builds its context."""
+    if edge is not None:
+        params = replace(params, **{edge[0]: edge[1]})
+    try:
+        params.validate()
+    except ValueError:
+        return
+    scenario = generate_scenario(params, 0)
+    if not scenario.degenerate:
+        build_context(scenario)
 
 
 def _tiny_config(**kw):
