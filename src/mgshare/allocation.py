@@ -7,9 +7,15 @@ Families come from the combinatorics module per selection mode; matchings
 include partial ones, so leaving a channel to its CU alone is always a
 candidate and the search proves rather than assumes that sharing helps.
 
-Every candidate is scored through the same precomputed value table, so the
-dominance relations between schemes (larger search space never loses) hold
-exactly in floating point, not merely up to re-summation noise.
+Both searches share one candidate format: a family row of group masks, one
+per subset slot, and a slot-channel row of the same length holding each
+slot's channel, -1 where the slot gets none. They also share one score,
+read from ``EvalContext.gain``, a (C+1, 2^G) table of each channel's gain
+over its CU alone whose last row is 0.0: a candidate scores the baseline
+plus ``gain[row[s], fam[s]]`` summed in slot order, so an unassigned slot
+(row -1, the zero row) adds an exact 0.0. One table and one summation order
+make the dominance relations between schemes (larger search space never
+loses) hold exactly in floating point, not merely up to re-summation noise.
 
 Powers follow the closed-form feasibility interval: each assigned group
 transmits at the top of its interval on its channel, and a group whose
@@ -251,6 +257,16 @@ class EvalContext:
         """Throughput with every channel CU-only."""
         return float(self.value[:, 0].sum())
 
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """(C+1, 2^G) gain of each mask on each channel over the CU alone,
+        ``value[k, m] - value[k, 0]``; row C (row -1) is 0.0 for a slot
+        left without a channel."""
+        value = self.value
+        out = np.zeros((self.C + 1, value.shape[1]))
+        np.subtract(value, value[:, :1], out=out[:-1])
+        return out
+
     def channel_value(self, k: int, mask: int, mg_power_w: np.ndarray) -> float:
         """Recompute one channel's score for arbitrary group powers.
 
@@ -294,25 +310,30 @@ def build_context(scenario, fading=None) -> EvalContext:
 
 
 @lru_cache(maxsize=None)
-def assignment_patterns(n_subsets: int, num_channels: int) -> tuple:
-    """Injective partial matchings of subset slots to channels.
+def assignment_patterns(n_subsets: int, num_channels: int) -> np.ndarray:
+    """Injective partial matchings of subset slots to channels, as a
+    read-only (P, n_subsets) array of slot-channel rows (-1: no channel).
 
     Complete matchings come first (lexicographic), then patterns with one
-    dropped subset, and so on; each pattern is a tuple of (slot, channel)
-    pairs sorted by slot. The all-dropped pattern is last and stands for a
-    fully CU-only cell.
+    dropped subset, and so on. The all-dropped pattern is last and stands
+    for a fully CU-only cell.
     """
-    pats = []
-    slots = tuple(range(n_subsets))
+    rows = []
+    slots = range(n_subsets)
     for n_drop in range(n_subsets + 1):
         r = n_subsets - n_drop
         if r > num_channels:
             continue
         for dropped in combinations(slots, n_drop):
-            kept = tuple(s for s in slots if s not in dropped)
+            kept = [s for s in slots if s not in dropped]
             for chans in permutations(range(num_channels), r):
-                pats.append(tuple(zip(kept, chans)))
-    return tuple(pats)
+                row = [-1] * n_subsets
+                for s, k in zip(kept, chans):
+                    row[s] = k
+                rows.append(row)
+    out = np.array(rows, dtype=np.int64).reshape(len(rows), n_subsets)
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -378,59 +399,49 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray
 
 
 def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
+    """Every family under every channel matching; the best candidate's
+    (family index, slot-channel row, value).
+
+    The (patterns, families) table adds one contiguous row of slot gains
+    per assigned slot of each pattern. Exact ties are common: a muted group contributes
+    zero rate and zero interference, so families differing only in where
+    they put it evaluate bitwise equal. Among the families reaching the
+    optimum, the one covering the most groups wins (muted ones count too,
+    so this is not the number that transmit), the first in enumeration
+    order among equals, under its first pattern reaching the optimum.
+    """
     F, S = fam_masks.shape
     pats = assignment_patterns(S, ctx.C)
-    value = ctx.value
-    base = ctx.baseline
-    gain = np.empty((ctx.C, S, F))
-    for k in range(ctx.C):
-        for s in range(S):
-            gain[k, s] = value[k, fam_masks[:, s]] - value[k, 0]
-    tv = np.full((F, len(pats)), base)
-    for pi, pat in enumerate(pats):
-        for s, k in pat:
-            tv[:, pi] += gain[k, s]
-    flat = int(np.argmax(tv))
-    best_v = tv.ravel()[flat]
-    ties = np.flatnonzero(tv.ravel() == best_v)
-    if len(ties) > 1:
-        # exact ties are common: a muted group contributes zero rate and
-        # zero interference, so families differing only in where they put
-        # it evaluate bitwise equal. Prefer the candidate whose family
-        # covers the most groups (muted ones count too, so this is not the
-        # number that transmit), keeping enumeration order among equals.
-        union = np.bitwise_or.reduce(fam_masks, axis=1)
-        cov = np.zeros(F, dtype=np.int64)
-        for g in range(ctx.G):
-            cov += (union >> g) & 1
-        flat = int(ties[np.argmax(cov[ties // len(pats)])])
-    fi, pi = divmod(flat, len(pats))
-    return fi, pats[pi], float(tv[fi, pi])
+    slot_gain = [ctx.gain[:, fam_masks[:, s]] for s in range(S)]
+    tv = np.full((len(pats), F), ctx.baseline)
+    for p, row in enumerate(pats.tolist()):
+        for s, k in enumerate(row):
+            if k >= 0:  # row -1 would add the zero row, and adding 0.0 is exact
+                tv[p] += slot_gain[s][k]
+    best = tv.max()
+    reach = np.flatnonzero((tv == best).any(axis=0))
+    union = np.bitwise_or.reduce(fam_masks[reach], axis=1).tolist()
+    fi = int(reach[np.argmax([m.bit_count() for m in union])])
+    pi = int(np.argmax(tv[:, fi] == best))
+    return fi, pats[pi], float(best)
 
 
 def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray):
     """Greedy matching of every family at once; the best family's
-    (index, pairs, value), the first family winning exact ties.
+    (index, slot-channel row, value), the first family winning exact ties.
 
     The heuristic has three stages: ``avail`` closes channels whose CU could
     not decode next to even the friendliest single group at maximum powers,
     ``stage2`` scores each (channel, subset) pair by the worst sum
     interference a member would see, and greedy_match takes the smallest
     scores first. Subsets left over when channels run out stay unassigned.
-
-    A family's value adds its matched slots' gains onto the baseline in
-    slot order; an unmatched slot adds 0.0, which is exact.
     """
-    value = ctx.value
     row_of = greedy_match(ctx.stage2, ctx.avail, fam_masks)
     tv = np.full(fam_masks.shape[0], ctx.baseline)
     for s in range(fam_masks.shape[1]):
-        k = np.maximum(row_of[:, s], 0)
-        gain = value[k, fam_masks[:, s]] - value[k, 0]
-        tv += np.where(row_of[:, s] >= 0, gain, 0.0)
+        tv += ctx.gain[row_of[:, s], fam_masks[:, s]]
     fi = int(np.argmax(tv))
-    pairs = tuple((s, int(k)) for s, k in enumerate(row_of[fi]) if k >= 0)
-    return fi, pairs, float(tv[fi])
+    return fi, row_of[fi], float(tv[fi])
 
 
 def _grid_refine(
@@ -509,14 +520,12 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
         return _assignment(chan, ()), PowerVector(ctx.cu_power_w.copy(), mg_power), ctx.baseline
 
     if scheme.assignment_method == "exhaustive":
-        fi, pairs, tv = _exhaustive_best(ctx, fam_masks)
+        fi, row, tv = _exhaustive_best(ctx, fam_masks)
     else:
-        fi, pairs, tv = _greedy_best(ctx, fam_masks)
+        fi, row, tv = _greedy_best(ctx, fam_masks)
     family = fam_masks[fi]
-    for s, k in pairs:
-        chan[k] = family[s]
-    taken = {s for s, _ in pairs}
-    unassigned = [family[s] for s in range(len(family)) if s not in taken]
+    chan[row[row >= 0]] = family[row >= 0]
+    unassigned = family[row < 0]
     # groups the silencing step muted stay at zero power
     for k, live in enumerate(ctx.survivors[np.arange(C), chan].tolist()):
         for g in _groups_of(live):

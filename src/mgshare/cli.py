@@ -26,17 +26,26 @@ from .power import cap_root_residual, floor_root_comparison
 from .seeds import rng_for
 
 
+def _error(e: ValueError) -> int:
+    """Report bad input on stderr, as argparse reports bad arguments."""
+    print(f"mgshare: error: {e}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.base = cfg.base.copy_with(master_seed=args.seed)
-    if args.scenarios is not None:
-        cfg.n_scenarios = args.scenarios
-    if args.parallel is not None:
-        cfg.parallelism = args.parallel
-    if args.out is not None:
-        cfg.output_path = args.out
-    cfg.validate()
+    try:
+        cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.base = cfg.base.copy_with(master_seed=args.seed)
+        if args.scenarios is not None:
+            cfg.n_scenarios = args.scenarios
+        if args.parallel is not None:
+            cfg.parallelism = args.parallel
+        if args.out is not None:
+            cfg.output_path = args.out
+        cfg.validate()
+    except ValueError as e:
+        return _error(e)
     rows = run_experiment(cfg, timing=args.timing)
     write_csv(cfg.sweep_variable, rows, cfg.output_path)
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
@@ -48,7 +57,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_count(args) -> int:
     G, C, mode = args.groups, args.channels, args.mode
-    vectors = enumerate_size_vectors(G, C, mode)
+    try:
+        vectors = enumerate_size_vectors(G, C, mode)
+    except ValueError as e:
+        return _error(e)
     print(f"G={G} C={C} mode={mode}")
     print(f"size vectors: {len(vectors)}")
     for v in vectors:

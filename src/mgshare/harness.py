@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .allocation import SchemeConfig, allocate, build_context, check_exhaustive_size
+from .combinatorics import parse_mode
 from .geometry import generate_scenario
 from .params import SimParams, param_names, parse_param
 from .seeds import child_seed
@@ -275,27 +276,14 @@ def apply_sweep(base: SimParams, variable: str, value: float, schemes: tuple) ->
     if variable == "n_per_channel":
         if not float(value).is_integer():
             raise ConfigError(f"n_per_channel must be a whole number, got {value!r}")
-        n = int(value)
-        out = tuple(
-            _with_fixed_size(tok, n) if _is_fixed(tok) else tok for tok in schemes
-        )
-        return base, out
+        out = []
+        for tok in schemes:
+            s = resolve_scheme(tok)
+            if parse_mode(s.selection_mode)[0] == "fixed":
+                tok = f"fixed({int(value)}):{s.assignment_method}:{s.power_policy}"
+            out.append(tok)
+        return base, tuple(out)
     raise ConfigError(f"unknown sweep variable {variable!r}")
-
-
-def _is_fixed(token: str) -> bool:
-    mode = SCHEME_PRESETS[token][0] if token in SCHEME_PRESETS else token.split(":")[0]
-    return mode.startswith("fixed")
-
-
-def _with_fixed_size(token: str, n: int) -> str:
-    if token in SCHEME_PRESETS:
-        mode, method, policy = SCHEME_PRESETS[token]
-    else:
-        parts = token.split(":")
-        mode, method = parts[0], parts[1]
-        policy = parts[2] if len(parts) > 2 else "max_feasible"
-    return f"fixed({n}):{method}:{policy}"
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +350,10 @@ def _gather_point(cfg, params, schemes, pool=None):
     return [r for part in parts for r in part]
 
 
-def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
-    """Sweep, average, and return one ResultRow per (sweep value, scheme)."""
+def _sweep_points(cfg: ExperimentConfig):
+    """Validate, then yield (sweep value, scenario results, gather ms) per
+    sweep point, all points sharing one worker pool."""
     cfg.validate()
-    rows = []
     with _worker_pool(cfg) as pool:
         for value in cfg.sweep_values:
             params, scheme_tokens = apply_sweep(
@@ -373,21 +361,27 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
             )
             t0 = time.perf_counter()
             results = _gather_point(cfg, params, scheme_tokens, pool)
-            elapsed_ms = (time.perf_counter() - t0) * 1000.0 if timing else 0.0
-            n_degenerate = sum(1 for r in results if r is None)
-            valid = [r[0] for r in results if r is not None]
-            for si, name in enumerate(cfg.schemes):
-                vals = np.array([v[si] for v in valid]) if valid else np.zeros(0)
-                rows.append(
-                    ResultRow(
-                        sweep_value=value,
-                        scheme_name=name,
-                        mean_throughput=float(vals.mean()) if len(vals) else 0.0,
-                        std_dev=float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
-                        n_degenerate=n_degenerate,
-                        wall_ms=elapsed_ms,
-                    )
+            yield value, results, (time.perf_counter() - t0) * 1000.0
+
+
+def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
+    """Sweep, average, and return one ResultRow per (sweep value, scheme)."""
+    rows = []
+    for value, results, elapsed_ms in _sweep_points(cfg):
+        n_degenerate = sum(1 for r in results if r is None)
+        valid = [r[0] for r in results if r is not None]
+        for si, name in enumerate(cfg.schemes):
+            vals = np.array([v[si] for v in valid]) if valid else np.zeros(0)
+            rows.append(
+                ResultRow(
+                    sweep_value=value,
+                    scheme_name=name,
+                    mean_throughput=float(vals.mean()) if len(vals) else 0.0,
+                    std_dev=float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
+                    n_degenerate=n_degenerate,
+                    wall_ms=elapsed_ms if timing else 0.0,
                 )
+            )
     return rows
 
 
@@ -402,19 +396,13 @@ def winning_combination_histogram(cfg: ExperimentConfig) -> dict:
     several equally good vectors. The vector counts every selected group,
     muted ones included.
     """
-    cfg = replace(cfg, schemes=("optimal",))
-    cfg.validate()
     out = {}
-    with _worker_pool(cfg) as pool:
-        for value in cfg.sweep_values:
-            params, schemes = apply_sweep(cfg.base, cfg.sweep_variable, value, cfg.schemes)
-            results = _gather_point(cfg, params, schemes, pool)
-            counts: dict[tuple, int] = {}
-            for r in results:
-                if r is None:
-                    continue
+    for value, results, _ in _sweep_points(replace(cfg, schemes=("optimal",))):
+        counts: dict[tuple, int] = {}
+        for r in results:
+            if r is not None:
                 counts[r[1]] = counts.get(r[1], 0) + 1
-            out[value] = counts
+        out[value] = counts
     return out
 
 

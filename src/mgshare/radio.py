@@ -17,30 +17,10 @@ import numpy as np
 
 from .params import MIN_LINK_DISTANCE_M
 
-# Links shorter than MIN_LINK_DISTANCE_M are evaluated at the clamp distance;
-# every clamped element ticks this counter so sweeps can report how often the
-# guard engaged.
-_clamp_count = 0
-
-
-def clamp_count() -> int:
-    return _clamp_count
-
-
-def reset_clamp_count() -> None:
-    global _clamp_count
-    _clamp_count = 0
-
 
 def path_gain(d, alpha: float):
-    """d^-alpha with the short-link guard applied."""
-    global _clamp_count
-    arr = np.asarray(d, dtype=float)
-    clamped = arr < MIN_LINK_DISTANCE_M
-    n = int(np.count_nonzero(clamped))
-    if n:
-        _clamp_count += n
-        arr = np.maximum(arr, MIN_LINK_DISTANCE_M)
+    """d^-alpha, links shorter than MIN_LINK_DISTANCE_M evaluated at it."""
+    arr = np.maximum(np.asarray(d, dtype=float), MIN_LINK_DISTANCE_M)
     out = arr ** (-alpha)
     return float(out) if np.isscalar(d) or getattr(d, "ndim", 1) == 0 else out
 

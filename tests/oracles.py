@@ -5,7 +5,9 @@ throughput) recomputes one assignment's throughput from the link tables,
 one term at a time; `evaluate` scores an assignment through it at the
 powers allocate would grant. The table loops walk masks in increasing order
 and extend each interference sum from the mask minus its lowest set bit.
-The greedy oracle matches one family at a time with its own scan. The
+The greedy oracle matches one family at a time with its own scan; the
+exhaustive oracle scores every family under every (slot, channel) pair
+pattern in a (families, patterns) table with a flat tie-break. The
 sampling oracles test exclusion and association for every candidate against
 every CU and transmitter in one broadcast, with no association reach. The
 vectorized code in the package must agree with these bitwise or to within
@@ -13,6 +15,7 @@ re-summation noise, as each test states.
 """
 
 import math
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -264,12 +267,12 @@ def stage2_matrix_direct(ctx, subset_masks):
 
 
 def greedy_match_loop(matrix, row_ok):
-    """(slot, channel) pairs, sorted by slot, of the greedy matching of one
+    """The slot-channel row (-1: no channel) of the greedy matching of one
     family: each round scans the open channels and free slots row by row and
     takes the first smallest entry."""
     rows = [k for k, ok in enumerate(row_ok) if ok]
     cols = list(range(len(matrix[0]))) if len(matrix) else []
-    pairs = []
+    out = [-1] * len(cols)
     while rows and cols:
         best = None
         for k in rows:
@@ -277,14 +280,14 @@ def greedy_match_loop(matrix, row_ok):
                 if best is None or matrix[k][s] < best[0]:
                     best = (matrix[k][s], k, s)
         _, k, s = best
-        pairs.append((s, k))
+        out[s] = k
         rows.remove(k)
         cols.remove(s)
-    return tuple(sorted(pairs))
+    return out
 
 
-def greedy_pairs_loop(ctx, fam_masks):
-    """greedy_match_loop's (slot, channel) pairs for each family."""
+def greedy_rows_loop(ctx, fam_masks):
+    """greedy_match_loop's slot-channel row for each family."""
     table = ctx.stage2.tolist()
     row_ok = ctx.avail.tolist()
     return [
@@ -293,19 +296,76 @@ def greedy_pairs_loop(ctx, fam_masks):
     ]
 
 
-def greedy_best_loop(ctx, fam_masks, family_pairs):
-    """(family index, pairs, value) of the best greedy matching, given each
-    family's pairs; the first family wins exact ties."""
+def greedy_best_loop(ctx, fam_masks, family_rows):
+    """(family index, row, value) of the best greedy matching, given each
+    family's row; the first family wins exact ties."""
     value = ctx.value.tolist()
     base = ctx.baseline
     best = (-math.inf, None, None)
-    for fi, (masks, pairs) in enumerate(zip(fam_masks.tolist(), family_pairs)):
+    for fi, (masks, row) in enumerate(zip(fam_masks.tolist(), family_rows)):
         v = base
-        for s, k in pairs:
-            v += value[k][masks[s]] - value[k][0]
+        for s, k in enumerate(row):
+            if k >= 0:
+                v += value[k][masks[s]] - value[k][0]
         if v > best[0]:
-            best = (v, fi, pairs)
+            best = (v, fi, row)
     return best[1], best[2], best[0]
+
+
+# ---------------------------------------------------------------------------
+# exhaustive search over (slot, channel) pair patterns
+
+
+def assignment_pairs(n_subsets, num_channels):
+    """Injective partial matchings as tuples of (slot, channel) pairs sorted
+    by slot: complete matchings first (lexicographic), then one dropped
+    subset, and so on, the all-dropped pattern last."""
+    pats = []
+    slots = tuple(range(n_subsets))
+    for n_drop in range(n_subsets + 1):
+        r = n_subsets - n_drop
+        if r > num_channels:
+            continue
+        for dropped in combinations(slots, n_drop):
+            kept = tuple(s for s in slots if s not in dropped)
+            for chans in permutations(range(num_channels), r):
+                pats.append(tuple(zip(kept, chans)))
+    return tuple(pats)
+
+
+def exhaustive_best_table(ctx, fam_masks):
+    """The exhaustive search on a (families, pair patterns) table with a
+    flat tie-break: (family index, slot-channel row, value, tied candidates).
+
+    Of the candidates tied at the optimum, the first in (family, pattern)
+    order whose family covers the most groups wins.
+    """
+    F, S = fam_masks.shape
+    pats = assignment_pairs(S, ctx.C)
+    value = ctx.value
+    base = ctx.baseline
+    gain = np.empty((ctx.C, S, F))
+    for k in range(ctx.C):
+        for s in range(S):
+            gain[k, s] = value[k, fam_masks[:, s]] - value[k, 0]
+    tv = np.full((F, len(pats)), base)
+    for pi, pat in enumerate(pats):
+        for s, k in pat:
+            tv[:, pi] += gain[k, s]
+    flat = int(np.argmax(tv))
+    best_v = tv.ravel()[flat]
+    ties = np.flatnonzero(tv.ravel() == best_v)
+    if len(ties) > 1:
+        union = np.bitwise_or.reduce(fam_masks, axis=1)
+        cov = np.zeros(F, dtype=np.int64)
+        for g in range(ctx.G):
+            cov += (union >> g) & 1
+        flat = int(ties[np.argmax(cov[ties // len(pats)])])
+    fi, pi = divmod(flat, len(pats))
+    row = [-1] * S
+    for s, k in pats[pi]:
+        row[s] = k
+    return fi, row, float(tv[fi, pi]), len(ties)
 
 
 # ---------------------------------------------------------------------------

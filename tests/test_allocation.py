@@ -15,6 +15,7 @@ from mgshare.allocation import (
     build_context,
     greedy_match,
     matching_count,
+    _exhaustive_best,
     _family_mask_array,
     _greedy_best,
 )
@@ -23,10 +24,12 @@ from mgshare.params import SimParams
 from mgshare.seeds import child_seed
 from oracles import (
     as_array,
+    assignment_pairs,
     evaluate,
+    exhaustive_best_table,
     greedy_best_loop,
     greedy_match_loop,
-    greedy_pairs_loop,
+    greedy_rows_loop,
     silenced_throughput,
     stage2_matrix_direct,
     sum_throughput,
@@ -81,22 +84,31 @@ def test_greedy_match_respects_closed_rows_and_leftovers():
 
 def test_assignment_patterns_count_and_order():
     pats = assignment_patterns(3, 3)
-    assert len(pats) == 34          # 6 complete + 18 one-drop + 9 two-drop + 1
-    assert pats[0] == ((0, 0), (1, 1), (2, 2))
-    assert pats[5] == ((0, 2), (1, 1), (2, 0))
-    assert pats[-1] == ()
-    sizes = [len(p) for p in pats]
+    assert pats.shape == (34, 3)    # 6 complete + 18 one-drop + 9 two-drop + 1
+    assert not pats.flags.writeable
+    assert pats[0].tolist() == [0, 1, 2]
+    assert pats[5].tolist() == [2, 1, 0]
+    assert pats[6].tolist() == [-1, 0, 1]  # slot 0 dropped first
+    assert pats[-1].tolist() == [-1, -1, -1]
+    sizes = (pats >= 0).sum(axis=1).tolist()
     assert sizes == sorted(sizes, reverse=True)
-    # the exhaustive guard counts patterns in closed form
     for S in range(6):
         for C in range(1, 8):
-            assert matching_count(S, C) == len(assignment_patterns(S, C))
+            rows = assignment_patterns(S, C)
+            # the exhaustive guard counts patterns in closed form
+            assert matching_count(S, C) == len(rows)
+            # the rows are the (slot, channel) pair patterns, in their order
+            assert [
+                tuple((s, k) for s, k in enumerate(row) if k >= 0) for row in rows.tolist()
+            ] == list(assignment_pairs(S, C))
 
 
 def test_assignment_patterns_fewer_subsets_than_channels():
     pats = assignment_patterns(2, 3)
     assert len(pats) == 6 + 2 * 3 + 1
-    assert all(len({k for _, k in p}) == len(p) for p in pats)
+    for row in pats:
+        used = row[row >= 0]
+        assert len(set(used.tolist())) == len(used)
 
 
 def test_family_mask_arrays_are_disjoint_and_complete():
@@ -169,11 +181,11 @@ def test_exhaustive_assign_matches_radio_brute_force():
     assignment, _, tv = allocate(ctx, SchemeConfig())
     arrays = set()
     for masks in _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all"):
-        for pat in assignment_patterns(len(masks), ctx.C):
+        for row in assignment_patterns(len(masks), ctx.C).tolist():
             arr = [-1] * ctx.G
-            for slot, k in pat:
+            for slot, k in enumerate(row):
                 for g in range(ctx.G):
-                    if int(masks[slot]) >> g & 1:
+                    if k >= 0 and int(masks[slot]) >> g & 1:
                         arr[g] = k
             arrays.add(tuple(arr))
     best = max(silenced_throughput(ctx, np.array(a)) for a in arrays)
@@ -256,16 +268,17 @@ def test_greedy_assign_agrees_with_stage2_table():
     ctx = build_context(s)
     a, _, _ = allocate(ctx, SchemeConfig("almost_equal", "greedy"))
     fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "almost_equal")
-    fi, pairs, _ = _greedy_best(ctx, fams)
+    fi, row, _ = _greedy_best(ctx, fams)
     masks = [int(m) for m in fams[fi]]
 
     direct = stage2_matrix_direct(ctx, masks)
     assert direct == pytest.approx(ctx.stage2[:, masks], rel=1e-12)
-    assert greedy_match_loop(direct.tolist(), ctx.avail.tolist()) == pairs
+    assert greedy_match_loop(direct.tolist(), ctx.avail.tolist()) == row.tolist()
 
     expect = {k: frozenset() for k in range(ctx.C)}
-    for slot, k in pairs:
-        expect[k] = _groups(masks[slot], ctx.G)
+    for slot, k in enumerate(row.tolist()):
+        if k >= 0:
+            expect[k] = _groups(masks[slot], ctx.G)
     assert a.channel_to_groups == expect
 
 
@@ -283,21 +296,38 @@ def _scenarios_with(num_groups, count):
 
 @pytest.mark.parametrize("num_groups", [7, 9])
 def test_batched_greedy_equals_per_family_oracle(num_groups):
-    """All-family matching picks the same (family, pairs, value) as running
+    """All-family matching picks the same (family, row, value) as running
     greedy_match family by family, exactly, closed channels included."""
     open_counts = []
     for s in _scenarios_with(num_groups, 5):
         ctx = build_context(s)
         fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")
-        family_pairs = greedy_pairs_loop(ctx, fams)
-        rows = greedy_match(ctx.stage2, ctx.avail, fams)
-        assert family_pairs == [
-            tuple((slot, k) for slot, k in enumerate(row) if k >= 0) for row in rows.tolist()
-        ]
-        assert _greedy_best(ctx, fams) == greedy_best_loop(ctx, fams, family_pairs)
+        family_rows = greedy_rows_loop(ctx, fams)
+        assert greedy_match(ctx.stage2, ctx.avail, fams).tolist() == family_rows
+        fi, row, tv = _greedy_best(ctx, fams)
+        assert (fi, row.tolist(), tv) == greedy_best_loop(ctx, fams, family_rows)
         open_counts.append(int(ctx.avail.sum()))
     S = min(SimParams().num_channels, num_groups)
     assert min(open_counts) < S  # a closed channel, so fewer open channels than subsets
+
+
+@pytest.mark.parametrize("num_groups", [5, 7, 9])
+def test_exhaustive_best_equals_pair_table_oracle(num_groups):
+    """The row-table search picks the same (family, row, value) as the
+    (families, pair patterns) table with its flat tie-break, exactly, in
+    every mode, scenarios with exact ties at the optimum included."""
+    tied = 0
+    for s in _scenarios_with(num_groups, 8):
+        ctx = build_context(s)
+        for mode in ("all", "almost_equal", "equal", "fixed(2)"):
+            fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), mode)
+            if len(fams) == 0:
+                continue  # allocate returns CU-only without searching
+            fi, row, tv = _exhaustive_best(ctx, fams)
+            *expect, n_ties = exhaustive_best_table(ctx, fams)
+            assert [fi, row.tolist(), tv] == expect, (num_groups, mode)
+            tied += mode == "all" and n_ties > 1
+    assert tied >= 2
 
 
 def test_greedy_assign_all_channels_closed():

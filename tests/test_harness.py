@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgshare import harness
+from mgshare import cli, harness
 from mgshare.allocation import build_context
+from mgshare.cli import main as cli_main
 from mgshare.geometry import generate_scenario
 from mgshare.harness import (
     CSV_HEADER,
@@ -185,6 +186,9 @@ def test_apply_sweep_variables():
     p, s = apply_sweep(base, "n_per_channel", 3, schemes)
     assert p == base
     assert s == ("optimal", "fixed(3):exhaustive:max_feasible")
+    # spelled-out tokens keep their method and policy; other modes pass through
+    _, s = apply_sweep(base, "n_per_channel", 4, ("fixed(2):greedy", "fixed_heuristic", "all:greedy"))
+    assert s == ("fixed(4):greedy:max_feasible", "fixed(4):greedy:max_feasible", "all:greedy")
 
 
 def _validates(**kw) -> bool:
@@ -345,6 +349,11 @@ def test_one_worker_pool_per_run(monkeypatch):
     assert len(opened) == 1
     assert not multiprocessing.active_children()
     assert pooled == serial
+    # the winner histogram walks the same sweep-point loop
+    hist = winning_combination_histogram(replace(cfg, parallelism=2))
+    assert len(opened) == 2
+    assert not multiprocessing.active_children()
+    assert hist == winning_combination_histogram(cfg)
 
 
 def test_sweep_points_share_one_scenario_stream():
@@ -403,6 +412,31 @@ def test_histogram_all_ones_when_groups_match_channels():
     for counts in winning_combination_histogram(cfg).values():
         for vector in counts:
             assert all(x == 1 for x in vector)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "2", "3"], "cannot form 3 non-empty subsets from 2 groups"),
+        (["count", "7", "3", "--mode", "bogus"], "unknown selection mode 'bogus'"),
+        (["run", "--config", "{conf}"], "exhaustive search refused for G=11"),
+    ],
+)
+def test_cli_reports_bad_input_without_traceback(tmp_path, capsys, argv, message):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nnum_groups = 11\n")
+    assert cli_main([a.format(conf=conf) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("mgshare: error: ") and message in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_cli_run_override_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "ok.conf"
+    conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nscenarios = 2\n")
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    assert cli_main(["run", "--config", str(conf), "--parallel", "0"]) == 2
+    assert capsys.readouterr().err == "mgshare: error: parallel must be at least 1\n"
 
 
 def test_db_gap_and_report():

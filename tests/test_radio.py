@@ -15,10 +15,8 @@ from mgshare.params import SIR_CAP, SimParams
 from mgshare.radio import (
     FadingRealization,
     PowerVector,
-    clamp_count,
     draw_fading,
     path_gain,
-    reset_clamp_count,
     scenario_links,
 )
 from mgshare.seeds import rng_for
@@ -39,11 +37,9 @@ def test_path_gain_doubling(d, alpha):
     assert path_gain(2 * d, alpha) == pytest.approx(path_gain(d, alpha) * 2.0**-alpha)
 
 
-def test_path_gain_clamp_counter():
-    reset_clamp_count()
+def test_path_gain_clamps_short_links():
     assert path_gain(0.25, 4.0) == 1.0  # evaluated at the 1 m guard
-    path_gain(np.array([0.1, 5.0, 0.9]), 4.0)
-    assert clamp_count() == 3
+    assert path_gain(np.array([0.1, 5.0, 0.9]), 4.0).tolist() == [1.0, 5.0**-4.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
