@@ -33,7 +33,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .combinatorics import enumerate_families, enumerate_size_vectors, parse_mode
+from .combinatorics import enumerate_size_vectors, parse_mode
 from .kernels import build_stage2_table, build_value_table
 from .params import SIR_CAP
 from .power import power_interval
@@ -337,15 +337,47 @@ def assignment_patterns(n_subsets: int, num_channels: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _subset_masks(G: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of combinations(range(G), s) in lexicographic order, and the
+    lowest set bit of each."""
+    masks = np.array(
+        [sum(1 << g for g in c) for c in combinations(range(G), s)], dtype=np.int64
+    )
+    return masks, masks & -masks
+
+
+@lru_cache(maxsize=None)
 def _family_mask_array(G: int, C: int, mode: str):
-    """All families for (G, C, mode) as bitmask rows, canonical order."""
-    rows = []
+    """All families for (G, C, mode) as read-only bitmask rows, in the
+    canonical order of `combinatorics.enumerate_families` over the size
+    vectors of `enumerate_size_vectors`.
+
+    Each size vector (non-increasing) grows its rows one block at a time:
+    every current row is paired with every block mask, row-major, and a pair
+    is kept when the block is disjoint from the row's groups and, after a
+    block of the same size, has a higher lowest group (the dedup rule of
+    `enumerate_families`). np.nonzero keeps the pairs in lexicographic order.
+    """
+    blocks = []
     for sizes in enumerate_size_vectors(G, C, mode):
-        for fam in enumerate_families(tuple(range(G)), tuple(sizes)):
-            rows.append(tuple(sum(1 << g for g in blk) for blk in fam))
-    if not rows:
-        return np.zeros((0, C), dtype=np.int64)
-    return np.array(rows, dtype=np.int64)
+        rows = np.zeros((1, 0), dtype=np.int64)
+        used = np.zeros(1, dtype=np.int64)
+        low = np.zeros(1, dtype=np.int64)
+        prev = 0
+        for s in sizes:
+            masks, lows = _subset_masks(G, s)
+            ok = (used[:, None] & masks) == 0
+            if s == prev:
+                ok &= lows > low[:, None]
+            r, c = np.nonzero(ok)
+            rows = np.column_stack((rows[r], masks[c]))
+            used = used[r] | masks[c]
+            low = lows[c]
+            prev = s
+        blocks.append(rows)
+    out = np.concatenate(blocks) if blocks else np.zeros((0, C), dtype=np.int64)
+    out.flags.writeable = False
+    return out
 
 
 def _groups_of(mask) -> list:

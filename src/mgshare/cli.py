@@ -26,7 +26,7 @@ from .power import cap_root_residual, floor_root_comparison
 from .seeds import rng_for
 
 
-def _error(e: ValueError) -> int:
+def _error(e: ValueError | str) -> int:
     """Report bad input on stderr, as argparse reports bad arguments."""
     print(f"mgshare: error: {e}", file=sys.stderr)
     return 2
@@ -34,7 +34,12 @@ def _error(e: ValueError) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        cfg = parse_config(args.config)
+        with open(args.config) as fh:
+            text = fh.read()
+    except OSError as e:
+        return _error(f"cannot read config {args.config!r}: {e.strerror}")
+    try:
+        cfg = parse_config(text)
         if args.seed is not None:
             cfg.base = cfg.base.copy_with(master_seed=args.seed)
         if args.scenarios is not None:

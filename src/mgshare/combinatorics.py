@@ -3,7 +3,8 @@
 The channel allocation search assigns C disjoint, non-empty subsets of the G
 active multicast groups to the C channels. This module enumerates the subset
 size vectors for each selection mode, counts the families two ways, and
-enumerates the concrete families the search iterates.
+enumerates the concrete families. The search reads the same families, in the
+same order, as the mask rows of ``allocation._family_mask_array``.
 
 Two counters are kept on purpose:
 

@@ -21,7 +21,6 @@ is scored on exactly the same scenario set, and so is every sweep point.
 from __future__ import annotations
 
 import math
-import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -170,18 +169,12 @@ def _check_output_path(path: str) -> None:
         )
 
 
-def parse_config(text_or_path: str) -> ExperimentConfig:
-    """Parse the line-oriented key=value format (``#`` at the start of a
-    line or after whitespace starts a comment).
+def parse_config(text: str) -> ExperimentConfig:
+    """Parse config text in the line-oriented key=value format (``#`` at the
+    start of a line or after whitespace starts a comment).
 
-    Accepts either a file path or the config text itself; refuses unknown
-    keys and reports missing required keys by name.
+    Refuses unknown keys and reports missing required keys by name.
     """
-    if "\n" not in text_or_path and os.path.exists(text_or_path):
-        with open(text_or_path) as fh:
-            text = fh.read()
-    else:
-        text = text_or_path
     seen: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _COMMENT.sub("", raw, count=1).strip()

@@ -85,7 +85,8 @@ def group_power_cap(
 
     p_c * (-2*ln(1-budget) / (mg_density * pi^2 * sqrt(th) * d_cb^(alpha/2)))^2,
     the exact inversion of the CU outage form. +inf when any factor of the
-    interference term vanishes (no binding constraint).
+    interference term vanishes or the square overflows (no binding
+    constraint).
     """
     if not math.isclose(alpha, 4.0, abs_tol=1e-12):
         raise ValueError("closed-form power bounds require path loss exponent 4")
@@ -93,12 +94,15 @@ def group_power_cap(
         raise ValueError("outage budget must lie in (0, 1)")
     if mg_density < 0 or p_c < 0 or d_cb < 0 or threshold < 0:
         raise ValueError("parameters must be nonnegative")
-    if mg_density == 0.0 or threshold == 0.0 or d_cb == 0.0:
+    # Python floats, so that an overflowing square raises instead of warning
+    interference = mg_density * math.pi**2 * math.sqrt(threshold) * float(d_cb) ** (alpha / 2.0)
+    if interference == 0.0:  # a vanishing factor, or an underflowing product
         return math.inf
-    ratio = -2.0 * math.log1p(-outage_budget) / (
-        mg_density * math.pi**2 * math.sqrt(threshold) * d_cb ** (alpha / 2.0)
-    )
-    return p_c * ratio**2
+    ratio = -2.0 * math.log1p(-outage_budget) / interference
+    try:
+        return p_c * ratio**2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from mgshare.allocation import (
     _family_mask_array,
     _greedy_best,
 )
+from mgshare.combinatorics import distinct_count, enumerate_families, enumerate_size_vectors
 from mgshare.geometry import generate_scenario
 from mgshare.params import SimParams
 from mgshare.seeds import child_seed
@@ -109,6 +110,25 @@ def test_assignment_patterns_fewer_subsets_than_channels():
     for row in pats:
         used = row[row >= 0]
         assert len(set(used.tolist())) == len(used)
+
+
+MODES = ("all", "almost_equal", "equal", "fixed(1)", "fixed(2)", "fixed(3)")
+
+
+@pytest.mark.parametrize("G", range(1, 11))
+def test_family_mask_array_equals_enumerate_families(G):
+    for C in range(1, min(G, 5) + 1):
+        for mode in MODES:
+            expected = [
+                [sum(1 << g for g in blk) for blk in fam]
+                for sizes in enumerate_size_vectors(G, C, mode)
+                for fam in enumerate_families(range(G), sizes)
+            ]
+            arr = _family_mask_array(G, C, mode)
+            assert arr.dtype == np.int64 and arr.shape == (len(expected), C)
+            assert arr.tolist() == expected, (C, mode)
+            assert len(arr) == distinct_count(G, C, mode)
+            assert not arr.flags.writeable
 
 
 def test_family_mask_arrays_are_disjoint_and_complete():

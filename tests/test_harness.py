@@ -431,6 +431,14 @@ def test_cli_reports_bad_input_without_traceback(tmp_path, capsys, argv, message
     assert "Traceback" not in err and out == ""
 
 
+def test_cli_run_reports_a_missing_config_file(tmp_path, capsys):
+    missing = tmp_path / "missing.conf"
+    assert cli_main(["run", "--config", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"mgshare: error: cannot read config {str(missing)!r}: No such file or directory\n"
+    assert out == ""
+
+
 def test_cli_run_override_checked_before_the_sweep(tmp_path, capsys, monkeypatch):
     conf = tmp_path / "ok.conf"
     conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nscenarios = 2\n")

@@ -2,7 +2,9 @@
 floor is a documented approximation validated against a bisection oracle."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,19 @@ def test_cap_trivial_limits():
         group_power_cap(1e-5, 1.0, 200.0, GAMMA_6DB, 0.0)
     with pytest.raises(ValueError):
         group_power_cap(1e-5, 1.0, 200.0, GAMMA_6DB, 0.1, alpha=3.0)
+
+
+def test_cap_is_inf_without_warning_when_the_square_overflows():
+    # tiny density and threshold put ratio near 1e200; distances come in as
+    # numpy scalars from the link tables
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert group_power_cap(1e-300, 1.0, np.float64(200.0), 1e-10, 0.1) == math.inf
+        # the interference term underflows to 0.0: no division by zero
+        assert group_power_cap(5e-324, 1.0, np.float64(1.0), 1e-300, 0.1) == math.inf
+        assert group_power_cap(2e-5, 1.0, np.float64(200.0), GAMMA_6DB, 0.1) == (
+            group_power_cap(2e-5, 1.0, 200.0, GAMMA_6DB, 0.1)
+        )
 
 
 @settings(max_examples=80, deadline=None)
