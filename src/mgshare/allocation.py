@@ -17,6 +17,14 @@ plus ``gain[row[s], fam[s]]`` summed in slot order, so an unassigned slot
 make the dominance relations between schemes (larger search space never
 loses) hold exactly in floating point, not merely up to re-summation noise.
 
+Neither search builds a per-family candidate grid. The exhaustive search
+takes each family's best matching in a max-plus pass over (slot, set of
+channels taken), which equals the max over every slot-order sum bitwise
+because round-to-nearest addition is monotone: max_i fl(a_i + x) =
+fl(max_i a_i + x). The greedy search keeps, for each set of channels a
+family may already hold, a per-column table of the least entry over the
+channels still open, so each round is one lookup per slot.
+
 Powers follow the closed-form feasibility interval: each assigned group
 transmits at the top of its interval on its channel, and a group whose
 interval is empty is muted (kept in the subset at zero power, zero rate)
@@ -48,6 +56,10 @@ FADING_STREAM = 1
 # candidates as families times channel matchings. It takes at most 10 groups
 # and as many matchings as 5 subsets have on 5 channels.
 EXHAUSTIVE_GUARD = (10, 5)
+
+# Families per block in both searches: a block's per-family arrays stay in
+# cache, and each search allocates the same few small arrays per block.
+_BLOCK = 4096
 
 
 @dataclass(eq=True)
@@ -401,29 +413,66 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray
     Every family f of ``col_sets`` (shape (F, S)) is matched on
     ``matrix[:, col_sets[f]]`` at once, in min(open rows, S) rounds. Ties
     break toward the lower row (channel), then the lower column (subset):
-    each round is a row-major argmin, which returns the first minimum.
-    Closed rows and rows or columns already matched read +inf. The result
-    is an (F, S) array holding the row each slot got, -1 where the slot
-    stayed unmatched.
+    each round takes the lexicographic (value, row, column) minimum over
+    the free entries. The result is an (F, S) array holding the row each
+    slot got, -1 where the slot stayed unmatched.
+
+    Entries become integer keys, the value's rank among all entries, then
+    the row, then the slot in the low bits, so one integer minimum is the
+    lexicographic one and names the row and slot it took. For each set of
+    rows a family can hold before its last round, a per-column table keeps
+    the least key over the open rows not in the set. A round reads one key
+    per slot from the family's table and takes their minimum; a matched
+    slot reads a key above every real one. Families run in blocks of
+    _BLOCK, so no (F, C, S) array is built.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    C = matrix.shape[0]
+    C, N = matrix.shape
     F, S = col_sets.shape
-    work = np.empty((F, C, S))
-    for k in range(C):
-        # the indices are in range; "clip" lets take write into out unbuffered
-        np.take(matrix[k], col_sets, out=work[:, k], mode="clip")
-    closed = ~np.asarray(row_ok, dtype=bool)
-    work[:, closed] = math.inf
-    row_of = np.full((F, S), -1, dtype=np.int64)
-    fam = np.arange(F)
-    flat = work.reshape(F, C * S)
-    for _ in range(min(C - int(closed.sum()), S)):
-        k, s = np.divmod(flat.argmin(axis=1), S)
-        row_of[fam, s] = k
-        work[fam, k, :] = math.inf
-        work[fam, :, s] = math.inf
-    return row_of
+    open_rows = [k for k, ok in enumerate(np.asarray(row_ok, dtype=bool).tolist()) if ok]
+    rounds = min(len(open_rows), S)
+    row_of = np.full((S, F), -1, dtype=np.int64)
+    if rounds == 0:
+        return row_of.T
+    flat = matrix.ravel()
+    rank = np.searchsorted(np.sort(flat), flat)  # equal values share a rank
+    sb, cb = (S - 1).bit_length(), (C - 1).bit_length()
+    keys = (rank.reshape(C, N) << (cb + sb)) | (np.arange(C) << sb)[:, None]
+    # the row sets a family can hold before its last round, each a table row
+    # of W entries holding the least key over the open rows not in the set;
+    # columns N and up read above every real key, and W >= C lets step, the
+    # offset of each set plus one row, share the layout
+    sets = [sum(1 << k for k in c) for r in range(rounds) for c in combinations(open_rows, r)]
+    W = max(N + 1, C)
+    table = np.full((len(sets), W), C * N << (cb + sb), dtype=np.int64)
+    free = ((np.array(sets)[:, None] >> np.arange(C)) & 1) == 0
+    for k in open_rows:
+        np.minimum(table[:, :N], keys[k], out=table[:, :N], where=free[:, k, None])
+    offset = {K: i * W for i, K in enumerate(sets)}
+    step = np.zeros((len(sets), W), dtype=np.int64)
+    step[:, :C] = [[offset.get(K | 1 << k, 0) for k in range(C)] for K in sets]
+    slot = np.arange(S)[:, None]
+    fam = np.arange(min(F, _BLOCK))
+    for lo in range(0, F, _BLOCK):
+        cols = col_sets[lo : lo + _BLOCK].T.copy()  # (S, n)
+        n = cols.shape[1]
+        f = fam[:n]
+        rows = np.full((S, n), -1, dtype=np.int64)
+        at_rows, at_cols = rows.reshape(-1), cols.reshape(-1)
+        off = 0  # each family's table row, the empty set's at first
+        for r in range(rounds):
+            got = np.take(table, cols + off)
+            got |= slot
+            low = got.min(axis=0)
+            s = low & ((1 << sb) - 1)
+            k = (low >> sb) & ((1 << cb) - 1)
+            at = s * n + f
+            at_rows[at] = k
+            if r + 1 < rounds:
+                at_cols[at] = N
+                off = np.take(step, off + k)
+        row_of[:, lo : lo + n] = rows
+    return row_of.T
 
 
 # ---------------------------------------------------------------------------
@@ -434,27 +483,63 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
     """Every family under every channel matching; the best candidate's
     (family index, slot-channel row, value).
 
-    The (patterns, families) table adds one contiguous row of slot gains
-    per assigned slot of each pattern. Exact ties are common: a muted group contributes
-    zero rate and zero interference, so families differing only in where
-    they put it evaluate bitwise equal. Among the families reaching the
-    optimum, the one covering the most groups wins (muted ones count too,
-    so this is not the number that transmit), the first in enumeration
-    order among equals, under its first pattern reaching the optimum.
+    A candidate scores the baseline plus its assigned slots' gains added in
+    slot order. Each family's best over all matchings comes from a max-plus
+    pass over (slot, set K of channels taken so far): V_0[{}] = baseline
+    and V_{s+1}[K] = max(V_s[K], V_s[K - k] + gain[k, fam[s]] for k in K).
+    The last slot adds gain[k, fam[S-1]] to top[k], the best V_{S-1}[K]
+    over the sets K without k, or nothing to the best of all. Round-to-
+    nearest addition is monotone, max_i fl(a_i + x) = fl(max_i a_i + x),
+    and a slot left without a channel adds nothing, so the pass equals the
+    max over every matching's slot-order sum bitwise, with no (patterns,
+    families) table. Families run in blocks of _BLOCK.
+
+    Exact ties are common: a muted group contributes zero rate and zero
+    interference, so families differing only in where they put it evaluate
+    bitwise equal. Among the families reaching the optimum, the one
+    covering the most groups wins (muted ones count too, so this is not the
+    number that transmit), the first in enumeration order among equals,
+    under the first row of ``assignment_patterns`` whose slot-order sum
+    reaches the optimum.
     """
     F, S = fam_masks.shape
-    pats = assignment_patterns(S, ctx.C)
-    slot_gain = [ctx.gain[:, fam_masks[:, s]] for s in range(S)]
-    tv = np.full((len(pats), F), ctx.baseline)
-    for p, row in enumerate(pats.tolist()):
-        for s, k in enumerate(row):
-            if k >= 0:  # row -1 would add the zero row, and adding 0.0 is exact
-                tv[p] += slot_gain[s][k]
-    best = tv.max()
-    reach = np.flatnonzero((tv == best).any(axis=0))
-    union = np.bitwise_or.reduce(fam_masks[reach], axis=1).tolist()
-    fi = int(reach[np.argmax([m.bit_count() for m in union])])
-    pi = int(np.argmax(tv[:, fi] == best))
+    C = ctx.C
+    gain = ctx.gain
+    M = np.empty(F)  # each family's best value
+    for lo in range(0, F, _BLOCK):
+        cols = fam_masks[lo : lo + _BLOCK].T.copy()
+        n = cols.shape[1]
+        g = [[np.take(gain[k], col) for k in range(C)] for col in cols]  # g[s][k]
+        V = {0: np.full(n, ctx.baseline)}  # channels taken -> best sum so far
+        for s in range(S - 1):
+            nxt = {}
+            for K in {K | 1 << k for K in V for k in range(C)} | V.keys():
+                most = V.get(K)
+                for k in range(C):
+                    if K >> k & 1 and K ^ 1 << k in V:
+                        cand = V[K ^ 1 << k] + g[s][k]
+                        most = cand if most is None else np.maximum(most, cand, out=cand)
+                nxt[K] = most
+            V = nxt
+        top = [None] * (C + 1)  # top[C]: the best of all (bit C is in no set)
+        for K, v in V.items():
+            for k in range(C + 1):
+                if not K >> k & 1:
+                    top[k] = v if top[k] is None else np.maximum(top[k], v)
+        m = top[C]
+        for k in range(C):
+            m = np.maximum(m, top[k] + g[S - 1][k])
+        M[lo : lo + n] = m
+    best = M.max()
+    reach = np.flatnonzero(M == best)
+    union = np.bitwise_or.reduce(fam_masks[reach], axis=1)
+    covered = ((union[:, None] >> np.arange(ctx.G)) & 1).sum(axis=1)
+    fi = int(reach[np.argmax(covered)])
+    pats = assignment_patterns(S, C)
+    tv = np.full(len(pats), ctx.baseline)
+    for s in range(S):
+        tv += gain[pats[:, s], fam_masks[fi, s]]
+    pi = int(np.argmax(tv == best))
     return fi, pats[pi], float(best)
 
 

@@ -6,9 +6,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgshare.allocation import (
     Assignment,
+    EvalContext,
     SchemeConfig,
     allocate,
     assignment_patterns,
@@ -302,8 +305,8 @@ def test_greedy_assign_agrees_with_stage2_table():
     assert a.channel_to_groups == expect
 
 
-def _scenarios_with(num_groups, count):
-    p = SimParams(num_groups=num_groups)
+def _scenarios_with(num_groups, count, num_channels=3):
+    p = SimParams(num_groups=num_groups, num_channels=num_channels)
     out = []
     for idx in range(200):
         s = generate_scenario(p, idx)
@@ -314,12 +317,21 @@ def _scenarios_with(num_groups, count):
     raise RuntimeError("not enough scenarios with every transmitter active")
 
 
-@pytest.mark.parametrize("num_groups", [7, 9])
-def test_batched_greedy_equals_per_family_oracle(num_groups):
+def _sizes(*cases):
+    """(num_groups, num_channels) parameters; three channels keep the plain
+    group-count id."""
+    return [pytest.param(G, C, id=str(G) if C == 3 else f"{G}-C{C}") for G, C in cases]
+
+
+@pytest.mark.parametrize(
+    "num_groups, num_channels",
+    _sizes((7, 3), (9, 3), (5, 1), (7, 1), (5, 2), (7, 2), (5, 4), (7, 4), (5, 5), (7, 5)),
+)
+def test_batched_greedy_equals_per_family_oracle(num_groups, num_channels):
     """All-family matching picks the same (family, row, value) as running
     greedy_match family by family, exactly, closed channels included."""
     open_counts = []
-    for s in _scenarios_with(num_groups, 5):
+    for s in _scenarios_with(num_groups, 5, num_channels):
         ctx = build_context(s)
         fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")
         family_rows = greedy_rows_loop(ctx, fams)
@@ -327,17 +339,22 @@ def test_batched_greedy_equals_per_family_oracle(num_groups):
         fi, row, tv = _greedy_best(ctx, fams)
         assert (fi, row.tolist(), tv) == greedy_best_loop(ctx, fams, family_rows)
         open_counts.append(int(ctx.avail.sum()))
-    S = min(SimParams().num_channels, num_groups)
+    S = min(num_channels, num_groups)
     assert min(open_counts) < S  # a closed channel, so fewer open channels than subsets
 
 
-@pytest.mark.parametrize("num_groups", [5, 7, 9])
-def test_exhaustive_best_equals_pair_table_oracle(num_groups):
-    """The row-table search picks the same (family, row, value) as the
+@pytest.mark.parametrize(
+    "num_groups, num_channels",
+    _sizes(
+        (5, 3), (7, 3), (9, 3), (5, 1), (9, 1), (5, 2), (9, 2), (5, 4), (7, 4), (5, 5), (7, 5)
+    ),
+)
+def test_exhaustive_best_equals_pair_table_oracle(num_groups, num_channels):
+    """The max-plus search picks the same (family, row, value) as the
     (families, pair patterns) table with its flat tie-break, exactly, in
     every mode, scenarios with exact ties at the optimum included."""
     tied = 0
-    for s in _scenarios_with(num_groups, 8):
+    for s in _scenarios_with(num_groups, 8, num_channels):
         ctx = build_context(s)
         for mode in ("all", "almost_equal", "equal", "fixed(2)"):
             fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), mode)
@@ -348,6 +365,44 @@ def test_exhaustive_best_equals_pair_table_oracle(num_groups):
             assert [fi, row.tolist(), tv] == expect, (num_groups, mode)
             tied += mode == "all" and n_ties > 1
     assert tied >= 2
+
+
+class _Tables:
+    """The fields both searches read, over a given value table; baseline
+    and gain are EvalContext's own."""
+
+    baseline = EvalContext.baseline
+    gain = EvalContext.gain
+
+    def __init__(self, value):
+        self.value = value
+        self.C, n = value.shape
+        self.G = n.bit_length() - 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_searches_equal_oracles_on_tie_heavy_tables(data):
+    """Small integers stored as floats tie almost everywhere, so every
+    tie-break of both searches decides the outcome. Closed channels are
+    drawn at random, all closed and fewer open than slots included."""
+    C = data.draw(st.integers(1, 5), label="C")
+    G = data.draw(st.integers(1, 6), label="G")
+    S = data.draw(st.integers(1, min(C, G)), label="S")
+    fams = _family_mask_array(G, S, data.draw(st.sampled_from(MODES), label="mode"))
+    cells = st.lists(st.integers(0, 3), min_size=C << G, max_size=C << G)
+    value = np.array(data.draw(cells, label="value"), dtype=float).reshape(C, 1 << G)
+    stage2 = np.array(data.draw(cells, label="stage2"), dtype=float).reshape(C, 1 << G)
+    row_ok = data.draw(st.lists(st.booleans(), min_size=C, max_size=C), label="row_ok")
+    if len(fams) == 0:
+        return  # allocate returns CU-only without searching
+    table = stage2.tolist()
+    assert greedy_match(stage2, row_ok, fams).tolist() == [
+        greedy_match_loop([[r[m] for m in masks] for r in table], row_ok)
+        for masks in fams.tolist()
+    ]
+    fi, row, tv = _exhaustive_best(_Tables(value), fams)
+    assert (fi, row.tolist(), tv) == exhaustive_best_table(_Tables(value), fams)[:3]
 
 
 def test_greedy_assign_all_channels_closed():
