@@ -57,6 +57,9 @@ FADING_STREAM = 1
 # and as many matchings as 5 subsets have on 5 channels.
 EXHAUSTIVE_GUARD = (10, 5)
 
+# Coordinate-ascent sweeps of the grid power policy.
+_GRID_SWEEPS = 3
+
 # Families per block in both searches: a block's per-family arrays stay in
 # cache, and each search allocates the same few small arrays per block.
 _BLOCK = 4096
@@ -160,13 +163,12 @@ class EvalContext:
         L = self.links
         self.C = p.num_channels
         self.G = L.num_groups
-        alpha = p.path_loss_exponent
         self.cu_power_w = np.full(self.C, p.max_cu_power_w)
 
-        g_cu_bs = path_gain(L.d_cu_bs, alpha)
-        g_mg_bs = path_gain(L.d_mg_bs, alpha) if self.G else np.zeros(0)
-        g_cu_rx = path_gain(L.d_cu_rx, alpha) if L.num_rx else np.zeros((self.C, 0))
-        g_mg_rx = path_gain(L.d_mg_rx, alpha) if L.num_rx else np.zeros((self.G, 0))
+        g_cu_bs = path_gain(L.d_cu_bs)
+        g_mg_bs = path_gain(L.d_mg_bs) if self.G else np.zeros(0)
+        g_cu_rx = path_gain(L.d_cu_rx) if L.num_rx else np.zeros((self.C, 0))
+        g_mg_rx = path_gain(L.d_mg_rx) if L.num_rx else np.zeros((self.G, 0))
 
         # feasible power interval per (group, channel): the floor binds at the
         # group's farthest member, the cap at the channel CU's distance
@@ -188,7 +190,6 @@ class EvalContext:
                     p.cu_sir_threshold,
                     p.cu_outage_budget,
                     p.max_mg_power_w,
-                    alpha,
                 )
                 self.p_inf[g] = b.p_inf_w
                 if b.feasible:
@@ -566,7 +567,6 @@ def _grid_refine(
     masks_by_channel,
     mg_power: np.ndarray,
     n_points: int,
-    sweeps: int = 3,
     *,
     table_value: float,
 ):
@@ -584,7 +584,7 @@ def _grid_refine(
     masks = [int(m) for m in masks_by_channel]
     chan_of = {g: k for k, m in enumerate(masks) for g in _groups_of(m)}
     vals = [ctx.channel_value(k, m, mg_power) for k, m in enumerate(masks)]
-    for _ in range(sweeps):
+    for _ in range(_GRID_SWEEPS):
         improved = False
         for g in sorted(chan_of):
             k = chan_of[g]

@@ -185,22 +185,6 @@ def equal_split_bound(G: int, C: int) -> int:
     return total * math.factorial(C)
 
 
-def canonical_family(subsets: Sequence[Sequence]) -> tuple[tuple, ...]:
-    """Canonical form: each subset sorted, subsets ordered by size descending
-    then smallest element ascending."""
-    blocks = [tuple(sorted(s)) for s in subsets]
-    if any(len(b) == 0 for b in blocks):
-        raise ValueError("subsets must be non-empty")
-    seen: set = set()
-    for b in blocks:
-        for x in b:
-            if x in seen:
-                raise ValueError("subsets must be pairwise disjoint")
-            seen.add(x)
-    blocks.sort(key=lambda b: (-len(b), b[0]))
-    return tuple(blocks)
-
-
 def enumerate_families(
     group_ids: Sequence, sizes: Sequence[int]
 ) -> Iterator[tuple[tuple, ...]]:

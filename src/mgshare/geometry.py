@@ -9,19 +9,18 @@ transmitter with the strongest mean received power, provided that power
 clears the association threshold.
 
 Association only scores receivers near a transmitter. Mean power
-P_ref * max(d, 1 m)^-alpha falls with distance, so a receiver farther than
-the reach r = (P_ref / P_min)^(1/alpha) from every transmitter fails the
-threshold everywhere and joins no group (r is about 11.5 m at the defaults,
-and about 0.3% of candidates lie within it). The bound is exact in floating
-point, not only on paper: the reach is padded by a relative 1e-9, which
-lowers the power at the padded reach by a relative alpha * 1e-9, while
-rounding moves the computed reach and power by under 1e-13 relative for any
-exponent of at least 1 and any power ratio a float holds. A receiver
-inside the reach of some transmitter is scored against every transmitter
-with the same sqrt, clamp, power and first-max argmax arithmetic as if all
-were scored, in its original order, so groups and their distances come out
-bit for bit the same. A threshold of 0 W or less, or an exponent below 1,
-bounds nothing, and then every receiver is scored.
+P_ref * max(d, 1 m)^-4 falls with distance, so a receiver farther than the
+reach r = (P_ref / P_min)^(1/4) from every transmitter fails the threshold
+everywhere and joins no group (r is about 11.5 m at the defaults, and about
+0.3% of candidates lie within it). The bound is exact in floating point,
+not only on paper: the reach is padded by a relative 1e-9, which lowers the
+power at the padded reach by a relative 4e-9, while rounding moves the
+computed reach and power by under 1e-13 relative for any power ratio a
+float holds. A receiver inside the reach of some transmitter is scored
+against every transmitter with the same sqrt, clamp, power and first-max
+argmax arithmetic as if all were scored, in its original order, so groups
+and their distances come out bit for bit the same. A threshold of 0 W or
+less bounds nothing, and then every receiver is scored.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MIN_LINK_DISTANCE_M, SimParams
+from .params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
 from .seeds import child_seed, rng_for
 
 # Relative pad on the association reach (see the module docstring).
@@ -138,17 +137,17 @@ class NetworkScenario:
         return len(self.groups) == 0
 
 
-def association_reach(tx_power_w: float, assoc_min_rx_power_w: float, alpha: float) -> float:
+def association_reach(tx_power_w: float, assoc_min_rx_power_w: float) -> float:
     """Distance past which a transmitter's mean power cannot clear the
-    association threshold: (P_ref / P_min)^(1/alpha), padded by a relative
+    association threshold: (P_ref / P_min)^(1/4), padded by a relative
     1e-9 and floored at MIN_LINK_DISTANCE_M.
 
-    A threshold of 0 W or less (one that underflows to 0 W included) or an
-    exponent below 1 bounds nothing, and the reach is infinite.
+    A threshold of 0 W or less (one that underflows to 0 W included) bounds
+    nothing, and the reach is infinite.
     """
-    if assoc_min_rx_power_w <= 0.0 or alpha < 1.0:
+    if assoc_min_rx_power_w <= 0.0:
         return math.inf
-    reach = (max(tx_power_w, 0.0) / assoc_min_rx_power_w) ** (1.0 / alpha)
+    reach = (max(tx_power_w, 0.0) / assoc_min_rx_power_w) ** (1.0 / PATH_LOSS_EXPONENT)
     return max(reach * (1.0 + _REACH_PAD), MIN_LINK_DISTANCE_M)
 
 
@@ -157,11 +156,10 @@ def form_groups(
     receivers,
     tx_power_w: float,
     assoc_min_rx_power_w: float,
-    alpha: float,
 ) -> list[MulticastGroup]:
     """Attach each receiver to its strongest transmitter.
 
-    Mean received power is tx_power * d^-alpha with the link distance floored
+    Mean received power is tx_power * d^-4 with the link distance floored
     at MIN_LINK_DISTANCE_M; fading plays no part in association. Receivers
     whose best power falls below the association threshold join no group, and
     ties go to the lowest transmitter index. Transmitters left with no
@@ -177,7 +175,7 @@ def form_groups(
     rx = np.atleast_2d(np.asarray(receivers, dtype=float)) if len(receivers) else np.empty((0, 2))
     if len(rx) == 0:
         return []
-    reach = association_reach(tx_power_w, assoc_min_rx_power_w, alpha)
+    reach = association_reach(tx_power_w, assoc_min_rx_power_w)
     if reach < math.inf:
         x, y = _xy(rx)
         reach2 = reach * reach
@@ -190,7 +188,7 @@ def form_groups(
             return []
     d = np.sqrt(((rx[:, None, :] - txs[None, :, :]) ** 2).sum(axis=2))
     d_eff = np.maximum(d, MIN_LINK_DISTANCE_M)
-    power = tx_power_w * d_eff ** (-alpha)
+    power = tx_power_w * d_eff ** (-PATH_LOSS_EXPONENT)
     best = power.argmax(axis=1)  # first max wins: lowest transmitter id
     best_power = power[np.arange(len(rx)), best]
     attached = best_power >= assoc_min_rx_power_w
@@ -238,13 +236,7 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     candidates = sample_uniform_disk(n_cand, R, rng)
     kept, removed = apply_exclusion(candidates, cu_pos, params.exclusion_radius_m)
     if len(tx_pos):
-        groups = form_groups(
-            tx_pos,
-            kept,
-            params.assoc_ref_power_w,
-            params.assoc_min_rx_power_w,
-            params.path_loss_exponent,
-        )
+        groups = form_groups(tx_pos, kept, params.assoc_ref_power_w, params.assoc_min_rx_power_w)
     else:
         groups = []
     return NetworkScenario(

@@ -206,14 +206,20 @@ def parse_config(text: str) -> ExperimentConfig:
         values = tuple(float(v) for v in seen["sweep_values"].split(","))
     except ValueError as e:
         raise ConfigError(f"bad sweep_values: {seen['sweep_values']!r}") from e
+    counts = {}
+    for key, default in (("scenarios", 500), ("parallel", 1)):
+        try:
+            counts[key] = int(seen.get(key, default))
+        except ValueError as e:
+            raise ConfigError(f"bad value for {key!r}: {seen[key]!r}") from e
     cfg = ExperimentConfig(
         base=SimParams(**overrides),
         sweep_variable=seen["sweep"],
         sweep_values=values,
         schemes=tuple(s.strip() for s in seen["schemes"].split(",") if s.strip()),
-        n_scenarios=int(seen.get("scenarios", 500)),
+        n_scenarios=counts["scenarios"],
         output_path=seen.get("out", "results.csv"),
-        parallelism=int(seen.get("parallel", 1)),
+        parallelism=counts["parallel"],
     )
     cfg.validate()
     return cfg

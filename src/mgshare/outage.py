@@ -3,10 +3,9 @@
 The interference field has two parts: co-channel cellular uplink
 transmitters, which receivers keep a guard distance D away from (exclusion
 zones), and co-channel multicast transmitters, which can be anywhere. Under
-Rayleigh fading and a d^-alpha power law, each part contributes a Laplace
-functional factor to the success probability of the tagged link. The closed
-forms below are written for alpha = 4; for other exponents only the Monte
-Carlo estimator applies.
+Rayleigh fading and a d^-4 power law (``params.PATH_LOSS_EXPONENT``), each
+part contributes a Laplace functional factor to the success probability of
+the tagged link. The closed forms below exist only at that exponent.
 
 The guard-zone factor, `annulus_laplace`, is the exact evaluation of the
 guard-zone integral; it is monotone in every parameter and stays in (0, 1].
@@ -19,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_ALPHA_CLOSED = 4.0
+from .params import PATH_LOSS_EXPONENT
 
-
-def _require_alpha4(alpha: float) -> None:
-    if not math.isclose(alpha, _ALPHA_CLOSED, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError("closed forms are only valid for path loss exponent 4")
+# Trials drawn per batch by `mc_outage`; it fixes the order of the draws,
+# and so the estimates a given rng state yields.
+_MC_CHUNK = 4000
 
 
 def _check_nonneg(**kw: float) -> None:
@@ -33,28 +31,24 @@ def _check_nonneg(**kw: float) -> None:
             raise ValueError(f"{name} must be nonnegative, got {v}")
 
 
-def plane_laplace(density: float, power: float, s: float, alpha: float = 4.0) -> float:
+def plane_laplace(density: float, power: float, s: float) -> float:
     """Interference Laplace functional of a full-plane field at argument s.
 
-    exp(-density * (pi^2/2) * sqrt(power * s)) for alpha = 4. `power` is the
-    per-interferer transmit power; `s` is the Laplace argument, typically
-    threshold * d^alpha / signal_power.
+    exp(-density * (pi^2/2) * sqrt(power * s)). `power` is the per-interferer
+    transmit power; `s` is the Laplace argument, typically
+    threshold * d^4 / signal_power.
     """
-    _require_alpha4(alpha)
     _check_nonneg(density=density, power=power, s=s)
     return math.exp(-density * (math.pi**2 / 2.0) * math.sqrt(power * s))
 
 
-def annulus_laplace(
-    density: float, power: float, s: float, guard: float, alpha: float = 4.0
-) -> float:
+def annulus_laplace(density: float, power: float, s: float, guard: float) -> float:
     """Interference Laplace functional of a field kept outside radius `guard`.
 
-    Exact alpha = 4 evaluation:
+    Exact evaluation:
         exp(-density * pi * sqrt(power*s) * arctan(sqrt(power*s) / guard^2)).
     In (0, 1]; nonincreasing in density, power and s; nondecreasing in guard.
     """
-    _require_alpha4(alpha)
     _check_nonneg(density=density, power=power, s=s)
     if guard <= 0:
         raise ValueError("guard radius must be positive")
@@ -73,16 +67,14 @@ def outage_mg(
     guard: float,
     link_d: float,
     threshold: float,
-    alpha: float = 4.0,
 ) -> float:
     """Outage probability of a multicast receiver at distance `link_d` from
     its transmitter, with co-channel CU and multicast interference fields.
 
     1 - guard_zone_factor * plane_factor, evaluated at
-    s = threshold * link_d^alpha / p_g. The plane factor is independent of
+    s = threshold * link_d^4 / p_g. The plane factor is independent of
     p_g (the interferer and signal powers cancel).
     """
-    _require_alpha4(alpha)
     _check_nonneg(
         cu_density=cu_density,
         mg_density=mg_density,
@@ -93,11 +85,11 @@ def outage_mg(
     )
     if p_g <= 0:
         return 1.0 if threshold > 0 else 0.0
-    s = threshold * link_d**alpha / p_g
+    s = threshold * link_d**PATH_LOSS_EXPONENT / p_g
     # interferer and signal powers cancel in the plane factor; evaluating the
     # cancelled form keeps it bitwise constant across p_g
-    l_plane = plane_laplace(mg_density, 1.0, threshold * link_d**alpha, alpha)
-    return 1.0 - annulus_laplace(cu_density, p_c, s, guard, alpha) * l_plane
+    l_plane = plane_laplace(mg_density, 1.0, threshold * link_d**PATH_LOSS_EXPONENT)
+    return 1.0 - annulus_laplace(cu_density, p_c, s, guard) * l_plane
 
 
 def outage_cu(
@@ -106,23 +98,21 @@ def outage_cu(
     p_c: float,
     d_cb: float,
     threshold: float,
-    alpha: float = 4.0,
 ) -> float:
     """Outage probability of a cellular uplink at distance `d_cb` from the
     base station under the co-channel multicast interference field.
 
-    1 - exp(-mg_density * (pi^2/2) * sqrt(p_g * threshold * d_cb^alpha /
-    p_c)). Nondecreasing in p_g and mg_density, nonincreasing in p_c. The
-    p_c -> 0 limit is 1.
+    1 - exp(-mg_density * (pi^2/2) * sqrt(p_g * threshold * d_cb^4 / p_c)).
+    Nondecreasing in p_g and mg_density, nonincreasing in p_c. The p_c -> 0
+    limit is 1.
     """
-    _require_alpha4(alpha)
     _check_nonneg(
         mg_density=mg_density, p_g=p_g, p_c=p_c, d_cb=d_cb, threshold=threshold
     )
     if p_c <= 0:
         return 1.0 if threshold > 0 and mg_density > 0 and p_g > 0 else 0.0
-    s = threshold * d_cb**alpha / p_c
-    return 1.0 - plane_laplace(mg_density, p_g, s, alpha)
+    s = threshold * d_cb**PATH_LOSS_EXPONENT / p_c
+    return 1.0 - plane_laplace(mg_density, p_g, s)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +143,6 @@ class MCLink:
     guard: float = 1.0
     link_d: float = 1.0
     threshold: float = 10.0
-    alpha: float = 4.0
     sim_radius: float = 3000.0
 
 
@@ -174,7 +163,6 @@ def _field_interference(
     power: float,
     r_min: float,
     r_max: float,
-    alpha: float,
 ) -> np.ndarray:
     """Per-trial interference sums from a Poisson field in [r_min, r_max]."""
     out = np.zeros(n_trials)
@@ -189,18 +177,13 @@ def _field_interference(
     u = rng.random(total)
     r2 = r_min**2 + u * (r_max**2 - r_min**2)
     fading = rng.standard_exponential(total)
-    contrib = power * fading * r2 ** (-alpha / 2.0)
+    contrib = power * fading * r2 ** (-PATH_LOSS_EXPONENT / 2.0)
     idx = np.repeat(np.arange(n_trials), counts)
     np.add.at(out, idx, contrib)
     return out
 
 
-def mc_outage(
-    link: MCLink,
-    n_trials: int,
-    rng: np.random.Generator,
-    chunk: int = 4000,
-) -> MCEstimate:
+def mc_outage(link: MCLink, n_trials: int, rng: np.random.Generator) -> MCEstimate:
     """Empirical outage fraction over independent field + fading draws,
     with a 95% binomial confidence halfwidth."""
     if n_trials < 1:
@@ -210,25 +193,18 @@ def mc_outage(
     failures = 0
     done = 0
     while done < n_trials:
-        m = min(chunk, n_trials - done)
+        m = min(_MC_CHUNK, n_trials - done)
         sig_power = link.p_g if link.kind == "mg" else link.p_c
         fading = rng.standard_exponential(m)
-        signal = sig_power * fading * link.link_d ** (-link.alpha)
+        signal = sig_power * fading * link.link_d ** (-PATH_LOSS_EXPONENT)
         interference = np.zeros(m)
         if link.kind == "mg":
             interference += _field_interference(
-                rng, m, link.cu_density, link.p_c, link.guard, link.sim_radius,
-                link.alpha,
+                rng, m, link.cu_density, link.p_c, link.guard, link.sim_radius
             )
-            interference += _field_interference(
-                rng, m, link.mg_density, link.p_g, 0.0, link.sim_radius,
-                link.alpha,
-            )
-        else:
-            interference += _field_interference(
-                rng, m, link.mg_density, link.p_g, 0.0, link.sim_radius,
-                link.alpha,
-            )
+        interference += _field_interference(
+            rng, m, link.mg_density, link.p_g, 0.0, link.sim_radius
+        )
         with np.errstate(divide="ignore"):
             sir = np.where(interference > 0, signal / interference, np.inf)
         failures += int(np.count_nonzero(sir < link.threshold))

@@ -1,8 +1,11 @@
-"""Simulation parameters and unit helpers.
+"""Simulation parameters, model constants and unit helpers.
 
 All distances are metres, powers are watts internally (dBm at the config
 surface), densities are per square metre. Rates are in bit/s/Hz unless a
 bandwidth other than 1 Hz is configured.
+
+The path loss exponent is the model constant PATH_LOSS_EXPONENT, not a
+parameter, so a config that sets it is refused as an unknown key.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ def db_to_linear(x_db):
 def dbm_to_watt(x_dbm):
     return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
+
+# Path loss d^-PATH_LOSS_EXPONENT. The Rayleigh-fading Laplace functionals
+# of the PPP and Poisson hole interference fields, and hence the outage and
+# power-interval closed forms, exist in closed form only at exponent 4.
+PATH_LOSS_EXPONENT = 4.0
 
 # Receivers closer than this to a transmitter see the d = D_MIN gain
 # (keeps the singular path loss model bounded).
@@ -54,7 +62,6 @@ class SimParams:
     assoc_ref_power_dbm: float = 30.0
 
     # Radio
-    path_loss_exponent: float = 4.0
     max_cu_power_dbm: float = 30.0
     max_mg_power_dbm: float = 30.0
     cu_sir_threshold_db: float = 0.0
@@ -76,6 +83,12 @@ class SimParams:
     @property
     def cell_area_m2(self) -> float:
         return math.pi * self.cell_radius_m ** 2
+
+    @property
+    def path_loss_exponent(self) -> float:
+        """PATH_LOSS_EXPONENT, for readers that take every model number from
+        the parameters (perfbench's independent throughput recomputation)."""
+        return PATH_LOSS_EXPONENT
 
     @property
     def max_cu_power_w(self) -> float:
@@ -146,8 +159,6 @@ class SimParams:
             raise ValueError("need at least one channel and a nonnegative group count")
         if not (0.0 < self.cu_outage_budget < 1.0 and 0.0 < self.mg_outage_budget < 1.0):
             raise ValueError("outage budgets must lie in (0, 1)")
-        if not math.isclose(self.path_loss_exponent, 4.0, abs_tol=1e-12):
-            raise ValueError("the closed-form power intervals need path loss exponent 4")
 
 
 # Config keys that may be set from key=value files / CLI overrides, with the

@@ -1,7 +1,7 @@
 """Link-level physics: path gains, link distance tables, fading draws.
 
 Everything here is a pure function of a scenario's geometry and a random
-stream. The SIR and rate arithmetic built on them lives in the search
+stream. Path gain is d^-4 (``params.PATH_LOSS_EXPONENT``). The SIR and rate arithmetic built on them lives in the search
 layer: the kernels score every co-channel group mask at once, and
 ``EvalContext.channel_value`` rescores one channel for the grid power
 ascent, summing in the kernels' order so that at the table powers it
@@ -15,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import MIN_LINK_DISTANCE_M
+from .params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT
 
 
-def path_gain(d, alpha: float):
-    """d^-alpha, links shorter than MIN_LINK_DISTANCE_M evaluated at it."""
-    arr = np.maximum(np.asarray(d, dtype=float), MIN_LINK_DISTANCE_M)
-    out = arr ** (-alpha)
-    return float(out) if np.isscalar(d) or getattr(d, "ndim", 1) == 0 else out
+def path_gain(d):
+    """d^-PATH_LOSS_EXPONENT, links shorter than MIN_LINK_DISTANCE_M
+    evaluated at it."""
+    return np.maximum(np.asarray(d, dtype=float), MIN_LINK_DISTANCE_M) ** -PATH_LOSS_EXPONENT
 
 
 @dataclass(eq=False)
@@ -80,10 +79,6 @@ def scenario_links(scenario) -> ScenarioLinks:
     )
 
 
-def _links_of(x) -> ScenarioLinks:
-    return x if isinstance(x, ScenarioLinks) else scenario_links(x)
-
-
 @dataclass(eq=False)
 class FadingRealization:
     """One i.i.d. Exp(1) draw for every (transmitter, receiver, channel) link,
@@ -95,13 +90,12 @@ class FadingRealization:
     h_mg_rx: np.ndarray      # (G, n_rx, C)
 
 
-def draw_fading(scenario_or_links, rng: np.random.Generator) -> FadingRealization:
+def draw_fading(links: ScenarioLinks, rng: np.random.Generator) -> FadingRealization:
     """Draw all link fades for one realization.
 
     The draw order is frozen (cu->bs, mg->bs, cu->rx, mg->rx, each in array
     order) so a given rng state always yields the same realization.
     """
-    links = _links_of(scenario_or_links)
     C = links.params.num_channels
     G, n = links.num_groups, links.num_rx
     return FadingRealization(

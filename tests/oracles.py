@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from mgshare.geometry import MulticastGroup, _positions_of
-from mgshare.params import MIN_LINK_DISTANCE_M, SIR_CAP
+from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SIR_CAP
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
 
 # ---------------------------------------------------------------------------
@@ -48,16 +48,15 @@ def sir_mg_receiver(scenario_or_links, fading, powers, assignment, g, r, k):
         raise ValueError(f"group {g} is not assigned to channel {k}")
     if not (0 <= r < links.group_sizes[g]):
         raise IndexError("receiver index outside the group")
-    alpha = links.params.path_loss_exponent
     j = int(links.offsets[g]) + r
-    sig = powers.mg_power_w[g] * fading.h_mg_rx[g, j, k] * path_gain(links.d_mg_rx[g, j], alpha)
-    den = powers.cu_power_w[k] * fading.h_cu_rx[k, j] * path_gain(links.d_cu_rx[k, j], alpha)
+    sig = powers.mg_power_w[g] * fading.h_mg_rx[g, j, k] * path_gain(links.d_mg_rx[g, j])
+    den = powers.cu_power_w[k] * fading.h_cu_rx[k, j] * path_gain(links.d_cu_rx[k, j])
     for g2 in range(links.num_groups):
         if g2 != g and assignment[g2] == k:
             den += (
                 powers.mg_power_w[g2]
                 * fading.h_mg_rx[g2, j, k]
-                * path_gain(links.d_mg_rx[g2, j], alpha)
+                * path_gain(links.d_mg_rx[g2, j])
             )
     return _capped(sig, den)
 
@@ -77,13 +76,12 @@ def sir_cu(scenario_or_links, fading, powers, assignment, k):
     """SIR of channel k's cellular user at the base station."""
     links = _links_of(scenario_or_links)
     assignment = np.asarray(assignment)
-    alpha = links.params.path_loss_exponent
-    sig = powers.cu_power_w[k] * fading.h_cu_bs[k] * path_gain(links.d_cu_bs[k], alpha)
+    sig = powers.cu_power_w[k] * fading.h_cu_bs[k] * path_gain(links.d_cu_bs[k])
     den = 0.0
     for g in range(links.num_groups):
         if assignment[g] == k:
             den += (
-                powers.mg_power_w[g] * fading.h_mg_bs[g, k] * path_gain(links.d_mg_bs[g], alpha)
+                powers.mg_power_w[g] * fading.h_mg_bs[g, k] * path_gain(links.d_mg_bs[g])
             )
     return _capped(sig, den)
 
@@ -383,7 +381,7 @@ def apply_exclusion_dense(candidates, cus, exclusion_radius_m):
     return pts[keep], int(len(pts) - keep.sum())
 
 
-def form_groups_dense(tx_positions, receivers, tx_power_w, assoc_min_rx_power_w, alpha):
+def form_groups_dense(tx_positions, receivers, tx_power_w, assoc_min_rx_power_w):
     """`geometry.form_groups` scoring every receiver at every transmitter."""
     txs = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     rx = np.atleast_2d(np.asarray(receivers, dtype=float)) if len(receivers) else np.empty((0, 2))
@@ -391,7 +389,7 @@ def form_groups_dense(tx_positions, receivers, tx_power_w, assoc_min_rx_power_w,
         return []
     d = np.sqrt(((rx[:, None, :] - txs[None, :, :]) ** 2).sum(axis=2))
     d_eff = np.maximum(d, MIN_LINK_DISTANCE_M)
-    power = tx_power_w * d_eff ** (-alpha)
+    power = tx_power_w * d_eff ** (-PATH_LOSS_EXPONENT)
     best = power.argmax(axis=1)
     best_power = power[np.arange(len(rx)), best]
     attached = best_power >= assoc_min_rx_power_w

@@ -17,7 +17,7 @@ from mgshare.geometry import (
     sample_poisson_count,
     sample_uniform_disk,
 )
-from mgshare.params import MIN_LINK_DISTANCE_M, SimParams
+from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
 from oracles import apply_exclusion_dense, form_groups_dense
 
 
@@ -107,7 +107,7 @@ def test_exclusion_accepts_cu_objects():
 def test_form_groups_single_tx_catches_all():
     tx = np.array([[0.0, 0.0]])
     rx = np.array([[10.0, 0.0], [0.0, 20.0], [5.0, 5.0]])
-    groups = form_groups(tx, rx, 1.0, 0.0, 4.0)
+    groups = form_groups(tx, rx, 1.0, 0.0)
     assert len(groups) == 1 and groups[0].num_receivers == 3
     np.testing.assert_allclose(
         groups[0].tx_rx_dists_m, [10.0, 20.0, np.hypot(5, 5)]
@@ -117,7 +117,7 @@ def test_form_groups_single_tx_catches_all():
 def test_form_groups_tie_goes_to_lower_id():
     tx = np.array([[-10.0, 0.0], [10.0, 0.0]])
     rx = np.array([[0.0, 0.0]])  # equidistant
-    groups = form_groups(tx, rx, 1.0, 0.0, 4.0)
+    groups = form_groups(tx, rx, 1.0, 0.0)
     assert [g.id for g in groups] == [0]
 
 
@@ -125,7 +125,7 @@ def test_form_groups_threshold_drops_receiver():
     tx = np.array([[0.0, 0.0]])
     rx = np.array([[10.0, 0.0], [100.0, 0.0]])
     # 1 W at d=100, alpha=4 -> 1e-8 W; threshold just above drops it
-    groups = form_groups(tx, rx, 1.0, 2e-8, 4.0)
+    groups = form_groups(tx, rx, 1.0, 2e-8)
     assert len(groups) == 1
     np.testing.assert_allclose(groups[0].receivers, rx[:1])
 
@@ -133,7 +133,7 @@ def test_form_groups_threshold_drops_receiver():
 def test_form_groups_clamps_colocated_receiver():
     tx = np.array([[0.0, 0.0], [300.0, 0.0]])
     rx = np.array([[0.0, 0.0]])  # d = 0 to tx 0
-    groups = form_groups(tx, rx, 1.0, 0.5, 4.0)  # clamped power = 1 W >= 0.5
+    groups = form_groups(tx, rx, 1.0, 0.5)  # clamped power = 1 W >= 0.5
     assert len(groups) == 1 and groups[0].id == 0
     assert groups[0].tx_rx_dists_m[0] == 0.0  # true distance is stored
 
@@ -142,7 +142,7 @@ def test_form_groups_matches_bruteforce_argmax():
     rng = np.random.default_rng(9)
     tx = rng.uniform(-400, 400, size=(5, 2))
     rx = rng.uniform(-400, 400, size=(40, 2))
-    groups = form_groups(tx, rx, 2.0, 0.0, 4.0)
+    groups = form_groups(tx, rx, 2.0, 0.0)
     # independent association: scalar loop over the full power matrix
     assign = {}
     for i, p in enumerate(rx):
@@ -160,7 +160,7 @@ def test_form_groups_matches_bruteforce_argmax():
 
 def test_form_groups_requires_transmitter():
     with pytest.raises(ValueError):
-        form_groups(np.empty((0, 2)), np.array([[1.0, 1.0]]), 1.0, 0.0, 4.0)
+        form_groups(np.empty((0, 2)), np.array([[1.0, 1.0]]), 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +169,17 @@ def test_form_groups_requires_transmitter():
 
 def test_association_reach():
     p = SimParams()
-    reach = association_reach(p.assoc_ref_power_w, p.assoc_min_rx_power_w, 4.0)
+    reach = association_reach(p.assoc_ref_power_w, p.assoc_min_rx_power_w)
     exact = (p.assoc_ref_power_w / p.assoc_min_rx_power_w) ** 0.25
     assert reach == pytest.approx(11.4815, abs=1e-4)
     assert exact < reach <= exact * (1.0 + 2e-9)
-    # a threshold of 0 W, one that underflows to 0 W, or an exponent below 1
-    # bounds nothing
-    assert association_reach(1.0, 0.0, 4.0) == np.inf
+    # a threshold of 0 W, or one that underflows to 0 W, bounds nothing
+    assert association_reach(1.0, 0.0) == np.inf
     underflow = SimParams(assoc_min_rx_power_dbm=-4000.0).assoc_min_rx_power_w
-    assert underflow == 0.0 and association_reach(1.0, underflow, 4.0) == np.inf
-    assert association_reach(1.0, 1e-3, 0.5) == np.inf
+    assert underflow == 0.0 and association_reach(1.0, underflow) == np.inf
     # floored at the distance clamp
-    assert association_reach(1.0, 10.0, 4.0) == MIN_LINK_DISTANCE_M
-    assert association_reach(0.0, 1.0, 4.0) == MIN_LINK_DISTANCE_M
+    assert association_reach(1.0, 10.0) == MIN_LINK_DISTANCE_M
+    assert association_reach(0.0, 1.0) == MIN_LINK_DISTANCE_M
 
 
 def _assert_groups_identical(got, want):
@@ -203,11 +201,10 @@ def _layouts(draw):
     under the 1 m clamp."""
     txs = np.array(draw(st.lists(_point, min_size=1, max_size=5)))
     cus = np.array(draw(st.lists(_point, min_size=1, max_size=3)))
-    alpha = draw(st.sampled_from([0.5, 2.0, 3.0, 4.0, 5.5]))
     tx_power = draw(st.sampled_from([1e-3, 1.0, 2.5]))
     p_min = draw(st.sampled_from([0.0, 1e-8, 5.5e-5, 1e-3, 0.7]))
     radius = draw(st.sampled_from([0.0, 5.0, 12.5]) | st.floats(0.0, 40.0))
-    reach = (tx_power / p_min) ** (1.0 / alpha) if p_min > 0.0 else 10.0
+    reach = (tx_power / p_min) ** (1.0 / PATH_LOSS_EXPONENT) if p_min > 0.0 else 10.0
     theta = draw(st.floats(0.0, 2.0 * np.pi))
     t, c = txs[draw(st.integers(0, len(txs) - 1))], cus[draw(st.integers(0, len(cus) - 1))]
     specials = [
@@ -223,20 +220,20 @@ def _layouts(draw):
     rx = [np.array(p) for p in draw(st.lists(_point, max_size=30))]
     rx += draw(st.lists(st.sampled_from(specials), max_size=10))
     rx = np.array(draw(st.permutations(rx))).reshape(-1, 2)
-    return txs, cus, rx, radius, tx_power, p_min, alpha
+    return txs, cus, rx, radius, tx_power, p_min
 
 
 @settings(max_examples=300, deadline=None)
 @given(layout=_layouts())
 def test_sampling_matches_dense_oracle_on_drawn_layouts(layout):
-    txs, cus, rx, radius, tx_power, p_min, alpha = layout
+    txs, cus, rx, radius, tx_power, p_min = layout
     kept, removed = apply_exclusion(rx, cus, radius)
     want_kept, want_removed = apply_exclusion_dense(rx, cus, radius)
     assert removed == want_removed
     assert kept.tobytes() == want_kept.tobytes()
     _assert_groups_identical(
-        form_groups(txs, kept, tx_power, p_min, alpha),
-        form_groups_dense(txs, kept, tx_power, p_min, alpha),
+        form_groups(txs, kept, tx_power, p_min),
+        form_groups_dense(txs, kept, tx_power, p_min),
     )
 
 

@@ -72,6 +72,11 @@ def test_parse_errors_are_named():
         parse_config(MINIMAL + "sweep = R\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config(MINIMAL + "cell_radius_m = big\n")
+    # the harness's own counts are named too, not reported as int() errors
+    with pytest.raises(ConfigError, match=re.escape("bad value for 'scenarios': 'many'")):
+        parse_config(MINIMAL.replace("scenarios = 4", "scenarios = many"))
+    with pytest.raises(ConfigError, match=re.escape("bad value for 'parallel': '2.5'")):
+        parse_config(MINIMAL + "parallel = 2.5\n")
     with pytest.raises(ConfigError, match="sorted"):
         parse_config("sweep = D\nsweep_values = 50, 30\nschemes = optimal\n")
     with pytest.raises(ConfigError, match="unknown scheme"):
@@ -211,7 +216,6 @@ def test_config_validate_rejects_bad_shapes():
         dict(sweep_values=(math.nan,)),
         dict(sweep_values=(50.0, math.inf)),
         dict(base=SimParams(exclusion_radius_m=math.nan), sweep_variable="P_G", sweep_values=(20.0,)),
-        dict(base=SimParams(path_loss_exponent=3.5), sweep_values=(50.0,)),
         # 1.5e-5 per m^2 derives 12 transmitters, past the exhaustive limit
         dict(sweep_variable="lambda_g", sweep_values=(1e-5, 1.5e-5)),
         dict(base=SimParams(num_channels=6), sweep_values=(50.0,)),
@@ -227,6 +231,9 @@ def test_config_validate_rejects_bad_shapes():
     # six channels but four groups: 1,045 matchings, fewer than 5 on 5 channels
     assert _validates(base=SimParams(num_channels=6, num_groups=4), sweep_values=(50.0,))
     assert _validates(sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("fixed2",))
+    # the path loss exponent is a model constant, not a setting
+    with pytest.raises(ConfigError, match="unknown key 'path_loss_exponent'"):
+        parse_config(MINIMAL + "path_loss_exponent = 4\n")
 
 
 def test_sim_params_validate_refuses_range_gaps():

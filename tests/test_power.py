@@ -46,8 +46,6 @@ def test_cap_trivial_limits():
     assert big > small
     with pytest.raises(ValueError):
         group_power_cap(1e-5, 1.0, 200.0, GAMMA_6DB, 0.0)
-    with pytest.raises(ValueError):
-        group_power_cap(1e-5, 1.0, 200.0, GAMMA_6DB, 0.1, alpha=3.0)
 
 
 def test_cap_is_inf_without_warning_when_the_square_overflows():
