@@ -9,6 +9,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -26,10 +27,34 @@ from .power import cap_root_residual, floor_root_comparison
 from .seeds import rng_for
 
 
-def _error(e: ValueError | str) -> int:
+def _error(e: Exception | str) -> int:
     """Report bad input on stderr, as argparse reports bad arguments."""
     print(f"mgshare: error: {e}", file=sys.stderr)
     return 2
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _unwritable(path: str) -> str | None:
+    """Why results cannot be written to path, or None if its directory
+    exists and is writable (and path itself is not a directory)."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return f"no such directory {directory!r}"
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.access(directory, os.W_OK | os.X_OK):
+        return f"directory {directory!r} is not writable"
+    return None
 
 
 def _cmd_run(args) -> int:
@@ -51,8 +76,14 @@ def _cmd_run(args) -> int:
         cfg.validate()
     except ValueError as e:
         return _error(e)
+    problem = _unwritable(cfg.output_path)
+    if problem:
+        return _error(f"cannot write results to {cfg.output_path!r}: {problem}")
     rows = run_experiment(cfg, timing=args.timing)
-    write_csv(cfg.sweep_variable, rows, cfg.output_path)
+    try:
+        write_csv(cfg.sweep_variable, rows, cfg.output_path)
+    except OSError as e:
+        return _error(e)
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
     report = gap_report(rows)
     if report:
@@ -177,7 +208,7 @@ def main(argv=None) -> int:
         "validate-lemmas",
         help="check closed forms against independent numeric oracles",
     )
-    p_val.add_argument("--trials", type=int, default=20000,
+    p_val.add_argument("--trials", type=_positive_int, default=20000,
                        help="Monte Carlo realizations per check")
     p_val.set_defaults(fn=_cmd_validate)
 

@@ -21,6 +21,39 @@ against every transmitter with the same sqrt, clamp, power and first-max
 argmax arithmetic as if all were scored, in its original order, so groups
 and their distances come out bit for bit the same. A threshold of 0 W or
 less bounds nothing, and then every receiver is scored.
+
+Candidate positions are computed only inside windows. A point is drawn as
+two uniforms (u, v) and sits at (R sqrt(u) cos 2 pi v, R sqrt(u) sin 2 pi v).
+Only a candidate within D of a CU can be excluded, and only one within the
+reach of a transmitter can be scored, so `generate_scenario` computes
+positions only for candidates whose (u, v) falls in a cell of a
+_RINGS x _SECTORS table over [0, 1)^2 that a window can reach; a window is
+the disk of radius D around a CU or of the reach around a transmitter. Both
+powers of two make u * _RINGS and v * _SECTORS exact, so a candidate's cell
+is exact. The windows are conservative in floating point:
+
+- The computed position of a candidate lies within about 1e-14 R of its
+  exact polar point (sqrt, products and the float 2 pi are correctly
+  rounded; cos and sin err by a few ulp), and the squared-distance test
+  against D^2 or reach^2 errs by a few ulp of the distance. Each window's
+  radius rho is padded by a relative 1e-9 of (R + rho), far above both.
+- So the exact polar point (R sqrt(u), 2 pi v) of any candidate the tests
+  can exclude or score lies in the padded disk around the computed centre
+  c. Its radius is within rho of |c|, which bounds u, and, when |c| > rho,
+  its angle is within asin(rho / |c|) of c's, which bounds v (modulo 1).
+  When |c| <= rho the disk holds the origin and every angle is marked.
+- The bounds on u and v are computed from hypot, atan2 and asin, whose
+  errors stay far below a cell (asin's near 1 is about 1e-8 rad against a
+  sector of 0.025 rad), and one cell of margin on each side covers them
+  where they floor to a cell.
+
+Every other candidate is neither excluded nor scored, so the excluded
+count, the groups, their receivers and distances are bitwise those of
+computing every position: the kept candidates keep their order, and each
+position gets the same bits in a subset, since every step is elementwise
+(`tests/test_geometry.py` pins this for cos and sin). A window of radius R
+or more (an infinite reach, or D > R) marks every cell, and then every
+position is computed.
 """
 
 from __future__ import annotations
@@ -35,22 +68,68 @@ from .seeds import child_seed, rng_for
 
 # Relative pad on the association reach (see the module docstring).
 _REACH_PAD = 1e-9
+# Cells of the candidate window table over (u, v), and the relative pad on a
+# window's radius (see the module docstring).
+_RINGS = 64
+_SECTORS = 256
+_WINDOW_PAD = 1e-9
+
+
+def _disk_points(radius: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The points (radius sqrt(u) cos 2 pi v, radius sqrt(u) sin 2 pi v), shape (n, 2).
+
+    Radial inversion: r = radius * sqrt(u) makes the area element uniform
+    for u uniform on [0, 1). Every step is elementwise.
+    """
+    r = radius * np.sqrt(u)
+    theta = v * (2.0 * np.pi)
+    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
 def sample_uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform points in the disk of the given radius, shape (n, 2).
-
-    Radial inversion: r = radius * sqrt(u) makes the area element uniform.
-    """
+    """n i.i.d. uniform points in the disk of the given radius, shape (n, 2)."""
     if radius <= 0.0:
         raise ValueError("radius must be positive")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return np.empty((0, 2))
-    r = radius * np.sqrt(rng.random(n))
-    theta = rng.random(n) * (2.0 * np.pi)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    u = rng.random(n)
+    v = rng.random(n)
+    return _disk_points(radius, u, v)
+
+
+def _in_windows(
+    u: np.ndarray, v: np.ndarray, cell_radius: float, centers: np.ndarray, window_radii
+) -> np.ndarray:
+    """Boolean mask of the draws (u, v) whose cell of the (_RINGS, _SECTORS)
+    table holds a point of some window, the disk of window_radii[i] around
+    centers[i], padded and with one cell of margin (see the module
+    docstring)."""
+    # Sector ranges span -0.75 to 1.75 turns once shifted by one turn, so
+    # they are marked unwrapped over two turns and folded afterwards.
+    marked = np.zeros((_RINGS, 2 * _SECTORS), dtype=bool)
+    for (cx, cy), radius in zip(centers.tolist(), window_radii):
+        rho = radius + _WINDOW_PAD * (cell_radius + radius)
+        rc = math.hypot(cx, cy)
+        lo = max(rc - rho, 0.0) / cell_radius
+        hi = min((rc + rho) / cell_radius, 1.0)
+        rings = slice(max(math.floor(lo * lo * _RINGS) - 1, 0), math.floor(hi * hi * _RINGS) + 2)
+        if rc <= rho:
+            sectors = slice(0, _SECTORS)
+        else:
+            mid = math.atan2(cy, cx) / (2.0 * math.pi)
+            half = math.asin(rho / rc) / (2.0 * math.pi)
+            sectors = slice(
+                math.floor((mid - half) * _SECTORS) - 1 + _SECTORS,
+                math.floor((mid + half) * _SECTORS) + 2 + _SECTORS,
+            )
+        marked[rings, sectors] = True
+    cells = marked[:, :_SECTORS] | marked[:, _SECTORS:]
+    index = (u * _RINGS).astype(np.intp)
+    index *= _SECTORS
+    index += (v * _SECTORS).astype(np.intp)
+    return cells.ravel()[index]
 
 
 def sample_poisson_count(intensity: float, area_m2: float, rng: np.random.Generator) -> int:
@@ -213,6 +292,8 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
 
     Draw order is part of the contract (it pins reproducibility): CU
     positions, transmitter positions, candidate count, candidate positions.
+    Only candidates in a window of some CU or transmitter get positions;
+    the rest can be neither excluded nor scored (see the module docstring).
     Parameter validation belongs to the config surface, not here; passing an
     exclusion radius larger than the cell is allowed and simply yields a
     degenerate scenario.
@@ -233,7 +314,12 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     ]
     tx_pos = sample_uniform_disk(params.num_groups, R, rng) if params.num_groups else np.empty((0, 2))
     n_cand = sample_poisson_count(params.receiver_density_per_m2, params.cell_area_m2, rng)
-    candidates = sample_uniform_disk(n_cand, R, rng)
+    u = rng.random(n_cand)
+    v = rng.random(n_cand)
+    reach = association_reach(params.assoc_ref_power_w, params.assoc_min_rx_power_w)
+    windows = [params.exclusion_radius_m] * C + [reach] * len(tx_pos)
+    inside = _in_windows(u, v, R, np.vstack((cu_pos, tx_pos)), windows)
+    candidates = _disk_points(R, u[inside], v[inside])
     kept, removed = apply_exclusion(candidates, cu_pos, params.exclusion_radius_m)
     if len(tx_pos):
         groups = form_groups(tx_pos, kept, params.assoc_ref_power_w, params.assoc_min_rx_power_w)

@@ -437,7 +437,7 @@ def write_csv(variable: str, rows, path: str) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write(format_rows(variable, rows))
     except OSError as e:
-        raise OSError(f"cannot write results to {path}: {e}") from e
+        raise OSError(f"cannot write results to {path!r}: {e.strerror or e}") from e
 
 
 def db_gap(mean_a: float, mean_b: float) -> float:

@@ -8,8 +8,9 @@ and extend each interference sum from the mask minus its lowest set bit.
 The greedy oracle matches one family at a time with its own scan; the
 exhaustive oracle scores every family under every (slot, channel) pair
 pattern in a (families, patterns) table with a flat tie-break. The
-sampling oracles test exclusion and association for every candidate against
-every CU and transmitter in one broadcast, with no association reach. The
+sampling oracles compute every candidate's position and test exclusion and
+association for every candidate against every CU and transmitter in one
+broadcast, with no candidate window and no association reach. The
 vectorized code in the package must agree with these bitwise or to within
 re-summation noise, as each test states.
 """
@@ -19,9 +20,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from mgshare.geometry import MulticastGroup, _positions_of
+from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario, _positions_of
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SIR_CAP
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
+from mgshare.seeds import child_seed, rng_for
 
 # ---------------------------------------------------------------------------
 # radio-layer scoring of one assignment
@@ -399,3 +401,41 @@ def form_groups_dense(tx_positions, receivers, tx_power_w, assoc_min_rx_power_w)
         if members.any():
             groups.append(MulticastGroup(g, txs[g], rx[members], d[members, g]))
     return groups
+
+
+def _disk_dense(n, radius, rng):
+    """n uniform points in the disk, every position computed."""
+    if n == 0:
+        return np.empty((0, 2))
+    r = radius * np.sqrt(rng.random(n))
+    theta = rng.random(n) * (2.0 * np.pi)
+    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+
+def generate_scenario_dense(params, index):
+    """`geometry.generate_scenario` computing every candidate's position,
+    then excluding and associating every candidate densely."""
+    rng = rng_for(params.master_seed, index)
+    R = params.cell_radius_m
+    cu_pos = _disk_dense(params.num_channels, R, rng)
+    cus = [
+        CellularUser(k, k, cu_pos[k], float(np.hypot(cu_pos[k, 0], cu_pos[k, 1])))
+        for k in range(params.num_channels)
+    ]
+    tx_pos = _disk_dense(params.num_groups, R, rng)
+    n_cand = int(rng.poisson(params.receiver_density_per_m2 * params.cell_area_m2))
+    candidates = _disk_dense(n_cand, R, rng)
+    kept, removed = apply_exclusion_dense(candidates, cu_pos, params.exclusion_radius_m)
+    groups = (
+        form_groups_dense(tx_pos, kept, params.assoc_ref_power_w, params.assoc_min_rx_power_w)
+        if len(tx_pos)
+        else []
+    )
+    return NetworkScenario(
+        params=params,
+        cus=cus,
+        groups=groups,
+        excluded_receiver_count=removed,
+        scenario_seed=child_seed(params.master_seed, index),
+        candidate_receiver_count=n_cand,
+    )

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgshare import geometry
 from mgshare.geometry import (
+    _RINGS,
+    _SECTORS,
     CellularUser,
     MulticastGroup,
     NetworkScenario,
+    _disk_points,
+    _in_windows,
     apply_exclusion,
     association_reach,
     form_groups,
@@ -18,7 +21,7 @@ from mgshare.geometry import (
     sample_uniform_disk,
 )
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
-from oracles import apply_exclusion_dense, form_groups_dense
+from oracles import apply_exclusion_dense, form_groups_dense, generate_scenario_dense
 
 
 # ---------------------------------------------------------------------------
@@ -237,24 +240,181 @@ def test_sampling_matches_dense_oracle_on_drawn_layouts(layout):
     )
 
 
-def test_scenarios_match_dense_oracle(monkeypatch):
-    """Real scenarios over D, G and the threshold, bitwise equal to sampling
-    with the dense exclusion and association."""
+def test_scenarios_match_dense_oracle():
+    """Real scenarios, bitwise equal to computing every candidate's position
+    and excluding and associating every candidate densely. The cases cover
+    D from 0 to past R, G from 0 to 9, an infinite reach (a threshold that
+    underflows to 0 W), a small cell and the benchmark workloads' settings."""
     cases = [
         SimParams(exclusion_radius_m=d, num_groups=g, assoc_min_rx_power_dbm=p_min)
         for d in (0.0, 20.0, 50.0, 100.0)
-        for g in (5, 7, 9)
-        for p_min in (-12.4, -30.0)
+        for g in (0, 5, 7, 9)
+        for p_min in (-12.4, -30.0, -4000.0)
     ]
-    got = [generate_scenario(p, i) for p in cases for i in range(4)]
-    monkeypatch.setattr(geometry, "apply_exclusion", apply_exclusion_dense)
-    monkeypatch.setattr(geometry, "form_groups", form_groups_dense)
-    want = [generate_scenario(p, i) for p in cases for i in range(4)]
-    assert sum(len(s.groups) for s in want) > 0
-    for a, b in zip(got, want):
-        assert a.candidate_receiver_count == b.candidate_receiver_count
-        assert a.excluded_receiver_count == b.excluded_receiver_count
-        _assert_groups_identical(a.groups, b.groups)
+    cases += [
+        SimParams(exclusion_radius_m=600.0),
+        SimParams(cell_radius_m=30.0, exclusion_radius_m=20.0, receiver_density_per_m2=0.5),
+        SimParams(cell_radius_m=30.0, exclusion_radius_m=45.0, receiver_density_per_m2=0.5),
+        SimParams(cell_radius_m=8.0, exclusion_radius_m=1.0, receiver_density_per_m2=20.0),
+    ]
+    cases += [SimParams(exclusion_radius_m=d) for d in range(30, 100, 10)]  # paper-d-sweep
+    cases += [SimParams(num_groups=9), SimParams(num_groups=5, max_mg_power_dbm=-10.0)]
+    assert any(p.assoc_min_rx_power_w == 0.0 for p in cases)
+    want_groups = 0
+    for p in cases:
+        for i in range(4):
+            got, want = generate_scenario(p, i), generate_scenario_dense(p, i)
+            assert got.scenario_seed == want.scenario_seed
+            assert got.candidate_receiver_count == want.candidate_receiver_count
+            assert got.excluded_receiver_count == want.excluded_receiver_count
+            assert [c.position.tobytes() for c in got.cus] == [c.position.tobytes() for c in want.cus]
+            _assert_groups_identical(got.groups, want.groups)
+            want_groups += len(want.groups)
+    assert want_groups > 0
+
+
+def _nudged(values, ulps=4):
+    """(2 ulps + 1, n) stack of values moved by -ulps..ulps ulp each."""
+    rows = {0: values}
+    for step in range(1, ulps + 1):
+        rows[-step] = np.nextafter(rows[1 - step], -np.inf)
+        rows[step] = np.nextafter(rows[step - 1], np.inf)
+    return np.stack([rows[k] for k in sorted(rows)])
+
+
+def _edge_draws(R, center, rho):
+    """(u, v) of points exactly on the circle of radius rho around center:
+    its extremes towards and away from the origin, its tangent points seen
+    from the origin, and where it crosses the ring and sector boundaries
+    next to those."""
+    cx, cy = center
+    rc = np.hypot(cx, cy)
+    theta_c = np.arctan2(cy, cx)
+    r_at = [abs(rc - rho), rc + rho]
+    phi_at = [theta_c + (np.pi if rho > rc else 0.0), theta_c]
+    v_bounds = []
+    if rc > rho:
+        alpha = np.arcsin(rho / rc)
+        for phi in (theta_c - alpha, theta_c + alpha):
+            r_at.append(np.sqrt(rc * rc - rho * rho))
+            phi_at.append(phi)
+            j0 = np.floor(phi / (2.0 * np.pi) * _SECTORS)
+            v_bounds += [j / _SECTORS for j in (j0 - 1, j0, j0 + 1, j0 + 2)]
+    for v in v_bounds:
+        # the sector boundary ray at angle 2 pi v meets the circle at
+        # distance b -+ sqrt(disc) from the origin
+        b = np.cos(2.0 * np.pi * v) * cx + np.sin(2.0 * np.pi * v) * cy
+        disc = b * b - rc * rc + rho * rho
+        if disc >= 0.0:
+            for r in (b - np.sqrt(disc), b + np.sqrt(disc)):
+                if r >= 0.0:
+                    r_at.append(r)
+                    phi_at.append(2.0 * np.pi * v)
+    for r_ext in (rc - rho, rc + rho):
+        k0 = np.floor((max(r_ext, 0.0) / R) ** 2 * _RINGS)
+        for k in (k0 - 1, k0, k0 + 1, k0 + 2):
+            # the ring boundary circle of radius rk meets the circle at
+            # angle gap arccos(cos_gap) from the centre's direction
+            rk = R * np.sqrt(k / _RINGS) if 0 < k < _RINGS else 0.0
+            if rk > 0.0 and rc > 0.0:
+                cos_gap = (rk * rk + rc * rc - rho * rho) / (2.0 * rk * rc)
+                if -1.0 <= cos_gap <= 1.0:
+                    for side in (-1.0, 1.0):
+                        r_at.append(rk)
+                        phi_at.append(theta_c + side * np.arccos(cos_gap))
+    r, phi = np.array(r_at), np.array(phi_at)
+    inside = r < R
+    return (r[inside] / R) ** 2, (phi[inside] / (2.0 * np.pi)) % 1.0
+
+
+def _center(R, draw, rho):
+    """A window centre from draws (u, v, align). With align set, the centre
+    is moved along its ray or turned about the origin so that its window's
+    outer or inner extreme lies on a ring boundary, or a tangent ray from
+    the origin on a sector boundary, up to rounding."""
+    u, v, align = draw
+    rc, theta = R * np.sqrt(u), 2.0 * np.pi * v
+    if align == "outer":
+        k = np.ceil(((rc + rho) / R) ** 2 * _RINGS)
+        rc = R * np.sqrt(k / _RINGS) - rho if k <= _RINGS else rc
+    elif align == "inner":
+        k = np.floor(((rc - rho) / R) ** 2 * _RINGS) if rc > rho else 0
+        rc = R * np.sqrt(k / _RINGS) + rho if k > 0 else rc
+    elif align in ("ccw", "cw") and rc > rho:
+        alpha = np.arcsin(rho / rc) * (1.0 if align == "ccw" else -1.0)
+        j = np.round((theta + alpha) / (2.0 * np.pi) * _SECTORS)
+        theta = 2.0 * np.pi * j / _SECTORS - alpha
+    rc = min(max(rc, 0.0), R)
+    return np.array([rc * np.cos(theta), rc * np.sin(theta)])
+
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_center_draw = st.tuples(
+    _unit | st.sampled_from([0.0, 5e-324, 1e-12, 1.0 - 2.0**-53, 1.0 - 1e-9]),
+    _unit | st.sampled_from([0.0, 0.25, 0.5, 1.0 - 2.0**-53]),
+    st.sampled_from([None, "outer", "inner", "ccw", "cw"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    R=st.sampled_from([1.0, 30.0, 500.0]) | st.floats(0.5, 5000.0),
+    d_frac=st.sampled_from([0.0, 0.04, 0.1, 1.0, 1.5]) | st.floats(0.0, 1.2),
+    reach_frac=st.sampled_from([0.002, 0.02, np.inf]) | st.floats(0.0005, 0.5),
+    cu_draws=st.lists(_center_draw, min_size=1, max_size=3),
+    tx_draws=st.lists(_center_draw, max_size=4),
+    extra=st.lists(st.tuples(_unit, _unit), max_size=20),
+)
+def test_windows_hold_every_candidate_at_their_edges(R, d_frac, reach_frac, cu_draws, tx_draws, extra):
+    """Points exactly on an exclusion circle or at a transmitter's reach, at
+    the circle's extremes and tangent points and where it crosses cell
+    boundaries, with u and v each nudged by up to 4 ulp: every one that the
+    exclusion test removes or the association test scores is in a window.
+    Centres include the base station, the cell edge, and centres whose
+    window extremes lie on cell boundaries."""
+    D = d_frac * R
+    reach = max(reach_frac * R, MIN_LINK_DISTANCE_M)
+    centers = np.array(
+        [_center(R, c, D) for c in cu_draws] + [_center(R, c, reach) for c in tx_draws]
+    )
+    radii = [D] * len(cu_draws) + [reach] * len(tx_draws)
+    us = [np.array([a for a, _ in extra], dtype=float)]
+    vs = [np.array([b for _, b in extra], dtype=float)]
+    for c, rho in zip(centers, radii):
+        if np.isfinite(rho):
+            u, v = _edge_draws(R, c, rho)
+            nu, nv = _nudged(u), _nudged(v)
+            us.append(np.broadcast_to(nu[:, None, :], (9, 9, len(u))).ravel())
+            vs.append(np.broadcast_to(nv[None, :, :], (9, 9, len(v))).ravel())
+    below_one = np.nextafter(1.0, 0.0)  # a tiny negative v is 1.0 modulo 1
+    u = np.clip(np.concatenate(us), 0.0, below_one)
+    v = np.clip(np.concatenate(vs) % 1.0, 0.0, below_one)
+    x, y = _disk_points(R, u, v).T
+    must = np.zeros(len(u), dtype=bool)
+    for i, ((cx, cy), rho) in enumerate(zip(centers, radii)):
+        dx, dy = x - cx, y - cy
+        d2 = dx * dx + dy * dy
+        # the tests of apply_exclusion (CUs) and form_groups (transmitters)
+        must |= d2 < rho * rho if i < len(cu_draws) else d2 <= rho * rho
+    assert not (must & ~_in_windows(u, v, R, centers, radii)).any()
+
+
+def test_disk_points_same_bits_in_subsets():
+    """Positions depend on each (u, v) alone, whichever subset it sits in:
+    slices of 1 to 70 draws at odd offsets, and the masked gathers the
+    sampler takes before computing positions."""
+    rng = np.random.default_rng(12)
+    u, v = rng.random(400), rng.random(400)
+    theta = v * (2.0 * np.pi)
+    cos, sin, full = np.cos(theta), np.sin(theta), _disk_points(500.0, u, v)
+    for n in range(1, 71):
+        for offset in (1, 3, 7, 33, 129):
+            part = slice(offset, offset + n)
+            assert np.cos(theta[part]).tobytes() == cos[part].tobytes()
+            assert np.sin(theta[part]).tobytes() == sin[part].tobytes()
+            mask = np.zeros(400, dtype=bool)
+            mask[rng.choice(np.arange(offset, 400, 2), n, replace=False)] = True
+            assert _disk_points(500.0, u[mask], v[mask]).tobytes() == full[mask].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,43 @@ def test_cli_run_override_checked_before_the_sweep(tmp_path, capsys, monkeypatch
     assert capsys.readouterr().err == "mgshare: error: parallel must be at least 1\n"
 
 
+def test_cli_run_checks_the_output_directory_before_the_sweep(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "ok.conf"
+    conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nscenarios = 2\n")
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["run", "--config", str(conf), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mgshare: error: cannot write results to {str(out)!r}: "
+        f"no such directory {str(out.parent)!r}\n"
+    )
+    assert cli_main(["run", "--config", str(conf), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"mgshare: error: cannot write results to {str(tmp_path)!r}: it is a directory\n"
+    )
+
+
+def test_cli_run_reports_a_failed_write(tmp_path, capsys, monkeypatch):
+    conf = tmp_path / "ok.conf"
+    conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nscenarios = 1\n")
+    monkeypatch.setattr(cli, "_unwritable", lambda path: None)  # the directory goes away
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["run", "--config", str(conf), "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err == f"mgshare: error: cannot write results to {str(out)!r}: No such file or directory\n"
+    assert out_text == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-3", "many"])
+def test_cli_validate_refuses_a_bad_trial_count(capsys, monkeypatch, trials):
+    monkeypatch.setattr(cli, "mc_outage", lambda *a, **k: pytest.fail("checks started"))
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["validate-lemmas", "--trials", trials])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --trials" in err and "Traceback" not in err
+
+
 def test_db_gap_and_report():
     assert db_gap(2.0, 1.0) == pytest.approx(10.0 * math.log10(2.0))
     assert db_gap(1.0, 1.0) == 0.0
