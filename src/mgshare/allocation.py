@@ -41,7 +41,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .combinatorics import enumerate_size_vectors, parse_mode
+from .combinatorics import distinct_count, enumerate_size_vectors, parse_mode
 from .kernels import build_stage2_table, build_value_table
 from .params import SIR_CAP
 from .power import power_interval
@@ -56,6 +56,11 @@ FADING_STREAM = 1
 # candidates as families times channel matchings. It takes at most 10 groups
 # and as many matchings as 5 subsets have on 5 channels.
 EXHAUSTIVE_GUARD = (10, 5)
+
+# Limit of the greedy search: its family table and greedy_match's per-column
+# table may each hold as many cells as the `all` family table of 12 groups on
+# 3 channels (2,532,530 families), the largest size measured.
+GREEDY_GUARD = (12, 3)
 
 # Coordinate-ascent sweeps of the grid power policy.
 _GRID_SWEEPS = 3
@@ -126,6 +131,28 @@ def check_exhaustive_size(G: int, C: int) -> None:
             f"exhaustive search refused for G={G}, C={C} ({n} channel matchings): "
             f"it takes at most {gmax} groups and {limit} matchings, "
             f"as many as {cmax} subsets have on {cmax} channels"
+        )
+
+
+@lru_cache(maxsize=None)
+def check_greedy_size(G: int, C: int, mode: str) -> None:
+    """Refuse sizes past GREEDY_GUARD. greedy_match's per-column table has a
+    row of 2^G + 1 entries for each set of channels a family can hold before
+    its last round, fewer than S = min(C, G) of them, and the family table
+    has S subsets per family; neither may hold more cells than the `all`
+    family table at GREEDY_GUARD. The table is counted first, since it bounds
+    G before the families are counted. Passing sizes are cached, as allocate
+    checks on every call."""
+    gmax, cmax = GREEDY_GUARD
+    limit = distinct_count(gmax, cmax) * cmax
+    S = min(C, G)
+    table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
+    families = distinct_count(G, S, mode) * S if G and table <= limit else 0
+    if max(table, families) > limit:
+        raise ValueError(
+            f"greedy search refused for G={G}, C={C}, mode {mode}: its tables would "
+            f"hold {max(table, families)} cells, past the limit of {limit}, as many as "
+            f"the families of {gmax} groups on {cmax} channels"
         )
 
 
@@ -629,6 +656,8 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     policy, grid_n = _parse_policy(scheme.power_policy)
     if scheme.assignment_method == "exhaustive":
         check_exhaustive_size(G, C)
+    else:
+        check_greedy_size(G, C, scheme.selection_mode)
     fam_masks = _family_mask_array(G, min(C, G), scheme.selection_mode) if G else ()
     chan = np.zeros(C, dtype=np.int64)  # group mask on each channel
     mg_power = np.zeros(G)

@@ -191,7 +191,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True, help="key=value config path")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out", help="override the output CSV path")
-    p_run.add_argument("--parallel", type=int, help="worker process count")
+    p_run.add_argument("--parallel", type=int,
+                       help="worker process count (capped at scenarios and CPUs)")
     p_run.add_argument("--scenarios", type=int, help="override scenario count")
     p_run.add_argument("--timing", action="store_true",
                        help="fill wall_ms (breaks byte-for-byte determinism)")

@@ -8,37 +8,33 @@ receiver field into a hole process. Surviving receivers attach to the
 transmitter with the strongest mean received power, provided that power
 clears the association threshold.
 
-Association only scores receivers near a transmitter. Mean power
-P_ref * max(d, 1 m)^-4 falls with distance, so a receiver farther than the
-reach r = (P_ref / P_min)^(1/4) from every transmitter fails the threshold
-everywhere and joins no group (r is about 11.5 m at the defaults, and about
-0.3% of candidates lie within it). The bound is exact in floating point,
-not only on paper: the reach is padded by a relative 1e-9, which lowers the
-power at the padded reach by a relative 4e-9, while rounding moves the
-computed reach and power by under 1e-13 relative for any power ratio a
-float holds. A receiver inside the reach of some transmitter is scored
-against every transmitter with the same sqrt, clamp, power and first-max
-argmax arithmetic as if all were scored, in its original order, so groups
-and their distances come out bit for bit the same. A threshold of 0 W or
-less bounds nothing, and then every receiver is scored.
-
 Candidate positions are computed only inside windows. A point is drawn as
 two uniforms (u, v) and sits at (R sqrt(u) cos 2 pi v, R sqrt(u) sin 2 pi v).
 Only a candidate within D of a CU can be excluded, and only one within the
-reach of a transmitter can be scored, so `generate_scenario` computes
-positions only for candidates whose (u, v) falls in a cell of a
-_RINGS x _SECTORS table over [0, 1)^2 that a window can reach; a window is
-the disk of radius D around a CU or of the reach around a transmitter. Both
-powers of two make u * _RINGS and v * _SECTORS exact, so a candidate's cell
-is exact. The windows are conservative in floating point:
+association reach of a transmitter can join a group. Mean power
+P_ref * max(d, 1 m)^-4 falls with distance, so a receiver farther than the
+reach r = (P_ref / P_min)^(1/4) from every transmitter fails the threshold
+everywhere (r is about 11.5 m at the defaults). The bound is exact in
+floating point, not only on paper: the reach is padded by a relative 1e-9,
+which lowers the power at the padded reach by a relative 4e-9, while
+rounding moves the computed reach and power by under 1e-13 relative for any
+power ratio a float holds. A threshold of 0 W or less bounds nothing, and
+the reach is infinite.
+
+So `generate_scenario` computes positions only for candidates whose (u, v)
+falls in a cell of a _RINGS x _SECTORS table over [0, 1)^2 that a window
+can reach; a window is the disk of radius D around a CU or of the reach
+around a transmitter. Both powers of two make u * _RINGS and v * _SECTORS
+exact, so a candidate's cell is exact. The windows are conservative in
+floating point:
 
 - The computed position of a candidate lies within about 1e-14 R of its
   exact polar point (sqrt, products and the float 2 pi are correctly
-  rounded; cos and sin err by a few ulp), and the squared-distance test
-  against D^2 or reach^2 errs by a few ulp of the distance. Each window's
-  radius rho is padded by a relative 1e-9 of (R + rho), far above both.
+  rounded; cos and sin err by a few ulp), and the exclusion and association
+  tests err by a few ulp of the distance. Each window's radius rho is
+  padded by a relative 1e-9 of (R + rho), far above both.
 - So the exact polar point (R sqrt(u), 2 pi v) of any candidate the tests
-  can exclude or score lies in the padded disk around the computed centre
+  can exclude or attach lies in the padded disk around the computed centre
   c. Its radius is within rho of |c|, which bounds u, and, when |c| > rho,
   its angle is within asin(rho / |c|) of c's, which bounds v (modulo 1).
   When |c| <= rho the disk holds the origin and every angle is marked.
@@ -47,12 +43,14 @@ is exact. The windows are conservative in floating point:
   sector of 0.025 rad), and one cell of margin on each side covers them
   where they floor to a cell.
 
-Every other candidate is neither excluded nor scored, so the excluded
-count, the groups, their receivers and distances are bitwise those of
-computing every position: the kept candidates keep their order, and each
-position gets the same bits in a subset, since every step is elementwise
-(`tests/test_geometry.py` pins this for cos and sin). A window of radius R
-or more (an infinite reach, or D > R) marks every cell, and then every
+Every other candidate is neither excluded nor attached, so the excluded
+count, the groups and their receivers are bitwise those of computing every
+position and scoring every candidate. The kept candidates keep their order.
+Each position gets the same bits in a subset, and so does each candidate's
+exclusion test, distances, powers and first-max argmax over the
+transmitters, since every step is elementwise or runs along one candidate's
+row (`tests/test_geometry.py` pins this for cos and sin). A window of radius
+R or more (an infinite reach, or D > R) marks every cell, and then every
 position is computed.
 """
 
@@ -139,40 +137,32 @@ def sample_poisson_count(intensity: float, area_m2: float, rng: np.random.Genera
     return int(rng.poisson(intensity * area_m2))
 
 
-def _positions_of(cus) -> np.ndarray:
-    """Accept CellularUser sequences or bare (n, 2) arrays of positions."""
-    seq = list(cus) if not isinstance(cus, np.ndarray) else cus
-    if len(seq) == 0:
-        return np.empty((0, 2))
-    if hasattr(seq[0], "position"):
-        return np.vstack([c.position for c in seq])
-    return np.atleast_2d(np.asarray(seq, dtype=float))
+def _squared_distances(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(m, n) table of dx*dx + dy*dy from m centres to n points, one row per
+    centre; each entry depends on its own pair alone.
+
+    Summing ((p - c) ** 2) over a length-2 axis gives the same bits, but
+    numpy reduces along a short last axis several times slower, so the
+    coordinates are read as columns and the callers reduce over rows.
+    """
+    dx = centers[:, 0, None] - points[:, 0]
+    dy = centers[:, 1, None] - points[:, 1]
+    return dx * dx + dy * dy
 
 
-def _xy(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Contiguous x and y columns of an (n, 2) array."""
-    return np.ascontiguousarray(points[:, 0]), np.ascontiguousarray(points[:, 1])
-
-
-def apply_exclusion(candidates, cus, exclusion_radius_m: float):
+def apply_exclusion(candidates, cu_positions, exclusion_radius_m: float):
     """Drop candidates lying strictly inside any exclusion disk.
 
-    Returns (kept, removed_count). Order is preserved; a candidate exactly on
-    a disk boundary (distance == D) survives.
+    candidates and cu_positions hold one (x, y) position per row. Returns
+    (kept, removed_count). Order is preserved; a candidate exactly on a disk
+    boundary (distance == D) survives.
     """
     if exclusion_radius_m < 0.0:
         raise ValueError("exclusion radius must be nonnegative")
-    pts = np.atleast_2d(np.asarray(candidates, dtype=float)) if len(candidates) else np.empty((0, 2))
-    centers = _positions_of(cus)
-    if len(pts) == 0 or len(centers) == 0 or exclusion_radius_m == 0.0:
-        return pts, 0
-    x, y = _xy(pts)
-    d2_min = exclusion_radius_m ** 2
-    keep = np.ones(len(pts), dtype=bool)
-    for cx, cy in centers:
-        dx, dy = x - cx, y - cy
-        keep &= dx * dx + dy * dy >= d2_min
-    return np.compress(keep, pts, axis=0), int(len(pts) - keep.sum())
+    pts = np.asarray(candidates, dtype=float).reshape(-1, 2)
+    centers = np.asarray(cu_positions, dtype=float).reshape(-1, 2)
+    keep = (_squared_distances(centers, pts) >= exclusion_radius_m ** 2).all(axis=0)
+    return pts[keep], int(len(pts) - keep.sum())
 
 
 @dataclass(eq=False)
@@ -194,7 +184,6 @@ class MulticastGroup:
     id: int
     tx_position: np.ndarray
     receivers: np.ndarray
-    tx_rx_dists_m: np.ndarray
 
     @property
     def num_receivers(self) -> int:
@@ -218,8 +207,8 @@ class NetworkScenario:
 
 def association_reach(tx_power_w: float, assoc_min_rx_power_w: float) -> float:
     """Distance past which a transmitter's mean power cannot clear the
-    association threshold: (P_ref / P_min)^(1/4), padded by a relative
-    1e-9 and floored at MIN_LINK_DISTANCE_M.
+    association threshold, the radius of its window: (P_ref / P_min)^(1/4),
+    padded by a relative 1e-9 and floored at MIN_LINK_DISTANCE_M.
 
     A threshold of 0 W or less (one that underflows to 0 W included) bounds
     nothing, and the reach is infinite.
@@ -243,47 +232,21 @@ def form_groups(
     whose best power falls below the association threshold join no group, and
     ties go to the lowest transmitter index. Transmitters left with no
     receivers are omitted from the result.
-
-    Only receivers within `association_reach` of some transmitter are
-    scored; the rest fail the threshold at every transmitter (see the module
-    docstring), so the groups are bitwise those of scoring every receiver.
     """
     txs = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     if len(txs) == 0:
         raise ValueError("need at least one transmitter")
-    rx = np.atleast_2d(np.asarray(receivers, dtype=float)) if len(receivers) else np.empty((0, 2))
-    if len(rx) == 0:
-        return []
-    reach = association_reach(tx_power_w, assoc_min_rx_power_w)
-    if reach < math.inf:
-        x, y = _xy(rx)
-        reach2 = reach * reach
-        near = np.zeros(len(rx), dtype=bool)
-        for tx, ty in txs:
-            dx, dy = x - tx, y - ty
-            near |= dx * dx + dy * dy <= reach2
-        rx = np.compress(near, rx, axis=0)
-        if len(rx) == 0:
-            return []
-    d = np.sqrt(((rx[:, None, :] - txs[None, :, :]) ** 2).sum(axis=2))
+    rx = np.asarray(receivers, dtype=float).reshape(-1, 2)
+    d = np.sqrt(_squared_distances(txs, rx))
     d_eff = np.maximum(d, MIN_LINK_DISTANCE_M)
     power = tx_power_w * d_eff ** (-PATH_LOSS_EXPONENT)
-    best = power.argmax(axis=1)  # first max wins: lowest transmitter id
-    best_power = power[np.arange(len(rx)), best]
-    attached = best_power >= assoc_min_rx_power_w
+    best = power.argmax(axis=0)  # first max wins: lowest transmitter id
+    attached = power[best, np.arange(len(rx))] >= assoc_min_rx_power_w
     groups = []
     for g in range(len(txs)):
         members = attached & (best == g)
-        if not members.any():
-            continue
-        groups.append(
-            MulticastGroup(
-                id=g,
-                tx_position=txs[g],
-                receivers=rx[members],
-                tx_rx_dists_m=d[members, g],
-            )
-        )
+        if members.any():
+            groups.append(MulticastGroup(id=g, tx_position=txs[g], receivers=rx[members]))
     return groups
 
 
@@ -312,7 +275,7 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
         )
         for k in range(C)
     ]
-    tx_pos = sample_uniform_disk(params.num_groups, R, rng) if params.num_groups else np.empty((0, 2))
+    tx_pos = sample_uniform_disk(params.num_groups, R, rng)
     n_cand = sample_poisson_count(params.receiver_density_per_m2, params.cell_area_m2, rng)
     u = rng.random(n_cand)
     v = rng.random(n_cand)

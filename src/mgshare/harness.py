@@ -21,6 +21,7 @@ is scored on exactly the same scenario set, and so is every sweep point.
 from __future__ import annotations
 
 import math
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,13 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .allocation import SchemeConfig, allocate, build_context, check_exhaustive_size
+from .allocation import (
+    SchemeConfig,
+    allocate,
+    build_context,
+    check_exhaustive_size,
+    check_greedy_size,
+)
 from .combinatorics import parse_mode
 from .geometry import generate_scenario
 from .params import SimParams, param_names, parse_param
@@ -127,9 +134,13 @@ class ExperimentConfig:
             try:
                 params, tokens = apply_sweep(self.base, self.sweep_variable, value, self.schemes)
                 params.validate()
-                if any(resolve_scheme(t).assignment_method == "exhaustive" for t in tokens):
-                    # a scenario never has more active groups than num_groups
-                    check_exhaustive_size(params.num_groups, params.num_channels)
+                # a scenario never has more active groups than num_groups
+                G, C = params.num_groups, params.num_channels
+                for scheme in map(resolve_scheme, tokens):
+                    if scheme.assignment_method == "exhaustive":
+                        check_exhaustive_size(G, C)
+                    else:
+                        check_greedy_size(G, C, scheme.selection_mode)
             except ValueError as e:
                 raise ConfigError(f"{self.sweep_variable} = {value!r}: {e}") from e
 
@@ -318,18 +329,18 @@ def _eval_scenarios(args):
     return out
 
 
-def _worker_pool(cfg):
+def _worker_pool(workers: int):
     """One worker pool for a whole run, or a null context when serial.
 
     Leaving the context shuts the pool down and joins its workers, so their
     CPU time is reaped before the run returns.
     """
-    if cfg.parallelism <= 1 or cfg.n_scenarios < 2:
+    if workers <= 1:
         return nullcontext()
-    return ProcessPoolExecutor(max_workers=cfg.parallelism)
+    return ProcessPoolExecutor(max_workers=workers)
 
 
-def _gather_point(cfg, params, schemes, pool=None):
+def _gather_point(cfg, params, schemes, pool, workers):
     """All scenario results for one sweep value, in scenario-index order.
 
     The scenario stream is the same at every sweep value, so points differ
@@ -340,7 +351,7 @@ def _gather_point(cfg, params, schemes, pool=None):
     n = cfg.n_scenarios
     if pool is None:
         return _eval_scenarios((params, schemes, sweep_master, 0, n))
-    chunk = -(-n // cfg.parallelism)
+    chunk = -(-n // workers)
     blocks = [
         (params, schemes, sweep_master, lo, min(lo + chunk, n))
         for lo in range(0, n, chunk)
@@ -353,13 +364,16 @@ def _sweep_points(cfg: ExperimentConfig):
     """Validate, then yield (sweep value, scenario results, gather ms) per
     sweep point, all points sharing one worker pool."""
     cfg.validate()
-    with _worker_pool(cfg) as pool:
+    # A fork-started pool launches all its workers at the first task, so a
+    # worker past the scenario count or the CPU count would only idle.
+    workers = min(cfg.parallelism, cfg.n_scenarios, os.cpu_count() or 1)
+    with _worker_pool(workers) as pool:
         for value in cfg.sweep_values:
             params, scheme_tokens = apply_sweep(
                 cfg.base, cfg.sweep_variable, value, cfg.schemes
             )
             t0 = time.perf_counter()
-            results = _gather_point(cfg, params, scheme_tokens, pool)
+            results = _gather_point(cfg, params, scheme_tokens, pool, workers)
             yield value, results, (time.perf_counter() - t0) * 1000.0
 
 

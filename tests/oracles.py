@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario, _positions_of
+from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SIR_CAP
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
 from mgshare.seeds import child_seed, rng_for
@@ -375,7 +375,7 @@ def exhaustive_best_table(ctx, fam_masks):
 def apply_exclusion_dense(candidates, cus, exclusion_radius_m):
     """`geometry.apply_exclusion` as one (n, C, 2) broadcast."""
     pts = np.atleast_2d(np.asarray(candidates, dtype=float)) if len(candidates) else np.empty((0, 2))
-    centers = _positions_of(cus)
+    centers = np.asarray(cus, dtype=float).reshape(-1, 2)
     if len(pts) == 0 or len(centers) == 0 or exclusion_radius_m == 0.0:
         return pts, 0
     d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
@@ -399,7 +399,7 @@ def form_groups_dense(tx_positions, receivers, tx_power_w, assoc_min_rx_power_w)
     for g in range(len(txs)):
         members = attached & (best == g)
         if members.any():
-            groups.append(MulticastGroup(g, txs[g], rx[members], d[members, g]))
+            groups.append(MulticastGroup(g, txs[g], rx[members]))
     return groups
 
 

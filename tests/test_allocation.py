@@ -233,6 +233,13 @@ def test_exhaustive_guard_names_its_limits():
     assert evaluate(ctx, a) == pytest.approx(tv, rel=1e-12)
 
 
+def test_greedy_guard_names_its_limit():
+    # seven groups on 30 channels: 768,212 table rows of 129 entries
+    s = _scenario(min_groups=7, max_groups=7, params=SimParams(num_channels=30))
+    with pytest.raises(ValueError, match="G=7, C=30, mode all: .* past the limit of 7597590"):
+        allocate(s, SchemeConfig(assignment_method="greedy"))
+
+
 # ---------------------------------------------------------------------------
 # scheme dominance, exact per scenario
 

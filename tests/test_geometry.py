@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mgshare.geometry import (
     _RINGS,
     _SECTORS,
-    CellularUser,
     MulticastGroup,
     NetworkScenario,
     _disk_points,
@@ -97,12 +96,6 @@ def test_exclusion_matches_bruteforce():
     np.testing.assert_allclose(kept, np.array(expect))
 
 
-def test_exclusion_accepts_cu_objects():
-    cu = CellularUser(id=0, channel_index=0, position=np.zeros(2), dist_to_bs_m=0.0)
-    kept, removed = apply_exclusion(np.array([[1.0, 0.0], [9.0, 0.0]]), [cu], 5.0)
-    assert removed == 1 and kept[0, 0] == 9.0
-
-
 # ---------------------------------------------------------------------------
 # association
 
@@ -112,9 +105,6 @@ def test_form_groups_single_tx_catches_all():
     rx = np.array([[10.0, 0.0], [0.0, 20.0], [5.0, 5.0]])
     groups = form_groups(tx, rx, 1.0, 0.0)
     assert len(groups) == 1 and groups[0].num_receivers == 3
-    np.testing.assert_allclose(
-        groups[0].tx_rx_dists_m, [10.0, 20.0, np.hypot(5, 5)]
-    )
 
 
 def test_form_groups_tie_goes_to_lower_id():
@@ -138,7 +128,6 @@ def test_form_groups_clamps_colocated_receiver():
     rx = np.array([[0.0, 0.0]])  # d = 0 to tx 0
     groups = form_groups(tx, rx, 1.0, 0.5)  # clamped power = 1 W >= 0.5
     assert len(groups) == 1 and groups[0].id == 0
-    assert groups[0].tx_rx_dists_m[0] == 0.0  # true distance is stored
 
 
 def test_form_groups_matches_bruteforce_argmax():
@@ -190,7 +179,6 @@ def _assert_groups_identical(got, want):
     for x, y in zip(got, want):
         assert x.tx_position.tobytes() == y.tx_position.tobytes()
         assert x.receivers.tobytes() == y.receivers.tobytes()
-        assert x.tx_rx_dists_m.tobytes() == y.tx_rx_dists_m.tobytes()
 
 
 _coord = st.floats(-60.0, 60.0, allow_nan=False)
@@ -434,8 +422,6 @@ def _scenarios_equal(a: NetworkScenario, b: NetworkScenario) -> bool:
     for gx, gy in zip(a.groups, b.groups):
         if gx.id != gy.id or not np.array_equal(gx.receivers, gy.receivers):
             return False
-        if not np.array_equal(gx.tx_rx_dists_m, gy.tx_rx_dists_m):
-            return False
     return True
 
 
@@ -458,11 +444,6 @@ def test_scenario_structure_and_exclusion_invariant():
     for g in s.groups:
         d = np.sqrt(((g.receivers[:, None, :] - cu_pos[None, :, :]) ** 2).sum(axis=2))
         assert (d.min(axis=1) >= p.exclusion_radius_m).all()
-        # stored distances match the geometry
-        np.testing.assert_allclose(
-            g.tx_rx_dists_m,
-            np.hypot(*(g.receivers - g.tx_position).T),
-        )
 
 
 def test_scenario_degenerate_when_exclusion_covers_cell():

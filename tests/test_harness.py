@@ -226,7 +226,7 @@ def test_config_validate_rejects_bad_shapes():
         dict(sweep_variable="n_per_channel", sweep_values=(2.0, 2.5), schemes=("fixed2",)),
     ]
     assert [kw for kw in bad if _validates(**kw)] == []
-    # the greedy search has no group limit
+    # the greedy search takes 12 transmitters on 3 channels, past the exhaustive limit
     assert _validates(sweep_variable="lambda_g", sweep_values=(1.5e-5,), schemes=("heuristic",))
     # six channels but four groups: 1,045 matchings, fewer than 5 on 5 channels
     assert _validates(base=SimParams(num_channels=6, num_groups=4), sweep_values=(50.0,))
@@ -349,6 +349,7 @@ def test_one_worker_pool_per_run(monkeypatch):
             super().__init__(*a, **kw)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # the pool is capped at the CPUs
     cfg = _tiny_config(sweep_values=(20.0, 50.0, 80.0), schemes=("optimal",), n_scenarios=4)
     serial = format_rows("D", run_experiment(cfg))
     assert not opened
@@ -361,6 +362,48 @@ def test_one_worker_pool_per_run(monkeypatch):
     assert len(opened) == 2
     assert not multiprocessing.active_children()
     assert hist == winning_combination_histogram(cfg)
+
+
+def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
+    """`parallel` sizes the pool and the blocks at most at the scenario count
+    and the CPU count, and a count of one runs serially. The fake executor
+    maps in the test's own process, so no worker process starts."""
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.blocks = max_workers, []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            self.blocks += [(lo, hi) for *_, lo, hi in blocks]
+            return map(fn, blocks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    cfg = _tiny_config(sweep_values=(50.0,), schemes=("optimal",), n_scenarios=3)
+    serial = format_rows("D", run_experiment(cfg))
+    for parallel, cpus, workers in [
+        (8, 64, 3),  # capped at the 3 scenarios
+        (8, 2, 2),  # capped at the CPU count
+        (10**9, 2, 2),
+        (2, 1, 1),
+        (3, None, 1),  # an unknown CPU count runs serially
+    ]:
+        pools.clear()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert format_rows("D", run_experiment(replace(cfg, parallelism=parallel))) == serial
+        if workers == 1:
+            assert pools == []
+        else:
+            assert [p.max_workers for p in pools] == [workers]
+            assert len(pools[0].blocks) == workers
+            assert pools[0].blocks[0][0] == 0 and pools[0].blocks[-1][1] == 3
 
 
 def test_sweep_points_share_one_scenario_stream():
@@ -436,6 +479,45 @@ def test_cli_reports_bad_input_without_traceback(tmp_path, capsys, argv, message
     out, err = capsys.readouterr()
     assert err.startswith("mgshare: error: ") and message in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sweep = D\nsweep_values = 50\nnum_groups = 40\n",
+        # the second point derives 79 transmitters
+        "sweep = lambda_g\nsweep_values = 1e-5, 1e-4\n",
+        # one greedy_match call would hold 768,212 table rows of 129 entries
+        "sweep = D\nsweep_values = 50\nnum_channels = 30\n",
+    ],
+)
+def test_cli_run_refuses_oversized_greedy_configs(tmp_path, capsys, monkeypatch, text):
+    conf = tmp_path / "big.conf"
+    conf.write_text(text + "schemes = heuristic\nscenarios = 2\n")
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("mgshare: error: ") and "greedy search refused" in err
+    # 2,532,530 families of 3 subsets: the `all` table of 12 groups on 3 channels
+    assert "past the limit of 7597590" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the benchmark's three workloads
+        "sweep = D\nsweep_values = 20, 30, 40, 50, 60, 70, 80, 90, 100\n"
+        "schemes = optimal, almost_equal, equal, fixed2, heuristic, fixed_heuristic\n",
+        "sweep = D\nsweep_values = 50\nschemes = optimal, heuristic\nnum_groups = 9\n",
+        "sweep = P_G\nsweep_values = -10, 0, 10, 20, 30\nparallel = 2\nnum_groups = 5\n"
+        "schemes = fixed2, fixed_heuristic, optimal, all:exhaustive:grid(3)\n",
+        # the largest greedy size measured
+        "sweep = D\nsweep_values = 50\nschemes = all:greedy\nnum_groups = 12\n",
+    ],
+)
+def test_greedy_limit_admits_the_measured_sizes(text):
+    parse_config(text).validate()
 
 
 def test_cli_run_reports_a_missing_config_file(tmp_path, capsys):

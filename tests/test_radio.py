@@ -54,9 +54,7 @@ def _tiny_scenario():
     cus = [CellularUser(id=0, channel_index=0, position=cu_pos, dist_to_bs_m=100.0)]
     tx = np.array([0.0, 50.0])
     member = np.array([[0.0, 40.0]])
-    groups = [
-        MulticastGroup(id=0, tx_position=tx, receivers=member, tx_rx_dists_m=np.array([10.0]))
-    ]
+    groups = [MulticastGroup(id=0, tx_position=tx, receivers=member)]
     scn = NetworkScenario(
         params=p, cus=cus, groups=groups, excluded_receiver_count=0, scenario_seed=0
     )
@@ -120,7 +118,6 @@ def test_sir_group_empty_group_errors():
             id=1,
             tx_position=np.array([10.0, 10.0]),
             receivers=np.empty((0, 2)),
-            tx_rx_dists_m=np.empty(0),
         )
     )
     fading2 = FadingRealization(
