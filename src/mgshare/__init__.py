@@ -5,7 +5,6 @@ experiment harness."""
 from .allocation import Assignment, SchemeConfig, allocate, build_context
 from .combinatorics import (
     distinct_count,
-    enumerate_families,
     enumerate_size_vectors,
     reference_count,
     search_space_size,
@@ -27,7 +26,6 @@ __all__ = [
     "allocate",
     "build_context",
     "distinct_count",
-    "enumerate_families",
     "enumerate_size_vectors",
     "generate_scenario",
     "outage_cu",

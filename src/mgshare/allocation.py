@@ -119,13 +119,22 @@ def matching_count(n_subsets: int, num_channels: int) -> int:
     )
 
 
-def check_exhaustive_size(G: int, C: int) -> None:
+def _admits_family(G: int, C: int, mode: str) -> bool:
+    """Whether the mode admits a family of min(C, G) subsets of G groups, in
+    closed form: every mode but fixed(n) admits the singletons, and fixed(n)
+    needs n * min(C, G) groups. Without a family a scheme runs CU-only."""
+    kind, n = parse_mode(mode)
+    return G > 0 and (kind != "fixed" or n * min(C, G) <= G)
+
+
+def check_exhaustive_size(G: int, C: int, mode: str) -> None:
     """Refuse sizes past EXHAUSTIVE_GUARD. Families have at most min(C, G)
     subsets, so the search tries matching_count(min(C, G), C) matchings per
-    family; that count is what the channel limit bounds."""
+    family; that count is what the channel limit bounds. A mode that admits
+    no family tries none, and only the group limit of the tables holds."""
     gmax, cmax = EXHAUSTIVE_GUARD
     limit = matching_count(cmax, cmax)
-    n = matching_count(min(C, G), C)
+    n = matching_count(min(C, G), C) if _admits_family(G, C, mode) else 0
     if G > gmax or n > limit:
         raise ValueError(
             f"exhaustive search refused for G={G}, C={C} ({n} channel matchings): "
@@ -141,13 +150,18 @@ def check_greedy_size(G: int, C: int, mode: str) -> None:
     its last round, fewer than S = min(C, G) of them, and the family table
     has S subsets per family; neither may hold more cells than the `all`
     family table at GREEDY_GUARD. The table is counted first, since it bounds
-    G before the families are counted. Passing sizes are cached, as allocate
-    checks on every call."""
+    G before the families are counted. A mode that admits no family builds
+    neither; its run reads the CU-only score from the (C, 2^G) value table,
+    which is counted instead. Passing sizes are cached, as allocate checks
+    on every call."""
     gmax, cmax = GREEDY_GUARD
     limit = distinct_count(gmax, cmax) * cmax
     S = min(C, G)
-    table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
-    families = distinct_count(G, S, mode) * S if G and table <= limit else 0
+    if _admits_family(G, C, mode):
+        table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
+        families = distinct_count(G, S, mode) * S if table <= limit else 0
+    else:
+        table, families = C << G, 0
     if max(table, families) > limit:
         raise ValueError(
             f"greedy search refused for G={G}, C={C}, mode {mode}: its tables would "
@@ -193,9 +207,9 @@ class EvalContext:
         self.cu_power_w = np.full(self.C, p.max_cu_power_w)
 
         g_cu_bs = path_gain(L.d_cu_bs)
-        g_mg_bs = path_gain(L.d_mg_bs) if self.G else np.zeros(0)
-        g_cu_rx = path_gain(L.d_cu_rx) if L.num_rx else np.zeros((self.C, 0))
-        g_mg_rx = path_gain(L.d_mg_rx) if L.num_rx else np.zeros((self.G, 0))
+        g_mg_bs = path_gain(L.d_mg_bs)
+        g_cu_rx = path_gain(L.d_cu_rx)
+        g_mg_rx = path_gain(L.d_mg_rx)
 
         # feasible power interval per (group, channel): the floor binds at the
         # group's farthest member, the cap at the channel CU's distance
@@ -223,11 +237,10 @@ class EvalContext:
                     self.p_gk[g, k] = b.p_sup_w
 
         # unit-power link strengths (powers multiply in afterwards)
-        n = L.num_rx
         self.sig_cu = self.cu_power_w * fading.h_cu_bs * g_cu_bs
         self.base_I_rx = self.cu_power_w[:, None] * fading.h_cu_rx * g_cu_rx
-        self.u_contrib_rx = fading.h_mg_rx * g_mg_rx[:, :, None] if self.G else np.zeros((0, n, self.C))
-        self.u_contrib_bs = fading.h_mg_bs * g_mg_bs[:, None] if self.G else np.zeros((0, self.C))
+        self.u_contrib_rx = fading.h_mg_rx * g_mg_rx[:, :, None]
+        self.u_contrib_bs = fading.h_mg_bs * g_mg_bs[:, None]
 
         self._g_mg_bs = g_mg_bs
         self._g_cu_rx = g_cu_rx
@@ -259,8 +272,6 @@ class EvalContext:
             self.links.group_sizes,
             self.params.mg_sir_threshold,
             self.params.cu_sir_threshold,
-            self.params.bandwidth_hz,
-            SIR_CAP,
         )
         return np.take_along_axis(raw, surv, axis=1), surv
 
@@ -316,14 +327,14 @@ class EvalContext:
         reproduces the raw value table bitwise.
         """
         p = self.params
-        bw, cap = p.bandwidth_hz, SIR_CAP
+        cap = SIR_CAP
         live = [g for g in range(self.G) if (mask >> g) & 1]
         down = live[::-1]
         I_bs = 0.0
         for g in down:
             I_bs += mg_power_w[g] * self.u_contrib_bs[g, k]
         gam = cap if I_bs <= 0.0 else min(self.sig_cu[k] / I_bs, cap)
-        total = bw * math.log2(1.0 + gam) if gam >= p.cu_sir_threshold else 0.0
+        total = math.log2(1.0 + gam) if gam >= p.cu_sir_threshold else 0.0
         L = self.links
         for g in live:
             worst = math.inf
@@ -337,7 +348,7 @@ class EvalContext:
                 gr = cap if den <= 0.0 else min(sig / den, cap)
                 worst = min(worst, gr)
             if worst >= p.mg_sir_threshold:
-                total += bw * math.log2(1.0 + worst)
+                total += math.log2(1.0 + worst)
         return total
 
 
@@ -655,16 +666,16 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     C, G = ctx.C, ctx.G
     policy, grid_n = _parse_policy(scheme.power_policy)
     if scheme.assignment_method == "exhaustive":
-        check_exhaustive_size(G, C)
+        check_exhaustive_size(G, C, scheme.selection_mode)
     else:
         check_greedy_size(G, C, scheme.selection_mode)
-    fam_masks = _family_mask_array(G, min(C, G), scheme.selection_mode) if G else ()
     chan = np.zeros(C, dtype=np.int64)  # group mask on each channel
     mg_power = np.zeros(G)
-    if len(fam_masks) == 0:
+    if not _admits_family(G, C, scheme.selection_mode):
         # no active group, or the mode admits no family at this (G, C): CU-only
         return _assignment(chan, ()), PowerVector(ctx.cu_power_w.copy(), mg_power), ctx.baseline
 
+    fam_masks = _family_mask_array(G, min(C, G), scheme.selection_mode)
     if scheme.assignment_method == "exhaustive":
         fi, row, tv = _exhaustive_best(ctx, fam_masks)
     else:

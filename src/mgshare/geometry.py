@@ -6,7 +6,8 @@ uniformly; candidate receivers come from a Poisson count and are thinned by
 the exclusion disks of radius D around every cellular user, which turns the
 receiver field into a hole process. Surviving receivers attach to the
 transmitter with the strongest mean received power, provided that power
-clears the association threshold.
+clears the association threshold. Both tests take their distances and path
+gains from `radio`, which writes each link formula once.
 
 Candidate positions are computed only inside windows. A point is drawn as
 two uniforms (u, v) and sits at (R sqrt(u) cos 2 pi v, R sqrt(u) sin 2 pi v).
@@ -62,6 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
+from .radio import path_gain, squared_distances
 from .seeds import child_seed, rng_for
 
 # Relative pad on the association reach (see the module docstring).
@@ -137,19 +139,6 @@ def sample_poisson_count(intensity: float, area_m2: float, rng: np.random.Genera
     return int(rng.poisson(intensity * area_m2))
 
 
-def _squared_distances(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(m, n) table of dx*dx + dy*dy from m centres to n points, one row per
-    centre; each entry depends on its own pair alone.
-
-    Summing ((p - c) ** 2) over a length-2 axis gives the same bits, but
-    numpy reduces along a short last axis several times slower, so the
-    coordinates are read as columns and the callers reduce over rows.
-    """
-    dx = centers[:, 0, None] - points[:, 0]
-    dy = centers[:, 1, None] - points[:, 1]
-    return dx * dx + dy * dy
-
-
 def apply_exclusion(candidates, cu_positions, exclusion_radius_m: float):
     """Drop candidates lying strictly inside any exclusion disk.
 
@@ -161,16 +150,15 @@ def apply_exclusion(candidates, cu_positions, exclusion_radius_m: float):
         raise ValueError("exclusion radius must be nonnegative")
     pts = np.asarray(candidates, dtype=float).reshape(-1, 2)
     centers = np.asarray(cu_positions, dtype=float).reshape(-1, 2)
-    keep = (_squared_distances(centers, pts) >= exclusion_radius_m ** 2).all(axis=0)
+    keep = (squared_distances(centers, pts) >= exclusion_radius_m ** 2).all(axis=0)
     return pts[keep], int(len(pts) - keep.sum())
 
 
 @dataclass(eq=False)
 class CellularUser:
-    id: int
-    channel_index: int
+    """The cellular user of the channel at its index in ``NetworkScenario.cus``."""
+
     position: np.ndarray
-    dist_to_bs_m: float
 
 
 @dataclass(eq=False)
@@ -227,19 +215,17 @@ def form_groups(
 ) -> list[MulticastGroup]:
     """Attach each receiver to its strongest transmitter.
 
-    Mean received power is tx_power * d^-4 with the link distance floored
-    at MIN_LINK_DISTANCE_M; fading plays no part in association. Receivers
-    whose best power falls below the association threshold join no group, and
-    ties go to the lowest transmitter index. Transmitters left with no
+    Mean received power is tx_power * radio.path_gain(d), d^-4 with the
+    link distance floored at MIN_LINK_DISTANCE_M; fading plays no part in
+    association. Receivers whose best power falls below the association
+    threshold join no group, and ties go to the lowest transmitter index. Transmitters left with no
     receivers are omitted from the result.
     """
     txs = np.atleast_2d(np.asarray(tx_positions, dtype=float))
     if len(txs) == 0:
         raise ValueError("need at least one transmitter")
     rx = np.asarray(receivers, dtype=float).reshape(-1, 2)
-    d = np.sqrt(_squared_distances(txs, rx))
-    d_eff = np.maximum(d, MIN_LINK_DISTANCE_M)
-    power = tx_power_w * d_eff ** (-PATH_LOSS_EXPONENT)
+    power = tx_power_w * path_gain(np.sqrt(squared_distances(txs, rx)))
     best = power.argmax(axis=0)  # first max wins: lowest transmitter id
     attached = power[best, np.arange(len(rx))] >= assoc_min_rx_power_w
     groups = []
@@ -266,15 +252,7 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     R = params.cell_radius_m
     C = params.num_channels
     cu_pos = sample_uniform_disk(C, R, rng)
-    cus = [
-        CellularUser(
-            id=k,
-            channel_index=k,
-            position=cu_pos[k],
-            dist_to_bs_m=float(np.hypot(cu_pos[k, 0], cu_pos[k, 1])),
-        )
-        for k in range(C)
-    ]
+    cus = [CellularUser(position=pos) for pos in cu_pos]
     tx_pos = sample_uniform_disk(params.num_groups, R, rng)
     n_cand = sample_poisson_count(params.receiver_density_per_m2, params.cell_area_m2, rng)
     u = rng.random(n_cand)

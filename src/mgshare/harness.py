@@ -115,12 +115,13 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must be non-empty")
         if not all(math.isfinite(v) for v in self.sweep_values):
             raise ConfigError("sweep_values must be finite")
-        if list(self.sweep_values) != sorted(self.sweep_values):
-            raise ConfigError("sweep_values must be sorted ascending")
+        if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
+            raise ConfigError("sweep_values must be sorted strictly ascending, none repeated")
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
-        for tok in self.schemes:
-            resolve_scheme(tok)
+        modes = [parse_mode(resolve_scheme(tok).selection_mode)[0] for tok in self.schemes]
+        if self.sweep_variable == "n_per_channel" and "fixed" not in modes:
+            raise ConfigError("sweep n_per_channel needs a fixed(n) scheme: it changes no other")
         if self.n_scenarios < 1:
             raise ConfigError("scenarios must be at least 1")
         if self.parallelism < 1:
@@ -138,7 +139,7 @@ class ExperimentConfig:
                 G, C = params.num_groups, params.num_channels
                 for scheme in map(resolve_scheme, tokens):
                     if scheme.assignment_method == "exhaustive":
-                        check_exhaustive_size(G, C)
+                        check_exhaustive_size(G, C, scheme.selection_mode)
                     else:
                         check_greedy_size(G, C, scheme.selection_mode)
             except ValueError as e:

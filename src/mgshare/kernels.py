@@ -23,10 +23,12 @@ that group's bit cleared, never by subtracting it back out of the inclusive
 sum: the own term dominates by orders of magnitude and the subtraction would
 wipe out the co-channel digits. Each group's worst member SIR is gathered
 over the masks that hold it, and group rates are added onto the CU rate in
-increasing group order, a failing group adding 0.0, which is exact. Rates
-take log2 from libm one value at a time rather than from numpy's vectorized
-log2, which may differ in the last bit depending on the SIMD extensions of
-the CPU; the tables, and so the results, are then the same on every machine.
+increasing group order, a failing group adding 0.0, which is exact. A rate
+is the spectral efficiency log2(1 + SIR) in bit/s/Hz, with every SIR capped
+at params.SIR_CAP. Rates take log2 from libm one value at a time rather than
+from numpy's vectorized log2, which may differ in the last bit depending on
+the SIMD extensions of the CPU; the tables, and so the results, are then the
+same on every machine.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .params import SIR_CAP
 
 
 def _subset_sums(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
@@ -61,29 +65,27 @@ def _with_group(table: np.ndarray, g: int) -> np.ndarray:
     return table.reshape((-1, 2, 1 << g) + table.shape[1:])
 
 
-def _sir(sig, den, cap):
-    """sig / den capped at cap; a non-positive denominator gives the cap."""
+def _sir(sig, den):
+    """sig / den capped at SIR_CAP; a non-positive denominator gives the cap."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den <= 0.0, cap, np.minimum(sig / den, cap))
+        return np.where(den <= 0.0, SIR_CAP, np.minimum(sig / den, SIR_CAP))
 
 
-def _rate(sir: np.ndarray, bw: float) -> np.ndarray:
-    """bw * log2(1 + sir), with libm's log2 applied value by value."""
+def _rate(sir: np.ndarray) -> np.ndarray:
+    """log2(1 + sir), with libm's log2 applied value by value."""
     logs = np.fromiter(map(math.log2, (1.0 + sir).ravel().tolist()), float, sir.size)
-    return bw * logs.reshape(sir.shape)
+    return logs.reshape(sir.shape)
 
 
-def _gated_rate(sir: np.ndarray, threshold: float, bw: float):
+def _gated_rate(sir: np.ndarray, threshold: float):
     """Rates where sir clears the threshold, 0.0 elsewhere, and that gate."""
     ok = sir >= threshold
     rate = np.zeros(sir.shape)
-    rate[ok] = _rate(sir[ok], bw)
+    rate[ok] = _rate(sir[ok])
     return rate, ok
 
 
-def build_value_table(
-    base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes, mg_th, cu_th, bw, cap
-):
+def build_value_table(base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes, mg_th, cu_th):
     """Per-channel score and decode pass-mask for every co-channel group mask.
 
     Returns a (C, 2^G) float table and a (C, 2^G) int64 table. Entry [k, m]
@@ -95,21 +97,21 @@ def build_value_table(
     contrib_rx = np.asarray(contrib_rx, dtype=np.float64)  # (G, n, C)
     sig_cu = np.asarray(sig_cu, dtype=np.float64)  # (C,)
     contrib_bs = np.asarray(contrib_bs, dtype=np.float64)  # (G, C)
-    mg_th, cu_th, bw, cap = float(mg_th), float(cu_th), float(bw), float(cap)
+    mg_th, cu_th = float(mg_th), float(cu_th)
     C = base_I_rx.shape[0]
     G = contrib_rx.shape[0]
 
     I_rx = _subset_sums(base_I_rx, contrib_rx.transpose(0, 2, 1))  # (M, C, n)
     I_bs = _subset_sums(np.zeros(C), contrib_bs)  # (M, C)
-    total, _ = _gated_rate(_sir(sig_cu, I_bs, cap), cu_th, bw)
+    total, _ = _gated_rate(_sir(sig_cu, I_bs), cu_th)
     passing = np.zeros(total.shape, dtype=np.int64)
     for g in range(G):
         lo = int(offsets[g])
         hi = lo + int(sizes[g])
         den = _with_group(I_rx, g)[:, 0, :, :, lo:hi]  # (.., .., C, members)
         sig = contrib_rx[g, lo:hi, :].T  # (C, members)
-        worst = _sir(sig, den, cap).min(axis=-1, initial=math.inf)
-        rate, ok = _gated_rate(worst, mg_th, bw)
+        worst = _sir(sig, den).min(axis=-1, initial=math.inf)
+        rate, ok = _gated_rate(worst, mg_th)
         _with_group(total, g)[:, 1] += rate
         _with_group(passing, g)[:, 1] |= ok.astype(np.int64) << g
     return np.ascontiguousarray(total.T), np.ascontiguousarray(passing.T)

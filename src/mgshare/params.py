@@ -1,11 +1,13 @@
 """Simulation parameters, model constants and unit helpers.
 
 All distances are metres, powers are watts internally (dBm at the config
-surface), densities are per square metre. Rates are in bit/s/Hz unless a
-bandwidth other than 1 Hz is configured.
+surface), densities are per square metre. Rates are spectral efficiencies
+in bit/s/Hz, the unit the paper scores a cell by, so no bandwidth enters
+the arithmetic.
 
 The path loss exponent is the model constant PATH_LOSS_EXPONENT, not a
-parameter, so a config that sets it is refused as an unknown key.
+parameter, and rates have no bandwidth parameter either, so a config that
+sets `path_loss_exponent` or `bandwidth_hz` is refused as an unknown key.
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ class SimParams:
     cu_sir_threshold_db: float = 0.0
     mg_sir_threshold_db: float = 25.0
     cu_min_rate_bps_hz: float = 0.0
-    bandwidth_hz: float = 1.0
 
     # Outage budgets and analytic field densities
     cu_outage_budget: float = 0.1
@@ -91,6 +92,11 @@ class SimParams:
         return PATH_LOSS_EXPONENT
 
     @property
+    def bandwidth_hz(self) -> float:
+        """1 Hz, as rates are in bit/s/Hz; for the same readers as path_loss_exponent."""
+        return 1.0
+
+    @property
     def max_cu_power_w(self) -> float:
         return dbm_to_watt(self.max_cu_power_dbm)
 
@@ -103,11 +109,11 @@ class SimParams:
         """Effective linear CU SIR threshold.
 
         A configured minimum CU rate tightens the plain SIR threshold to
-        whichever is harder to meet: gamma >= max(th, 2^(Rmin/Bw) - 1).
+        whichever is harder to meet: gamma >= max(th, 2^Rmin - 1).
         """
         th = db_to_linear(self.cu_sir_threshold_db)
         if self.cu_min_rate_bps_hz > 0.0:
-            th = max(th, 2.0 ** (self.cu_min_rate_bps_hz / self.bandwidth_hz) - 1.0)
+            th = max(th, 2.0 ** self.cu_min_rate_bps_hz - 1.0)
         return th
 
     @property
@@ -143,8 +149,6 @@ class SimParams:
         for name in ("receiver_density_per_m2", "cu_density_per_m2", "group_density_per_m2"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth_hz must be positive")
         for name in (
             "max_cu_power_w", "max_mg_power_w", "assoc_min_rx_power_w", "assoc_ref_power_w",
             "cu_sir_threshold", "mg_sir_threshold",

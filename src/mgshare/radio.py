@@ -1,8 +1,10 @@
-"""Link-level physics: path gains, link distance tables, fading draws.
+"""Link-level physics: path gains, link distances, fading draws.
 
 Everything here is a pure function of a scenario's geometry and a random
-stream. Path gain is d^-4 (``params.PATH_LOSS_EXPONENT``). The SIR and rate arithmetic built on them lives in the search
-layer: the kernels score every co-channel group mask at once, and
+stream. Each formula is written once, and the sampler's exclusion and
+association tests use the same distances and path gain, d^-4
+(``params.PATH_LOSS_EXPONENT``), as the links. The SIR and rate arithmetic
+built on them lives in the search layer: the kernels score every co-channel group mask at once, and
 ``EvalContext.channel_value`` rescores one channel for the grid power
 ascent, summing in the kernels' order so that at the table powers it
 returns the value table's entry bit for bit. The link-by-link radio scorer
@@ -16,6 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT
+
+
+def squared_distances(centers: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(m, n) table of dx*dx + dy*dy from m centres to n points, one row per
+    centre; each entry depends on its own pair alone.
+
+    Summing ((p - c) ** 2) over a length-2 axis gives the same bits, but
+    numpy reduces along a short last axis several times slower, so the
+    coordinates are read as columns and the callers reduce over rows.
+    """
+    dx = centers[:, 0, None] - points[:, 0]
+    dy = centers[:, 1, None] - points[:, 1]
+    return dx * dx + dy * dy
 
 
 def path_gain(d):
@@ -51,31 +66,20 @@ class ScenarioLinks:
 
 
 def scenario_links(scenario) -> ScenarioLinks:
-    p = scenario.params
     groups = scenario.groups
     sizes = np.array([g.num_receivers for g in groups], dtype=np.int64)
-    offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1] if len(sizes) else np.zeros(0, np.int64)
-    rx_group = np.repeat(np.arange(len(groups)), sizes) if len(sizes) else np.zeros(0, np.int64)
-    rx = (
-        np.vstack([g.receivers for g in groups])
-        if len(groups)
-        else np.empty((0, 2))
-    )
+    rx = np.vstack([g.receivers for g in groups]) if groups else np.empty((0, 2))
     cu_pos = np.vstack([c.position for c in scenario.cus])
-    tx_pos = (
-        np.vstack([g.tx_position for g in groups]) if len(groups) else np.empty((0, 2))
-    )
-    d_cu_rx = np.sqrt(((cu_pos[:, None, :] - rx[None, :, :]) ** 2).sum(axis=2))
-    d_mg_rx = np.sqrt(((tx_pos[:, None, :] - rx[None, :, :]) ** 2).sum(axis=2))
+    tx_pos = np.array([g.tx_position for g in groups]).reshape(-1, 2)
     return ScenarioLinks(
-        params=p,
+        params=scenario.params,
         group_sizes=sizes,
-        offsets=offsets,
-        rx_group=rx_group,
-        d_cu_bs=np.array([c.dist_to_bs_m for c in scenario.cus]),
-        d_mg_bs=np.hypot(tx_pos[:, 0], tx_pos[:, 1]) if len(groups) else np.zeros(0),
-        d_cu_rx=d_cu_rx,
-        d_mg_rx=d_mg_rx,
+        offsets=np.cumsum(sizes) - sizes,
+        rx_group=np.repeat(np.arange(len(groups)), sizes),
+        d_cu_bs=np.hypot(cu_pos[:, 0], cu_pos[:, 1]),
+        d_mg_bs=np.hypot(tx_pos[:, 0], tx_pos[:, 1]),
+        d_cu_rx=np.sqrt(squared_distances(cu_pos, rx)),
+        d_mg_rx=np.sqrt(squared_distances(tx_pos, rx)),
     )
 
 

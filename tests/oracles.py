@@ -88,27 +88,26 @@ def sir_cu(scenario_or_links, fading, powers, assignment, k):
     return _capped(sig, den)
 
 
-def rate(gamma, threshold, bandwidth_hz=1.0):
-    """B log2(1 + gamma), gated by the decode threshold."""
+def rate(gamma, threshold):
+    """log2(1 + gamma) in bit/s/Hz, gated by the decode threshold."""
     if gamma < threshold:
         return 0.0
-    return bandwidth_hz * math.log2(1.0 + gamma)
+    return math.log2(1.0 + gamma)
 
 
 def sum_throughput(scenario_or_links, fading, powers, assignment):
     """CU rate plus the rates of the groups assigned to it, summed over
-    channels (bps/Hz at B_w = 1)."""
+    channels, in bit/s/Hz."""
     links = _links_of(scenario_or_links)
     p = links.params
     assignment = np.asarray(assignment)
-    bw = p.bandwidth_hz
     total = 0.0
     for k in range(p.num_channels):
-        total += rate(sir_cu(links, fading, powers, assignment, k), p.cu_sir_threshold, bw)
+        total += rate(sir_cu(links, fading, powers, assignment, k), p.cu_sir_threshold)
         for g in range(links.num_groups):
             if assignment[g] == k:
                 total += rate(
-                    sir_group(links, fading, powers, assignment, g, k), p.mg_sir_threshold, bw
+                    sir_group(links, fading, powers, assignment, g, k), p.mg_sir_threshold
                 )
     return total
 
@@ -148,9 +147,8 @@ def evaluate(ctx, assignment):
 # table builds
 
 
-def value_table_loop(
-    base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes, mg_th, cu_th, bw, cap
-):
+def value_table_loop(base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes, mg_th, cu_th):
+    cap = SIR_CAP
     C, n = base_I_rx.shape
     G = contrib_rx.shape[0]
     M = 1 << G
@@ -162,7 +160,7 @@ def value_table_loop(
         for j in range(n):
             I_rx[0, j] = base_I_rx[k, j]
         I_bs[0] = 0.0
-        out[k, 0] = bw * math.log2(1.0 + cap) if cap >= cu_th else 0.0
+        out[k, 0] = math.log2(1.0 + cap) if cap >= cu_th else 0.0
         for m in range(1, M):
             b = m & (-m)
             g = 0
@@ -179,7 +177,7 @@ def value_table_loop(
                 gam = sig_cu[k] / den
                 if gam > cap:
                     gam = cap
-            total = bw * math.log2(1.0 + gam) if gam >= cu_th else 0.0
+            total = math.log2(1.0 + gam) if gam >= cu_th else 0.0
             ok = 0
             mm = m
             while mm:
@@ -203,7 +201,7 @@ def value_table_loop(
                     if gr < worst:
                         worst = gr
                 if worst >= mg_th:
-                    total += bw * math.log2(1.0 + worst)
+                    total += math.log2(1.0 + worst)
                     ok |= bb
             out[k, m] = total
             passing[k, m] = ok
@@ -418,10 +416,7 @@ def generate_scenario_dense(params, index):
     rng = rng_for(params.master_seed, index)
     R = params.cell_radius_m
     cu_pos = _disk_dense(params.num_channels, R, rng)
-    cus = [
-        CellularUser(k, k, cu_pos[k], float(np.hypot(cu_pos[k, 0], cu_pos[k, 1])))
-        for k in range(params.num_channels)
-    ]
+    cus = [CellularUser(position=pos) for pos in cu_pos]
     tx_pos = _disk_dense(params.num_groups, R, rng)
     n_cand = int(rng.poisson(params.receiver_density_per_m2 * params.cell_area_m2))
     candidates = _disk_dense(n_cand, R, rng)

@@ -18,6 +18,7 @@ from mgshare.allocation import (
     build_context,
     greedy_match,
     matching_count,
+    _admits_family,
     _exhaustive_best,
     _family_mask_array,
     _greedy_best,
@@ -238,6 +239,34 @@ def test_greedy_guard_names_its_limit():
     s = _scenario(min_groups=7, max_groups=7, params=SimParams(num_channels=30))
     with pytest.raises(ValueError, match="G=7, C=30, mode all: .* past the limit of 7597590"):
         allocate(s, SchemeConfig(assignment_method="greedy"))
+
+
+@pytest.mark.parametrize(
+    "scheme, params",
+    [
+        # fixed(7) needs 7 * min(30, G) groups; the greedy tables would hold 99,099,348 cells
+        (SchemeConfig("fixed(7)", "greedy"), SimParams(num_channels=30)),
+        # fixed(2) needs 2 * min(30, G) groups; 20,641,771 matchings per family
+        (SchemeConfig("fixed(2)"), SimParams(num_channels=30, num_groups=5)),
+    ],
+    ids=["fixed7-greedy", "fixed2-exhaustive"],
+)
+def test_guards_pass_modes_that_admit_no_family(scheme, params):
+    G = params.num_groups
+    s = _scenario(min_groups=G, max_groups=G, params=params)
+    ctx = build_context(s)
+    assignment, powers, tv = allocate(ctx, scheme)
+    assert tv == ctx.baseline
+    assert not powers.mg_power_w.any()
+    assert assignment.assigned_groups == frozenset() and assignment.unassigned_subsets == ()
+
+
+def test_admits_family_equals_a_nonempty_family_table():
+    for G in range(0, 9):
+        for C in range(1, 7):
+            for mode in ("all", "almost_equal", "equal", "fixed(1)", "fixed(2)", "fixed(3)"):
+                table = _family_mask_array(G, min(C, G), mode) if G else ()
+                assert _admits_family(G, C, mode) == (len(table) > 0), (G, C, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -417,7 +417,7 @@ def _scenarios_equal(a: NetworkScenario, b: NetworkScenario) -> bool:
     if a.scenario_seed != b.scenario_seed:
         return False
     for x, y in zip(a.cus, b.cus):
-        if not (x.id == y.id and np.array_equal(x.position, y.position)):
+        if not np.array_equal(x.position, y.position):
             return False
     for gx, gy in zip(a.groups, b.groups):
         if gx.id != gy.id or not np.array_equal(gx.receivers, gy.receivers):

@@ -117,8 +117,11 @@ _AWKWARD_PATHS = st.text(st.sampled_from("ab./=#- \t\n\r\x0b\x0c\x85\u2028\u3000
 @st.composite
 def _configs(draw):
     var = draw(st.sampled_from(sorted(_SWEEP_VALUES)))
-    values = draw(st.lists(_SWEEP_VALUES[var], min_size=1, max_size=4))
+    # a sweep lists each value once, and an n_per_channel sweep needs a fixed(n) scheme
+    values = draw(st.lists(_SWEEP_VALUES[var], min_size=1, max_size=4, unique=True))
     schemes = draw(st.lists(st.sampled_from(sorted(SCHEME_PRESETS)), min_size=1, max_size=3, unique=True))
+    if var == "n_per_channel" and not {"fixed2", "fixed_heuristic"} & set(schemes):
+        schemes.append(draw(st.sampled_from(("fixed2", "fixed_heuristic"))))
     base = SimParams(
         num_channels=draw(st.integers(1, 5)),
         max_cu_power_dbm=draw(st.floats(-10.0, 40.0)),
@@ -224,6 +227,10 @@ def test_config_validate_rejects_bad_shapes():
         dict(base=SimParams(num_channels=7, num_groups=4), sweep_values=(50.0,)),
         # n_per_channel is a subset size, so 2.5 is refused, not truncated
         dict(sweep_variable="n_per_channel", sweep_values=(2.0, 2.5), schemes=("fixed2",)),
+        # a repeated value writes the same rows twice
+        dict(sweep_values=(50.0, 50.0)),
+        # n_per_channel rewrites only fixed(n) schemes: without one every point is the same
+        dict(sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("optimal", "heuristic")),
     ]
     assert [kw for kw in bad if _validates(**kw)] == []
     # the greedy search takes 12 transmitters on 3 channels, past the exhaustive limit
@@ -231,23 +238,35 @@ def test_config_validate_rejects_bad_shapes():
     # six channels but four groups: 1,045 matchings, fewer than 5 on 5 channels
     assert _validates(base=SimParams(num_channels=6, num_groups=4), sweep_values=(50.0,))
     assert _validates(sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("fixed2",))
-    # the path loss exponent is a model constant, not a setting
+    assert _validates(
+        sweep_variable="n_per_channel", sweep_values=(2.0, 3.0), schemes=("optimal", "fixed2")
+    )
+    # fixed(n) needs n * min(C, G) groups: with no family these run CU-only,
+    # so neither guard counts a search that never runs
+    assert _validates(
+        base=SimParams(num_channels=30, num_groups=7), sweep_values=(50.0,), schemes=("fixed(7):greedy",)
+    )
+    assert _validates(
+        base=SimParams(num_channels=30, num_groups=5), sweep_values=(50.0,), schemes=("fixed2",)
+    )
+    # the path loss exponent is a model constant and rates are in bit/s/Hz:
+    # neither is a setting
     with pytest.raises(ConfigError, match="unknown key 'path_loss_exponent'"):
         parse_config(MINIMAL + "path_loss_exponent = 4\n")
+    with pytest.raises(ConfigError, match="unknown key 'bandwidth_hz'"):
+        parse_config(MINIMAL + "bandwidth_hz = 2\n")
 
 
 def test_sim_params_validate_refuses_range_gaps():
     bad = [
         # each of these used to pass and then raise inside the first scenario
         dict(receiver_density_per_m2=-1e-3),
-        dict(bandwidth_hz=0.0, cu_min_rate_bps_hz=1.0),
-        dict(bandwidth_hz=1e-3, cu_min_rate_bps_hz=5.0),  # 2^5000 - 1 overflows
+        dict(cu_min_rate_bps_hz=5000.0),  # 2^5000 - 1 overflows
         dict(exclusion_radius_m=0.0),  # the power floor needs a positive guard
         dict(exclusion_radius_m=0.5),
         dict(max_mg_power_dbm=4000.0),
         dict(cu_density_per_m2=-1e-6),
         dict(group_density_per_m2=-1e-6),
-        dict(bandwidth_hz=-1.0),
     ]
     for kw in bad:
         with pytest.raises(ValueError):
@@ -269,7 +288,6 @@ _SIM_RANGES = dict(
     cu_sir_threshold_db=_DB,
     mg_sir_threshold_db=_DB,
     cu_min_rate_bps_hz=st.floats(0.0, 10.0),
-    bandwidth_hz=st.floats(1e-3, 1e6),
     cu_outage_budget=st.floats(1e-3, 0.999),
     mg_outage_budget=st.floats(1e-3, 0.999),
     cu_density_per_m2=st.floats(0.0, 1e-3),
@@ -281,8 +299,7 @@ _SIM_EDGES = [
     ("cell_radius_m", 0.0), ("exclusion_radius_m", 0.0), ("exclusion_radius_m", 1e-300),
     ("exclusion_radius_m", 0.999), ("num_channels", 0), ("num_groups", -1),
     ("receiver_density_per_m2", -1e-3), ("cu_density_per_m2", -1e-6),
-    ("group_density_per_m2", -1e-6), ("bandwidth_hz", 0.0), ("bandwidth_hz", 1e-300),
-    ("max_cu_power_dbm", 4000.0), ("max_mg_power_dbm", 4000.0),
+    ("group_density_per_m2", -1e-6), ("max_cu_power_dbm", 4000.0), ("max_mg_power_dbm", 4000.0),
     ("assoc_ref_power_dbm", 4000.0), ("assoc_min_rx_power_dbm", -4000.0),
     ("mg_sir_threshold_db", 4000.0), ("cu_min_rate_bps_hz", 3000.0),
     ("cu_outage_budget", 1.0), ("mg_outage_budget", 0.0),
@@ -407,14 +424,15 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
 
 
 def test_sweep_points_share_one_scenario_stream():
-    # A repeated sweep value must reproduce its row exactly: every point
-    # scores the same scenarios, so only the parameters tell points apart.
+    # A sweep value must reproduce its rows exactly at any position in the
+    # sweep: every point scores the same scenarios, so only the parameters
+    # tell points apart.
     cfg = _tiny_config(
-        sweep_variable="P_G", sweep_values=(20.0, 20.0),
+        sweep_variable="P_G", sweep_values=(10.0, 20.0),
         schemes=("optimal", "heuristic"), n_scenarios=3,
     )
     rows = run_experiment(cfg)
-    assert rows[:2] == rows[2:]
+    assert rows[2:] == run_experiment(replace(cfg, sweep_values=(20.0,)))
     assert any(r.mean_throughput > 0.0 for r in rows)
 
 

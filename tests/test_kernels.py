@@ -36,8 +36,6 @@ def _random_inputs(seed, G, C=3):
         sizes=sizes,
         mg_th=316.23,
         cu_th=3.98,
-        bw=1.0,
-        cap=SIR_CAP,
     )
 
 
@@ -106,8 +104,6 @@ def _table_inputs(ctx):
         sizes=ctx.links.group_sizes,
         mg_th=p.mg_sir_threshold,
         cu_th=p.cu_sir_threshold,
-        bw=p.bandwidth_hz,
-        cap=SIR_CAP,
     )
 
 
