@@ -48,9 +48,20 @@ from .power import power_interval
 from .radio import PowerVector, draw_fading, path_gain, scenario_links
 from .seeds import rng_for
 
-# Stream tag for the fading draw derived from a scenario's seed; the harness
-# uses the same tag so allocation and reporting see one realization.
+# Stream tag of EvalContext's fading draw from a scenario's seed, so every
+# scheme scored on one scenario sees one fading realization.
 FADING_STREAM = 1
+
+# Config tokens naming a (selection mode, assignment method) with the default
+# power policy; see SchemeConfig.from_token for spelled-out schemes.
+SCHEME_PRESETS = {
+    "optimal": ("all", "exhaustive"),
+    "almost_equal": ("almost_equal", "exhaustive"),
+    "equal": ("equal", "exhaustive"),
+    "fixed2": ("fixed(2)", "exhaustive"),
+    "heuristic": ("all", "greedy"),
+    "fixed_heuristic": ("fixed(2)", "greedy"),
+}
 
 # Limits of the exhaustive search: its tables grow as 2^G columns and its
 # candidates as families times channel matchings. It takes at most 10 groups
@@ -96,7 +107,7 @@ class Assignment:
         return frozenset(out)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
     """What to search (selection_mode), how to assign (method), how to power."""
 
@@ -108,7 +119,45 @@ class SchemeConfig:
         parse_mode(self.selection_mode)
         if self.assignment_method not in ("exhaustive", "greedy"):
             raise ValueError(f"unknown assignment method {self.assignment_method!r}")
-        _parse_policy(self.power_policy)
+        self.grid_points  # parse the power policy now, so a bad one fails here
+
+    @classmethod
+    def from_token(cls, token: str) -> SchemeConfig:
+        """A SCHEME_PRESETS name, or mode:method[:policy] such as "all:exhaustive:grid(3)"."""
+        parts = SCHEME_PRESETS.get(token) or token.split(":")
+        if len(parts) not in (2, 3):
+            presets = ", ".join(sorted(SCHEME_PRESETS))
+            raise ValueError(
+                f"unknown scheme {token!r}; use a preset ({presets}) or mode:method[:policy]"
+            )
+        try:
+            return cls(*parts)
+        except ValueError as e:
+            raise ValueError(f"bad scheme {token!r}: {e}") from e
+
+    @property
+    def fixed_size(self) -> int | None:
+        """n of a fixed(n) selection mode, None for any other mode."""
+        return parse_mode(self.selection_mode)[1]
+
+    @cached_property
+    def grid_points(self) -> int | None:
+        """n of a grid(n) power policy, points per group; None for max_feasible."""
+        if self.power_policy == "max_feasible":
+            return None
+        if self.power_policy.startswith("grid(") and self.power_policy.endswith(")"):
+            n = int(self.power_policy[5:-1])
+            if n < 1:
+                raise ValueError("grid policy needs at least one point")
+            return n
+        raise ValueError(f"unknown power policy {self.power_policy!r}")
+
+    def check_size(self, G: int, C: int) -> None:
+        """Refuse G groups on C channels past the guard of this scheme's method."""
+        if self.assignment_method == "exhaustive":
+            check_exhaustive_size(G, C, self.selection_mode)
+        else:
+            check_greedy_size(G, C, self.selection_mode)
 
 
 def matching_count(n_subsets: int, num_channels: int) -> int:
@@ -168,17 +217,6 @@ def check_greedy_size(G: int, C: int, mode: str) -> None:
             f"hold {max(table, families)} cells, past the limit of {limit}, as many as "
             f"the families of {gmax} groups on {cmax} channels"
         )
-
-
-def _parse_policy(policy: str):
-    if policy == "max_feasible":
-        return "max_feasible", None
-    if policy.startswith("grid(") and policy.endswith(")"):
-        n = int(policy[5:-1])
-        if n < 1:
-            raise ValueError("grid policy needs at least one point")
-        return "grid", n
-    raise ValueError(f"unknown power policy {policy!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +702,7 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     """
     ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(scenario, fading)
     C, G = ctx.C, ctx.G
-    policy, grid_n = _parse_policy(scheme.power_policy)
-    if scheme.assignment_method == "exhaustive":
-        check_exhaustive_size(G, C, scheme.selection_mode)
-    else:
-        check_greedy_size(G, C, scheme.selection_mode)
+    scheme.check_size(G, C)
     chan = np.zeros(C, dtype=np.int64)  # group mask on each channel
     mg_power = np.zeros(G)
     if not _admits_family(G, C, scheme.selection_mode):
@@ -687,8 +721,8 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     for k, live in enumerate(ctx.survivors[np.arange(C), chan].tolist()):
         for g in _groups_of(live):
             mg_power[g] = ctx.p_gk[g, k]
-    if policy == "grid":
-        mg_power, tv = _grid_refine(ctx, chan, mg_power, grid_n, table_value=tv)
+    if scheme.grid_points is not None:
+        mg_power, tv = _grid_refine(ctx, chan, mg_power, scheme.grid_points, table_value=tv)
     return _assignment(chan, unassigned), PowerVector(ctx.cu_power_w.copy(), mg_power), tv
 
 

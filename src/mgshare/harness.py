@@ -30,14 +30,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .allocation import (
-    SchemeConfig,
-    allocate,
-    build_context,
-    check_exhaustive_size,
-    check_greedy_size,
-)
-from .combinatorics import parse_mode
+from .allocation import SchemeConfig, allocate, build_context
 from .geometry import generate_scenario
 from .params import SimParams, param_names, parse_param
 from .seeds import child_seed
@@ -47,48 +40,20 @@ from .seeds import child_seed
 # stream (at index 0), so all points score the same scenarios.
 _SWEEP_STREAM = 81
 
-SWEEP_VARIABLES = ("D", "R", "R_c_min", "P_G", "lambda_g", "n_per_channel")
-
-# Named scheme presets accepted in config files. A token may also spell a
-# scheme out as mode:method[:policy], e.g. "almost_equal:greedy" or
-# "all:exhaustive:grid(3)".
-SCHEME_PRESETS = {
-    "optimal": ("all", "exhaustive", "max_feasible"),
-    "almost_equal": ("almost_equal", "exhaustive", "max_feasible"),
-    "equal": ("equal", "exhaustive", "max_feasible"),
-    "fixed2": ("fixed(2)", "exhaustive", "max_feasible"),
-    "heuristic": ("all", "greedy", "max_feasible"),
-    "fixed_heuristic": ("fixed(2)", "greedy", "max_feasible"),
+# The SimParams field each plain sweep variable sets to the sweep value.
+_SWEEP_FIELDS = {
+    "D": "exclusion_radius_m",
+    "R": "cell_radius_m",
+    "R_c_min": "cu_min_rate_bps_hz",
+    "P_G": "max_mg_power_dbm",
 }
+SWEEP_VARIABLES = (*_SWEEP_FIELDS, "lambda_g", "n_per_channel")
 
 CSV_HEADER = "sweep_var,sweep_value,scheme,mean_bps_hz,std,degenerate,wall_ms"
 
 
 class ConfigError(ValueError):
     pass
-
-
-def resolve_scheme(token: str) -> SchemeConfig:
-    """Turn a config token (preset name or mode:method[:policy]) into a scheme."""
-    if token in SCHEME_PRESETS:
-        mode, method, policy = SCHEME_PRESETS[token]
-    else:
-        parts = token.split(":")
-        if len(parts) == 2:
-            (mode, method), policy = parts, "max_feasible"
-        elif len(parts) == 3:
-            mode, method, policy = parts
-        else:
-            raise ConfigError(
-                f"unknown scheme {token!r}; use a preset "
-                f"({', '.join(sorted(SCHEME_PRESETS))}) or mode:method[:policy]"
-            )
-    try:
-        return SchemeConfig(
-            selection_mode=mode, assignment_method=method, power_policy=policy
-        )
-    except ValueError as e:
-        raise ConfigError(f"bad scheme {token!r}: {e}") from e
 
 
 @dataclass
@@ -103,9 +68,10 @@ class ExperimentConfig:
     output_path: str = "results.csv"
     parallelism: int = 1
 
-    def validate(self) -> None:
-        """Check the config and every sweep point's parameters and schemes,
-        so a bad config fails before the first scenario runs."""
+    def points(self) -> list:
+        """(sweep value, SimParams, SchemeConfig tuple) for every sweep point,
+        after checking the config and each point's parameters and scheme
+        sizes, so a bad config fails before the first scenario runs."""
         if self.sweep_variable not in SWEEP_VARIABLES:
             raise ConfigError(
                 f"unknown sweep variable {self.sweep_variable!r}; "
@@ -119,8 +85,11 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must be sorted strictly ascending, none repeated")
         if not self.schemes:
             raise ConfigError("schemes must be non-empty")
-        modes = [parse_mode(resolve_scheme(tok).selection_mode)[0] for tok in self.schemes]
-        if self.sweep_variable == "n_per_channel" and "fixed" not in modes:
+        try:
+            schemes = tuple(map(SchemeConfig.from_token, self.schemes))
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
+        if self.sweep_variable == "n_per_channel" and all(s.fixed_size is None for s in schemes):
             raise ConfigError("sweep n_per_channel needs a fixed(n) scheme: it changes no other")
         if self.n_scenarios < 1:
             raise ConfigError("scenarios must be at least 1")
@@ -131,19 +100,22 @@ class ExperimentConfig:
             self.base.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        points = []
         for value in self.sweep_values:
             try:
-                params, tokens = apply_sweep(self.base, self.sweep_variable, value, self.schemes)
+                params, point_schemes = apply_sweep(self.base, self.sweep_variable, value, schemes)
                 params.validate()
-                # a scenario never has more active groups than num_groups
-                G, C = params.num_groups, params.num_channels
-                for scheme in map(resolve_scheme, tokens):
-                    if scheme.assignment_method == "exhaustive":
-                        check_exhaustive_size(G, C, scheme.selection_mode)
-                    else:
-                        check_greedy_size(G, C, scheme.selection_mode)
+                for scheme in point_schemes:
+                    # a scenario never has more active groups than num_groups
+                    scheme.check_size(params.num_groups, params.num_channels)
             except ValueError as e:
                 raise ConfigError(f"{self.sweep_variable} = {value!r}: {e}") from e
+            points.append((value, params, point_schemes))
+        return points
+
+    def validate(self) -> None:
+        """Raise ConfigError where points() would."""
+        self.points()
 
 
 @dataclass
@@ -266,34 +238,25 @@ def _fmt(v) -> str:
 
 
 def apply_sweep(base: SimParams, variable: str, value: float, schemes: tuple) -> tuple:
-    """Parameters and scheme tokens for one sweep point.
+    """Parameters and SchemeConfig tuple for one sweep point.
 
     lambda_g also re-derives the per-cell transmitter count from the density
     (expected points of the field in the cell area, at least one), since the
     density is what the sweep means physically. n_per_channel rewrites the
     size of every fixed(n) scheme and leaves the rest alone.
     """
-    if variable == "D":
-        return base.copy_with(exclusion_radius_m=value), schemes
-    if variable == "R":
-        return base.copy_with(cell_radius_m=value), schemes
-    if variable == "R_c_min":
-        return base.copy_with(cu_min_rate_bps_hz=value), schemes
-    if variable == "P_G":
-        return base.copy_with(max_mg_power_dbm=value), schemes
+    if variable in _SWEEP_FIELDS:
+        return base.copy_with(**{_SWEEP_FIELDS[variable]: value}), schemes
     if variable == "lambda_g":
         n = max(1, round(value * math.pi * base.cell_radius_m**2))
         return base.copy_with(group_density_per_m2=value, num_groups=n), schemes
     if variable == "n_per_channel":
         if not float(value).is_integer():
             raise ConfigError(f"n_per_channel must be a whole number, got {value!r}")
-        out = []
-        for tok in schemes:
-            s = resolve_scheme(tok)
-            if parse_mode(s.selection_mode)[0] == "fixed":
-                tok = f"fixed({int(value)}):{s.assignment_method}:{s.power_policy}"
-            out.append(tok)
-        return base, tuple(out)
+        mode = f"fixed({int(value)})"
+        return base, tuple(
+            s if s.fixed_size is None else replace(s, selection_mode=mode) for s in schemes
+        )
     raise ConfigError(f"unknown sweep variable {variable!r}")
 
 
@@ -307,8 +270,7 @@ def _eval_scenarios(args):
     Returns, per scenario, either None (degenerate) or the tuple of
     per-scheme throughputs plus the winning size vector of the first scheme.
     """
-    params, scheme_tokens, sweep_master, lo, hi = args
-    schemes = [resolve_scheme(t) for t in scheme_tokens]
+    params, schemes, sweep_master, lo, hi = args
     p = params.copy_with(master_seed=sweep_master)
     out = []
     for idx in range(lo, hi):
@@ -330,51 +292,32 @@ def _eval_scenarios(args):
     return out
 
 
-def _worker_pool(workers: int):
-    """One worker pool for a whole run, or a null context when serial.
-
-    Leaving the context shuts the pool down and joins its workers, so their
-    CPU time is reaped before the run returns.
-    """
-    if workers <= 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def _gather_point(cfg, params, schemes, pool, workers):
-    """All scenario results for one sweep value, in scenario-index order.
+def _sweep_points(cfg: ExperimentConfig):
+    """Validate, then yield (sweep value, scenario results in scenario-index
+    order, gather ms) per sweep point, all points sharing one worker pool.
 
     The scenario stream is the same at every sweep value, so points differ
-    only through their parameters. With a pool the scenarios are split into
-    one contiguous block per worker.
+    only through their parameters. The scenarios are split into one
+    contiguous block per worker, a single block when serial.
     """
-    sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
-    n = cfg.n_scenarios
-    if pool is None:
-        return _eval_scenarios((params, schemes, sweep_master, 0, n))
-    chunk = -(-n // workers)
-    blocks = [
-        (params, schemes, sweep_master, lo, min(lo + chunk, n))
-        for lo in range(0, n, chunk)
-    ]
-    parts = list(pool.map(_eval_scenarios, blocks))
-    return [r for part in parts for r in part]
-
-
-def _sweep_points(cfg: ExperimentConfig):
-    """Validate, then yield (sweep value, scenario results, gather ms) per
-    sweep point, all points sharing one worker pool."""
-    cfg.validate()
+    points = cfg.points()
     # A fork-started pool launches all its workers at the first task, so a
     # worker past the scenario count or the CPU count would only idle.
     workers = min(cfg.parallelism, cfg.n_scenarios, os.cpu_count() or 1)
-    with _worker_pool(workers) as pool:
-        for value in cfg.sweep_values:
-            params, scheme_tokens = apply_sweep(
-                cfg.base, cfg.sweep_variable, value, cfg.schemes
-            )
+    sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
+    n = cfg.n_scenarios
+    chunk = -(-n // workers)
+    # One pool for the whole run, none when serial. Leaving its context joins
+    # the workers, so their CPU time is reaped before the run returns.
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for value, params, schemes in points:
             t0 = time.perf_counter()
-            results = _gather_point(cfg, params, scheme_tokens, pool, workers)
+            blocks = [
+                (params, schemes, sweep_master, lo, min(lo + chunk, n))
+                for lo in range(0, n, chunk)
+            ]
+            results = [r for part in run(_eval_scenarios, blocks) for r in part]
             yield value, results, (time.perf_counter() - t0) * 1000.0
 
 

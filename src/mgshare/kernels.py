@@ -51,7 +51,7 @@ def _subset_sums(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
     out[0] = base
     for g in range(G - 1, -1, -1):
         # masks whose bits below g are clear: without g at [:, 0, 0], with g at [:, 1, 0]
-        blocks = out.reshape((-1, 2, 1 << g) + base.shape)
+        blocks = _with_group(out, g)
         blocks[:, 1, 0] = blocks[:, 0, 0] + terms[g]
     return out
 

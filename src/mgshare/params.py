@@ -34,6 +34,10 @@ PATH_LOSS_EXPONENT = 4.0
 # (keeps the singular path loss model bounded).
 MIN_LINK_DISTANCE_M = 1.0
 
+# Most candidate receivers a cell may expect (density times cell area). The
+# sampler holds about 25 bytes per candidate; the defaults expect 6,283.
+MAX_MEAN_CANDIDATES = 1e8
+
 # SIR ceiling applied everywhere a ratio is turned into a rate. An
 # interference-free link (e.g. a CU alone on its channel) would otherwise
 # have infinite SIR; the cap models the receiver's finite dynamic range.
@@ -149,6 +153,13 @@ class SimParams:
         for name in ("receiver_density_per_m2", "cu_density_per_m2", "group_density_per_m2"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
+        # NaN fails too: a zero density times an infinite cell area
+        mean_candidates = self.receiver_density_per_m2 * self.cell_area_m2
+        if not mean_candidates <= MAX_MEAN_CANDIDATES:
+            raise ValueError(
+                f"receiver_density_per_m2 times the cell area expects {mean_candidates:.3g} "
+                f"candidate receivers, past the limit of {MAX_MEAN_CANDIDATES:,.0f}"
+            )
         for name in (
             "max_cu_power_w", "max_mg_power_w", "assoc_min_rx_power_w", "assoc_ref_power_w",
             "cu_sir_threshold", "mg_sir_threshold",

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from mgshare.allocation import allocate
+from mgshare.allocation import SchemeConfig, allocate
 from mgshare.cli import main as cli_main
 from mgshare.combinatorics import (
     distinct_count,
@@ -29,7 +29,6 @@ from mgshare.geometry import generate_scenario
 from mgshare.harness import (
     ExperimentConfig,
     db_gap,
-    resolve_scheme,
     run_experiment,
     winning_combination_histogram,
 )
@@ -157,7 +156,7 @@ def _dominance_one(idx: int):
     scn = generate_scenario(p, idx)
     if scn.degenerate:
         return None
-    return {tok: allocate(scn, resolve_scheme(tok))[2] for tok in _DOM_TOKENS}
+    return {tok: allocate(scn, SchemeConfig.from_token(tok))[2] for tok in _DOM_TOKENS}
 
 
 def test_scheme_dominance():

@@ -2,7 +2,7 @@
 exhaustive search against a brute-force radio-layer oracle, and the exact
 dominance relations the schemes must satisfy scenario by scenario."""
 
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare.allocation import (
+    SCHEME_PRESETS,
     Assignment,
     EvalContext,
     SchemeConfig,
@@ -173,6 +174,33 @@ def test_scheme_config_validation():
         SchemeConfig(assignment_method="simulated_annealing")
     with pytest.raises(ValueError):
         SchemeConfig(power_policy="grid(0)")
+
+
+def test_scheme_from_token_presets_and_explicit():
+    assert SchemeConfig.from_token("optimal") == SchemeConfig("all", "exhaustive")
+    assert SchemeConfig.from_token("fixed_heuristic") == SchemeConfig("fixed(2)", "greedy")
+    # every preset takes the default power policy
+    assert {SchemeConfig.from_token(t).power_policy for t in SCHEME_PRESETS} == {"max_feasible"}
+    # two parts take the default policy, three name it
+    assert SchemeConfig.from_token("almost_equal:greedy") == SchemeConfig(
+        "almost_equal", "greedy", "max_feasible"
+    )
+    s = SchemeConfig.from_token("all:exhaustive:grid(3)")
+    assert s == SchemeConfig("all", "exhaustive", "grid(3)")
+    assert s.grid_points == 3 and s.fixed_size is None
+    assert SchemeConfig.from_token("fixed(3):greedy").fixed_size == 3
+    assert SchemeConfig().grid_points is None
+    for token in ("nope", "all", "all:exhaustive:grid(3):more"):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            SchemeConfig.from_token(token)
+    with pytest.raises(ValueError, match="bad scheme 'all:annealing'"):
+        SchemeConfig.from_token("all:annealing")
+    with pytest.raises(FrozenInstanceError):
+        s.selection_mode = "equal"
+    # each method keeps its own size guard: 11 groups pass only the greedy one
+    with pytest.raises(ValueError, match="exhaustive search refused for G=11"):
+        SchemeConfig.from_token("optimal").check_size(11, 3)
+    SchemeConfig.from_token("heuristic").check_size(11, 3)
 
 
 # ---------------------------------------------------------------------------

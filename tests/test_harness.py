@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare import cli, harness
-from mgshare.allocation import build_context
+from mgshare.allocation import SCHEME_PRESETS, SchemeConfig, build_context
 from mgshare.cli import main as cli_main
 from mgshare.geometry import generate_scenario
 from mgshare.harness import (
     CSV_HEADER,
-    SCHEME_PRESETS,
     ConfigError,
     ExperimentConfig,
     apply_sweep,
@@ -25,7 +24,6 @@ from mgshare.harness import (
     gap_report,
     parse_config,
     render_config,
-    resolve_scheme,
     run_experiment,
     winning_combination_histogram,
     write_csv,
@@ -164,22 +162,10 @@ def test_output_path_refused_when_the_config_text_cannot_carry_it():
         assert parse_config(render_config(cfg)) == cfg
 
 
-def test_resolve_scheme_presets_and_explicit():
-    s = resolve_scheme("optimal")
-    assert s.selection_mode == "all" and s.assignment_method == "exhaustive"
-    s = resolve_scheme("fixed_heuristic")
-    assert s.selection_mode == "fixed(2)" and s.assignment_method == "greedy"
-    s = resolve_scheme("almost_equal:greedy")
-    assert s.selection_mode == "almost_equal" and s.assignment_method == "greedy"
-    s = resolve_scheme("all:exhaustive:grid(3)")
-    assert s.power_policy == "grid(3)"
-    with pytest.raises(ConfigError):
-        resolve_scheme("nope")
-
-
 def test_apply_sweep_variables():
     base = SimParams()
-    schemes = ("optimal", "fixed2")
+    optimal, fixed2 = SchemeConfig("all", "exhaustive"), SchemeConfig("fixed(2)", "exhaustive")
+    schemes = (optimal, fixed2)
     p, s = apply_sweep(base, "D", 75.0, schemes)
     assert p.exclusion_radius_m == 75.0 and s == schemes
     p, _ = apply_sweep(base, "R", 300.0, schemes)
@@ -193,10 +179,15 @@ def test_apply_sweep_variables():
     assert p.num_groups == round(1e-5 * math.pi * 500.0**2)
     p, s = apply_sweep(base, "n_per_channel", 3, schemes)
     assert p == base
-    assert s == ("optimal", "fixed(3):exhaustive:max_feasible")
-    # spelled-out tokens keep their method and policy; other modes pass through
-    _, s = apply_sweep(base, "n_per_channel", 4, ("fixed(2):greedy", "fixed_heuristic", "all:greedy"))
-    assert s == ("fixed(4):greedy:max_feasible", "fixed(4):greedy:max_feasible", "all:greedy")
+    assert s == (optimal, SchemeConfig("fixed(3)", "exhaustive", "max_feasible"))
+    # spelled-out schemes keep their method and policy; other modes pass through
+    tokens = ("fixed(2):greedy:grid(2)", "fixed_heuristic", "all:greedy")
+    _, s = apply_sweep(base, "n_per_channel", 4, tuple(map(SchemeConfig.from_token, tokens)))
+    assert s == (
+        SchemeConfig("fixed(4)", "greedy", "grid(2)"),
+        SchemeConfig("fixed(4)", "greedy", "max_feasible"),
+        SchemeConfig("all", "greedy"),
+    )
 
 
 def _validates(**kw) -> bool:
@@ -302,7 +293,7 @@ _SIM_EDGES = [
     ("group_density_per_m2", -1e-6), ("max_cu_power_dbm", 4000.0), ("max_mg_power_dbm", 4000.0),
     ("assoc_ref_power_dbm", 4000.0), ("assoc_min_rx_power_dbm", -4000.0),
     ("mg_sir_threshold_db", 4000.0), ("cu_min_rate_bps_hz", 3000.0),
-    ("cu_outage_budget", 1.0), ("mg_outage_budget", 0.0),
+    ("cu_outage_budget", 1.0), ("mg_outage_budget", 0.0), ("receiver_density_per_m2", 1e14),
 ]
 
 
@@ -519,6 +510,26 @@ def test_cli_run_refuses_oversized_greedy_configs(tmp_path, capsys, monkeypatch,
     # 2,532,530 families of 3 subsets: the `all` table of 12 groups on 3 channels
     assert "past the limit of 7597590" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the 500 m point runs before the second point's Poisson draw would fail
+        ("sweep = R\nsweep_values = 500, 1e11\n", "R = 100000000000.0: "),
+        ("sweep = D\nsweep_values = 50\nreceiver_density_per_m2 = 1e14\n", "error: receiver_density"),
+    ],
+)
+def test_cli_run_refuses_a_huge_candidate_count(tmp_path, capsys, text, message):
+    conf = tmp_path / "huge.conf"
+    conf.write_text(text + "schemes = optimal\nscenarios = 1\n")
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--config", str(conf), "--out", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith("mgshare: error: ") and message in err
+    assert "candidate receivers, past the limit of 100,000,000" in err
+    assert "Traceback" not in err and out_text == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
