@@ -49,7 +49,8 @@ from .radio import PowerVector, draw_fading, path_gain, scenario_links
 from .seeds import rng_for
 
 # Stream tag of EvalContext's fading draw from a scenario's seed, so every
-# scheme scored on one scenario sees one fading realization.
+# scheme scored on one scenario sees one fading realization, at every sweep
+# point that draws that scenario.
 FADING_STREAM = 1
 
 # Config tokens naming a (selection mode, assignment method) with the default
@@ -228,13 +229,16 @@ class EvalContext:
 
     Built once per (scenario, fading); the allocation searches then run on
     table lookups. Tables are lazy: the heuristic's interference table is
-    only built when the heuristic runs.
+    only built when the heuristic runs. The links and the fading read only
+    the scenario's positions, so contexts of one scenario under other
+    parameters may pass in those of an earlier context instead of redrawing
+    them.
     """
 
-    def __init__(self, scenario, fading=None):
+    def __init__(self, scenario, fading=None, links=None):
         self.scenario = scenario
         self.params = scenario.params
-        self.links = scenario_links(scenario)
+        self.links = scenario_links(scenario) if links is None else links
         if fading is None:
             fading = draw_fading(self.links, rng_for(scenario.scenario_seed, FADING_STREAM))
         self.fading = fading
@@ -390,8 +394,8 @@ class EvalContext:
         return total
 
 
-def build_context(scenario, fading=None) -> EvalContext:
-    return EvalContext(scenario, fading)
+def build_context(scenario, fading=None, links=None) -> EvalContext:
+    return EvalContext(scenario, fading, links)
 
 
 # ---------------------------------------------------------------------------

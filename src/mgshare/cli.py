@@ -85,6 +85,13 @@ def _cmd_run(args) -> int:
     except OSError as e:
         return _error(e)
     print(f"wrote {len(rows)} rows to {cfg.output_path}")
+    # a point whose every scenario is degenerate writes means of 0, not a failure
+    for value in dict.fromkeys(r.sweep_value for r in rows if r.n_degenerate == cfg.n_scenarios):
+        print(
+            f"mgshare: warning: {cfg.sweep_variable} = {value!r}: all {cfg.n_scenarios} "
+            "scenarios are degenerate (no group kept a receiver), so its means are 0",
+            file=sys.stderr,
+        )
     report = gap_report(rows)
     if report:
         print(report)

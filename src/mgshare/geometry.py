@@ -236,6 +236,28 @@ def form_groups(
     return groups
 
 
+# The SimParams fields generate_scenario reads, directly or through a derived
+# property. tests/test_geometry.py records the sampler's reads and fails if
+# one falls outside this tuple.
+SCENARIO_FIELDS = (
+    "master_seed",
+    "cell_radius_m",
+    "exclusion_radius_m",
+    "num_channels",
+    "num_groups",
+    "receiver_density_per_m2",
+    "assoc_min_rx_power_dbm",
+    "assoc_ref_power_dbm",
+)
+
+
+def scenario_key(params: SimParams) -> tuple:
+    """The values of SCENARIO_FIELDS. Parameter sets with equal keys draw
+    bitwise the same scenario at every index, and so the same links and
+    fading, which read only the drawn positions."""
+    return tuple(getattr(params, name) for name in SCENARIO_FIELDS)
+
+
 def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     """Draw one scenario, deterministic in (params.master_seed, index).
 

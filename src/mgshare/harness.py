@@ -7,11 +7,24 @@ scenario index) through the same splitmix chain the rest of the package
 uses, and the sweep index does not enter. Scenario i at one sweep value is
 therefore scenario i at every other value, drawn with that point's
 parameters from the same random numbers, so neighbouring points are
-compared on paired scenarios (common random numbers). Results are reduced
-in scenario-index order no matter how many worker processes computed them,
-so the CSV is byte-identical across parallelism levels. Wall-clock columns
-default to zero for the same reason; pass timing=True to fill them (and
-give up byte-stability).
+compared on paired scenarios (common random numbers).
+
+Points whose parameters agree on `geometry.scenario_key`, the fields the
+sampler reads, draw bitwise the same scenarios, links and fading. So a run
+of consecutive points with equal keys (a P_G or R_c_min sweep, or an
+n_per_channel sweep, which changes no parameter) is evaluated
+scenario-major: scenario i is drawn once, and each point builds its own
+context from that draw, or reuses the previous point's context when its
+parameters are equal, before scoring its schemes. A point whose key differs
+from its neighbour's (D, R, lambda_g) forms a run of its own and draws its
+own scenarios. Each run gives every worker one contiguous block of scenario
+indices for all its points. Results are reduced per point in
+scenario-index order no matter how many worker processes computed them, so
+the CSV is byte-identical across parallelism levels and equal to what
+scoring each point alone would write. Wall-clock columns default to zero
+for the same reason; pass timing=True to fill each with its point's
+evaluation time summed over the workers (a shared draw counts toward the
+run's first point), and give up byte-stability.
 
 Degenerate scenarios (no multicast group kept any receiver) are counted and
 excluded from the averages rather than resampled, so every scheme in a run
@@ -27,11 +40,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
+from itertools import groupby
 
 import numpy as np
 
 from .allocation import SchemeConfig, allocate, build_context
-from .geometry import generate_scenario
+from .geometry import generate_scenario, scenario_key
 from .params import SimParams, param_names, parse_param
 from .seeds import child_seed
 
@@ -265,40 +279,61 @@ def apply_sweep(base: SimParams, variable: str, value: float, schemes: tuple) ->
 
 
 def _eval_scenarios(args):
-    """Evaluate a contiguous block of scenario indices for one sweep point.
+    """Evaluate a contiguous block of scenario indices at a run of sweep
+    points that share one scenario_key, so one draw.
 
-    Returns, per scenario, either None (degenerate) or the tuple of
-    per-scheme throughputs plus the winning size vector of the first scheme.
+    Each point is (SimParams, SchemeConfig tuple). Scenario i is drawn once,
+    at the first point's parameters; each point then builds its context from
+    that draw, or reuses the previous point's context when its parameters
+    are equal, and scores its schemes. Returns, per point, its results in
+    scenario-index order, each None (degenerate) or the tuple of per-scheme
+    throughputs plus the winning size vector of the first scheme, and its
+    summed evaluation ms, the shared draw charged to the first point.
     """
-    params, schemes, sweep_master, lo, hi = args
-    p = params.copy_with(master_seed=sweep_master)
-    out = []
+    points, lo, hi = args
+    results = [[] for _ in points]
+    elapsed = [0.0] * len(points)
     for idx in range(lo, hi):
-        scenario = generate_scenario(p, idx)
-        if scenario.degenerate:
-            out.append(None)
-            continue
-        ctx = build_context(scenario)
-        values = []
-        vector = ()
-        for si, scheme in enumerate(schemes):
-            assignment, _, tv = allocate(ctx, scheme)
-            values.append(tv)
-            if si == 0:
-                sizes = [len(s) for s in assignment.channel_to_groups.values() if s]
-                sizes += [len(s) for s in assignment.unassigned_subsets]
-                vector = tuple(sorted(sizes, reverse=True))
-        out.append((tuple(values), vector))
-    return out
+        t = time.perf_counter()
+        scenario = generate_scenario(points[0][0], idx)
+        ctx = None
+        for i, (params, schemes) in enumerate(points):
+            if scenario.degenerate:
+                results[i].append(None)
+            else:
+                if ctx is None:
+                    ctx = build_context(scenario)
+                elif ctx.params != params:
+                    ctx = build_context(replace(scenario, params=params), ctx.fading, ctx.links)
+                results[i].append(_score(ctx, schemes))
+            now = time.perf_counter()
+            elapsed[i] += now - t
+            t = now
+    return [(r, sec * 1000.0) for r, sec in zip(results, elapsed)]
+
+
+def _score(ctx, schemes) -> tuple:
+    """(per-scheme throughputs, winning size vector of the first scheme)."""
+    values = []
+    vector = ()
+    for si, scheme in enumerate(schemes):
+        assignment, _, tv = allocate(ctx, scheme)
+        values.append(tv)
+        if si == 0:
+            sizes = [len(s) for s in assignment.channel_to_groups.values() if s]
+            sizes += [len(s) for s in assignment.unassigned_subsets]
+            vector = tuple(sorted(sizes, reverse=True))
+    return tuple(values), vector
 
 
 def _sweep_points(cfg: ExperimentConfig):
     """Validate, then yield (sweep value, scenario results in scenario-index
-    order, gather ms) per sweep point, all points sharing one worker pool.
+    order, summed evaluation ms) per sweep point, all points sharing one
+    worker pool.
 
-    The scenario stream is the same at every sweep value, so points differ
-    only through their parameters. The scenarios are split into one
-    contiguous block per worker, a single block when serial.
+    Consecutive points with equal scenario keys form a run that is evaluated
+    scenario-major: one contiguous block of scenario indices per worker, a
+    single block when serial, each block covering every point of the run.
     """
     points = cfg.points()
     # A fork-started pool launches all its workers at the first task, so a
@@ -307,24 +342,27 @@ def _sweep_points(cfg: ExperimentConfig):
     sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
     n = cfg.n_scenarios
     chunk = -(-n // workers)
-    # One pool for the whole run, none when serial. Leaving its context joins
+    # One pool for the whole sweep, none when serial. Leaving its context joins
     # the workers, so their CPU time is reaped before the run returns.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
-        for value, params, schemes in points:
-            t0 = time.perf_counter()
-            blocks = [
-                (params, schemes, sweep_master, lo, min(lo + chunk, n))
-                for lo in range(0, n, chunk)
-            ]
-            results = [r for part in run(_eval_scenarios, blocks) for r in part]
-            yield value, results, (time.perf_counter() - t0) * 1000.0
+        for _, shared in groupby(points, key=lambda point: scenario_key(point[1])):
+            shared = list(shared)
+            seeded = tuple(
+                (params.copy_with(master_seed=sweep_master), schemes)
+                for _, params, schemes in shared
+            )
+            blocks = [(seeded, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+            parts = list(run(_eval_scenarios, blocks))
+            for i, (value, _, _) in enumerate(shared):
+                results = [r for part in parts for r in part[i][0]]
+                yield value, results, sum(part[i][1] for part in parts)
 
 
 def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
     """Sweep, average, and return one ResultRow per (sweep value, scheme)."""
     rows = []
-    for value, results, elapsed_ms in _sweep_points(cfg):
+    for value, results, evaluation_ms in _sweep_points(cfg):
         n_degenerate = sum(1 for r in results if r is None)
         valid = [r[0] for r in results if r is not None]
         for si, name in enumerate(cfg.schemes):
@@ -336,7 +374,7 @@ def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:
                     mean_throughput=float(vals.mean()) if len(vals) else 0.0,
                     std_dev=float(vals.std(ddof=1)) if len(vals) > 1 else 0.0,
                     n_degenerate=n_degenerate,
-                    wall_ms=elapsed_ms if timing else 0.0,
+                    wall_ms=evaluation_ms if timing else 0.0,
                 )
             )
     return rows

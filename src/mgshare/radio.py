@@ -44,10 +44,11 @@ class ScenarioLinks:
     """Distance tables for one scenario, receivers flattened group-major.
 
     ``offsets[g]`` is the flat index of group g's first member and
-    ``rx_group[j]`` the owning group of flat receiver j.
+    ``rx_group[j]`` the owning group of flat receiver j. They are computed
+    from positions alone, so every parameter set that draws the same
+    scenario shares them, and so does the fading drawn on them.
     """
 
-    params: object
     group_sizes: np.ndarray
     offsets: np.ndarray
     rx_group: np.ndarray
@@ -72,7 +73,6 @@ def scenario_links(scenario) -> ScenarioLinks:
     cu_pos = np.vstack([c.position for c in scenario.cus])
     tx_pos = np.array([g.tx_position for g in groups]).reshape(-1, 2)
     return ScenarioLinks(
-        params=scenario.params,
         group_sizes=sizes,
         offsets=np.cumsum(sizes) - sizes,
         rx_group=np.repeat(np.arange(len(groups)), sizes),
@@ -100,7 +100,7 @@ def draw_fading(links: ScenarioLinks, rng: np.random.Generator) -> FadingRealiza
     The draw order is frozen (cu->bs, mg->bs, cu->rx, mg->rx, each in array
     order) so a given rng state always yields the same realization.
     """
-    C = links.params.num_channels
+    C = len(links.d_cu_bs)  # one CU per channel
     G, n = links.num_groups, links.num_rx
     return FadingRealization(
         h_cu_bs=rng.exponential(1.0, C),

@@ -30,7 +30,10 @@ from mgshare.seeds import child_seed, rng_for
 
 
 def _links_of(x):
-    return x if isinstance(x, ScenarioLinks) else scenario_links(x)
+    """The links of a ScenarioLinks, an EvalContext or a scenario."""
+    if isinstance(x, ScenarioLinks):
+        return x
+    return x.links if hasattr(x, "links") else scenario_links(x)
 
 
 def _capped(signal, denom):
@@ -95,11 +98,12 @@ def rate(gamma, threshold):
     return math.log2(1.0 + gamma)
 
 
-def sum_throughput(scenario_or_links, fading, powers, assignment):
+def sum_throughput(scenario_or_ctx, fading, powers, assignment):
     """CU rate plus the rates of the groups assigned to it, summed over
-    channels, in bit/s/Hz."""
-    links = _links_of(scenario_or_links)
-    p = links.params
+    channels, in bit/s/Hz, at the thresholds of the scenario's or the
+    EvalContext's parameters."""
+    links = _links_of(scenario_or_ctx)
+    p = scenario_or_ctx.params
     assignment = np.asarray(assignment)
     total = 0.0
     for k in range(p.num_channels):
@@ -124,7 +128,7 @@ def silenced_throughput(ctx, arr):
             < ctx.params.mg_sir_threshold
         ):
             mg[g] = 0.0
-    return sum_throughput(ctx.links, ctx.fading, PowerVector(ctx.cu_power_w, mg), arr)
+    return sum_throughput(ctx, ctx.fading, PowerVector(ctx.cu_power_w, mg), arr)
 
 
 def as_array(assignment, num_groups):

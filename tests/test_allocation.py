@@ -571,7 +571,7 @@ def test_allocate_value_matches_radio_evaluation():
     for mode in ("all", "equal"):
         a, powers, tv = allocate(ctx, SchemeConfig(selection_mode=mode))
         arr = as_array(a, ctx.G)
-        direct = sum_throughput(ctx.links, ctx.fading, powers, arr)
+        direct = sum_throughput(ctx, ctx.fading, powers, arr)
         assert tv == pytest.approx(direct, rel=1e-12)
         assert evaluate(ctx, a) == pytest.approx(tv, rel=1e-12)
 

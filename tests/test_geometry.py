@@ -1,5 +1,7 @@
 """Scenario generation checks against brute-force and distributional oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from mgshare.geometry import (
     _RINGS,
     _SECTORS,
+    SCENARIO_FIELDS,
     MulticastGroup,
     NetworkScenario,
     _disk_points,
@@ -18,8 +21,9 @@ from mgshare.geometry import (
     generate_scenario,
     sample_poisson_count,
     sample_uniform_disk,
+    scenario_key,
 )
-from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
+from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams, param_names
 from oracles import apply_exclusion_dense, form_groups_dense, generate_scenario_dense
 
 
@@ -432,6 +436,46 @@ def test_scenario_determinism():
     assert _scenarios_equal(a, b)
     c = generate_scenario(p, 5)
     assert not _scenarios_equal(a, c)
+
+
+class _RecordingParams(SimParams):
+    """SimParams that records the name of every attribute read from it,
+    including the reads a derived property makes of its fields."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("__"):
+            object.__getattribute__(self, "__dict__").setdefault("_reads_", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+def _scenario_bits(s: NetworkScenario) -> tuple:
+    """Everything a scenario holds but its parameters, positions as raw bytes."""
+    return (
+        s.scenario_seed,
+        s.excluded_receiver_count,
+        s.candidate_receiver_count,
+        [c.position.tobytes() for c in s.cus],
+        [(g.id, g.tx_position.tobytes(), g.receivers.tobytes()) for g in s.groups],
+    )
+
+
+@pytest.mark.parametrize("index", [0, 1, 7])
+def test_scenario_key_holds_every_field_the_sampler_reads(index):
+    """The sweep harness draws a scenario once for all points with equal
+    scenario keys, so the key must hold every field generate_scenario reads,
+    and changing any other field must leave the scenario bitwise equal."""
+    base = SimParams(num_groups=9, exclusion_radius_m=30.0)
+    recording = _RecordingParams(**vars(base))
+    scenario = generate_scenario(recording, index)
+    reads = recording.__dict__.pop("_reads_")
+    assert reads & set(param_names()) <= set(SCENARIO_FIELDS) <= set(param_names())
+    assert not scenario.degenerate
+    want = _scenario_bits(generate_scenario(base, index))
+    assert _scenario_bits(scenario) == want
+    for name in set(param_names()) - set(SCENARIO_FIELDS):
+        changed = replace(base, **{name: 0.37})
+        assert scenario_key(changed) == scenario_key(base)
+        assert _scenario_bits(generate_scenario(changed, index)) == want, name
 
 
 def test_scenario_structure_and_exclusion_invariant():

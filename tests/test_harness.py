@@ -337,13 +337,30 @@ def test_run_experiment_rows_and_dominance():
         assert r.wall_ms == 0.0
 
 
+# two values per sweep variable, valid at the default base parameters (an
+# n_per_channel sweep also needs a fixed(n) scheme)
+_SWEEPS = {
+    "D": (30.0, 60.0),
+    "R": (300.0, 500.0),
+    "R_c_min": (0.0, 1.5),
+    "P_G": (10.0, 20.0),
+    "lambda_g": (5e-6, 1e-5),
+    "n_per_channel": (1.0, 2.0),
+}
+
+
 def test_run_is_deterministic_and_parallel_invariant():
-    cfg1 = _tiny_config(schemes=("optimal",), n_scenarios=5)
-    cfg2 = _tiny_config(schemes=("optimal",), n_scenarios=5, parallelism=2)
-    a = format_rows("D", run_experiment(cfg1))
-    b = format_rows("D", run_experiment(cfg1))
-    c = format_rows("D", run_experiment(cfg2))
-    assert a == b == c
+    # every sweep variable, those whose points share a draw included
+    for variable, values in _SWEEPS.items():
+        cfg1 = _tiny_config(
+            sweep_variable=variable, sweep_values=values,
+            schemes=("fixed2", "heuristic"), n_scenarios=3,
+        )
+        cfg2 = replace(cfg1, parallelism=2)
+        a = format_rows(variable, run_experiment(cfg1))
+        b = format_rows(variable, run_experiment(cfg1))
+        c = format_rows(variable, run_experiment(cfg2))
+        assert a == b == c, variable
 
 
 def test_one_worker_pool_per_run(monkeypatch):
@@ -416,15 +433,71 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
 
 def test_sweep_points_share_one_scenario_stream():
     # A sweep value must reproduce its rows exactly at any position in the
-    # sweep: every point scores the same scenarios, so only the parameters
+    # sweep, whether its scenarios were drawn for it or shared with other
+    # points: every point scores the same scenarios, so only the parameters
     # tell points apart.
+    for variable, values in _SWEEPS.items():
+        cfg = _tiny_config(
+            sweep_variable=variable, sweep_values=values,
+            schemes=("optimal", "fixed_heuristic"), n_scenarios=3,
+        )
+        rows = run_experiment(cfg)
+        for i, value in enumerate(values):
+            alone = run_experiment(replace(cfg, sweep_values=(value,)))
+            assert rows[2 * i:2 * i + 2] == alone, (variable, value)
+        assert any(r.mean_throughput > 0.0 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "variable, draws, contexts",
+    [
+        # the power and the rate floor leave the draw: one per scenario, a context per point
+        ("P_G", 1, 2),
+        ("R_c_min", 1, 2),
+        # n_per_channel leaves every parameter: one context per scenario
+        ("n_per_channel", 1, 1),
+        # the others move the draw: one per scenario and point
+        ("D", 2, 2),
+        ("R", 2, 2),
+        ("lambda_g", 2, 2),
+    ],
+)
+def test_points_sharing_a_scenario_key_draw_each_scenario_once(
+    monkeypatch, variable, draws, contexts
+):
+    calls = {"draw": 0, "context": 0}
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "generate_scenario", counted("draw", harness.generate_scenario))
+    monkeypatch.setattr(harness, "build_context", counted("context", harness.build_context))
+    n = 4
     cfg = _tiny_config(
-        sweep_variable="P_G", sweep_values=(10.0, 20.0),
-        schemes=("optimal", "heuristic"), n_scenarios=3,
+        sweep_variable=variable, sweep_values=_SWEEPS[variable], schemes=("fixed2",), n_scenarios=n
     )
-    rows = run_experiment(cfg)
-    assert rows[2:] == run_experiment(replace(cfg, sweep_values=(20.0,)))
-    assert any(r.mean_throughput > 0.0 for r in rows)
+    assert all(r.n_degenerate == 0 for r in run_experiment(cfg))
+    assert (calls["draw"], calls["context"]) == (draws * n, contexts * n)
+
+
+def test_timing_flag_fills_wall_ms():
+    """Every point's wall_ms is its own summed evaluation time, above 0
+    serial or pooled, for points that share a draw and for points that do
+    not."""
+    cfg = _tiny_config(
+        sweep_variable="P_G", sweep_values=(-10.0, 30.0), schemes=("optimal",), n_scenarios=3
+    )
+    for parallel in (1, 2):
+        rows = run_experiment(replace(cfg, parallelism=parallel), timing=True)
+        assert len(rows) == 2
+        assert all(r.wall_ms > 0.0 for r in rows)
+    # D points draw their own scenarios
+    rows = run_experiment(_tiny_config(schemes=("optimal",), n_scenarios=2), timing=True)
+    assert all(r.wall_ms > 0.0 for r in rows)
 
 
 def test_csv_format(tmp_path):
@@ -440,11 +513,6 @@ def test_csv_format(tmp_path):
     assert out.read_text() == text
     with pytest.raises(OSError, match="no/such"):
         write_csv("D", rows, str(tmp_path / "no" / "such" / "r.csv"))
-
-
-def test_timing_flag_fills_wall_ms():
-    rows = run_experiment(_tiny_config(schemes=("optimal",), n_scenarios=2), timing=True)
-    assert all(r.wall_ms > 0.0 for r in rows)
 
 
 def test_degenerate_scenarios_counted_not_resampled():
@@ -547,6 +615,26 @@ def test_cli_run_refuses_a_huge_candidate_count(tmp_path, capsys, text, message)
 )
 def test_greedy_limit_admits_the_measured_sizes(text):
     parse_config(text).validate()
+
+
+def test_cli_run_warns_on_a_wholly_degenerate_point(tmp_path, capsys):
+    """A point where no scenario kept a receiver is named on stderr; the CSV
+    and the exit code are those of any other run."""
+    conf = tmp_path / "deg.conf"
+    conf.write_text("sweep = D\nsweep_values = 20, 50\nschemes = optimal\nscenarios = 3\n"
+                    "assoc_min_rx_power_dbm = 200\n")
+    out = tmp_path / "out.csv"
+    assert cli_main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    assert out.read_text() == CSV_HEADER + "\nD,20,optimal,0,0,3,0\nD,50,optimal,0,0,3,0\n"
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"mgshare: warning: D = {v}: all 3 scenarios are degenerate "
+        "(no group kept a receiver), so its means are 0"
+        for v in ("20.0", "50.0")
+    ]
+    conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nscenarios = 2\n")
+    assert cli_main(["run", "--config", str(conf), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_run_reports_a_missing_config_file(tmp_path, capsys):

@@ -305,7 +305,7 @@ def test_sum_throughput_no_groups_is_cu_only():
     links = scenario_links(scn)
     fading = draw_fading(links, rng_for(7, 0))
     powers = PowerVector(np.full(p.num_channels, 0.5), np.zeros(0))
-    got = sum_throughput(links, fading, powers, np.zeros(0, dtype=int))
+    got = sum_throughput(scn, fading, powers, np.zeros(0, dtype=int))
     # every CU is alone on its channel: capped SIR on all three
     expect = p.num_channels * math.log2(1.0 + SIR_CAP)
     assert got == pytest.approx(expect)
@@ -320,7 +320,7 @@ def test_sum_throughput_additivity_single_pair():
     ) + rate(
         sir_group(links, fading, powers, a, 0, 0), scn.params.mg_sir_threshold
     )
-    assert sum_throughput(links, fading, powers, a) == pytest.approx(want, rel=1e-12)
+    assert sum_throughput(scn, fading, powers, a) == pytest.approx(want, rel=1e-12)
 
 
 def _oracle_sum_throughput(scn, fading, powers, assignment):
@@ -341,14 +341,14 @@ def _oracle_sum_throughput(scn, fading, powers, assignment):
 
 def test_sum_throughput_matches_bruteforce():
     scn, links, fading, powers, assignment = _random_instance(index=3)
-    got = sum_throughput(links, fading, powers, assignment)
+    got = sum_throughput(scn, fading, powers, assignment)
     want = _oracle_sum_throughput(scn, fading, powers, assignment)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_sum_throughput_permutation_symmetry():
     scn, links, fading, powers, assignment = _random_instance(index=4)
-    base = sum_throughput(links, fading, powers, assignment)
+    base = sum_throughput(scn, fading, powers, assignment)
     rng = np.random.default_rng(12)
     gperm = rng.permutation(links.num_groups)       # new g <- old gperm[g]
     cperm = rng.permutation(scn.params.num_channels)
