@@ -25,6 +25,13 @@ fl(max_i a_i + x). The greedy search keeps, for each set of channels a
 family may already hold, a per-column table of the least entry over the
 channels still open, so each round is one lookup per slot.
 
+A selection mode only chooses which size vectors take part: its family
+table is a run of whole per-vector blocks, and a family's best matching
+value, like its greedy row, does not depend on the mode that admitted it.
+So both searches keep their per-family scores on the EvalContext, keyed by
+size vector; the schemes run on one context score each block once, and each
+scheme applies its tie rules to its own mode's blocks in enumeration order.
+
 Powers follow the closed-form feasibility interval: each assigned group
 transmits at the top of its interval on its channel, and a group whose
 interval is empty is muted (kept in the subset at zero power, zero rate)
@@ -177,11 +184,13 @@ def _admits_family(G: int, C: int, mode: str) -> bool:
     return G > 0 and (kind != "fixed" or n * min(C, G) <= G)
 
 
+@lru_cache(maxsize=None)
 def check_exhaustive_size(G: int, C: int, mode: str) -> None:
     """Refuse sizes past EXHAUSTIVE_GUARD. Families have at most min(C, G)
     subsets, so the search tries matching_count(min(C, G), C) matchings per
     family; that count is what the channel limit bounds. A mode that admits
-    no family tries none, and only the group limit of the tables holds."""
+    no family tries none, and only the group limit of the tables holds.
+    Passing sizes are cached, as allocate checks on every call."""
     gmax, cmax = EXHAUSTIVE_GUARD
     limit = matching_count(cmax, cmax)
     n = matching_count(min(C, G), C) if _admits_family(G, C, mode) else 0
@@ -233,6 +242,15 @@ class EvalContext:
     the scenario's positions, so contexts of one scenario under other
     parameters may pass in those of an earlier context instead of redrawing
     them.
+
+    The searches' per-family scores are kept per size vector:
+    ``exhaustive_scores`` holds each vector's families' best exhaustive
+    values, ``greedy_scores`` their greedy (rows, values), both in the form
+    ``_scores_by_vector`` stores. A selection mode only chooses which
+    vectors take part, so every scheme run on the context reads the blocks
+    its mode admits and scores only those not yet held. The scores depend
+    on the context's tables alone, and a context belongs to one parameter
+    set, so they never outlive a table they read.
     """
 
     def __init__(self, scenario, fading=None, links=None):
@@ -288,6 +306,9 @@ class EvalContext:
         self._g_cu_rx = g_cu_rx
         self._g_mg_rx = g_mg_rx
         self._g_cu_bs = g_cu_bs
+
+        self.exhaustive_scores: dict = {}
+        self.greedy_scores: dict = {}
 
     # -- tables ---------------------------------------------------------------
 
@@ -439,38 +460,56 @@ def _subset_masks(G: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return masks, masks & -masks
 
 
-@lru_cache(maxsize=None)
-def _family_mask_array(G: int, C: int, mode: str):
-    """All families for (G, C, mode) as read-only bitmask rows, in the
-    canonical order of `combinatorics.enumerate_families` over the size
-    vectors of `enumerate_size_vectors`.
+def _vector_family_masks(G: int, sizes: tuple) -> np.ndarray:
+    """The families of one size vector as bitmask rows, in the canonical
+    order of `combinatorics.enumerate_families`.
 
-    Each size vector (non-increasing) grows its rows one block at a time:
-    every current row is paired with every block mask, row-major, and a pair
-    is kept when the block is disjoint from the row's groups and, after a
-    block of the same size, has a higher lowest group (the dedup rule of
-    `enumerate_families`). np.nonzero keeps the pairs in lexicographic order.
+    The rows grow one subset at a time: every current row is paired with
+    every subset mask, row-major, and a pair is kept when the subset is
+    disjoint from the row's groups and, after a subset of the same size, has
+    a higher lowest group (the dedup rule of `enumerate_families`).
+    np.nonzero keeps the pairs in lexicographic order.
     """
-    blocks = []
+    rows = np.zeros((1, 0), dtype=np.int64)
+    used = np.zeros(1, dtype=np.int64)
+    low = np.zeros(1, dtype=np.int64)
+    prev = 0
+    for s in sizes:
+        masks, lows = _subset_masks(G, s)
+        ok = (used[:, None] & masks) == 0
+        if s == prev:
+            ok &= lows > low[:, None]
+        r, c = np.nonzero(ok)
+        rows = np.column_stack((rows[r], masks[c]))
+        used = used[r] | masks[c]
+        low = lows[c]
+        prev = s
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _family_table(G: int, C: int, mode: str) -> tuple[np.ndarray, tuple]:
+    """All families for (G, C, mode) as read-only bitmask rows, the blocks
+    of ``_vector_family_masks`` over the size vectors of
+    `enumerate_size_vectors` in that order, and each block's bounds
+    (sizes, start, end) in the rows, taken from the blocks' lengths.
+
+    Blocks are built per mode, not cached per size vector: a cache of them
+    would hold every family a second time, beside the concatenated rows.
+    """
+    blocks, bounds, start = [], [], 0
     for sizes in enumerate_size_vectors(G, C, mode):
-        rows = np.zeros((1, 0), dtype=np.int64)
-        used = np.zeros(1, dtype=np.int64)
-        low = np.zeros(1, dtype=np.int64)
-        prev = 0
-        for s in sizes:
-            masks, lows = _subset_masks(G, s)
-            ok = (used[:, None] & masks) == 0
-            if s == prev:
-                ok &= lows > low[:, None]
-            r, c = np.nonzero(ok)
-            rows = np.column_stack((rows[r], masks[c]))
-            used = used[r] | masks[c]
-            low = lows[c]
-            prev = s
-        blocks.append(rows)
+        blocks.append(_vector_family_masks(G, sizes))
+        bounds.append((sizes, start, start + len(blocks[-1])))
+        start += len(blocks[-1])
     out = np.concatenate(blocks) if blocks else np.zeros((0, C), dtype=np.int64)
     out.flags.writeable = False
-    return out
+    return out, tuple(bounds)
+
+
+def _family_mask_array(G: int, C: int, mode: str) -> np.ndarray:
+    """The rows of ``_family_table(G, C, mode)``."""
+    return _family_table(G, C, mode)[0]
 
 
 def _groups_of(mask) -> list:
@@ -560,9 +599,37 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray
 # full per-scenario allocation
 
 
-def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
-    """Every family under every channel matching; the best candidate's
-    (family index, slot-channel row, value).
+def _scores_by_vector(cache: dict, blocks, fam_masks: np.ndarray, score) -> tuple:
+    """``score(fam_masks)``, a tuple of per-family arrays, read through a
+    cache of per-size-vector blocks.
+
+    ``blocks`` are the (sizes, start, end) bounds of ``fam_masks``. The
+    blocks missing from ``cache`` are scored in one pass; when every block
+    is missing, ``fam_masks`` itself is scored, with no gather. The cache
+    maps each size vector to (arrays, start, end): the read-only arrays its
+    block was scored in and its rows there, sliced only when read back. A
+    family's scores must not depend on the other rows scored with it, so the
+    result equals scoring ``fam_masks`` bitwise.
+    """
+    missing = [b for b in blocks if b[0] not in cache]
+    if missing:
+        whole = len(missing) == len(blocks)
+        rows = fam_masks if whole else np.concatenate([fam_masks[lo:hi] for _, lo, hi in missing])
+        out = score(rows)
+        for a in out:
+            a.flags.writeable = False
+        at = 0
+        for sizes, lo, hi in missing:
+            cache[sizes] = (out, at, at + hi - lo)
+            at += hi - lo
+        if whole:
+            return out
+    parts = [[a[lo:hi] for a in out] for out, lo, hi in (cache[b[0]] for b in blocks)]
+    return tuple(parts[0]) if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+
+
+def _exhaustive_values(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
+    """Each family's best value over every channel matching.
 
     A candidate scores the baseline plus its assigned slots' gains added in
     slot order. Each family's best over all matchings comes from a max-plus
@@ -574,14 +641,6 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
     and a slot left without a channel adds nothing, so the pass equals the
     max over every matching's slot-order sum bitwise, with no (patterns,
     families) table. Families run in blocks of _BLOCK.
-
-    Exact ties are common: a muted group contributes zero rate and zero
-    interference, so families differing only in where they put it evaluate
-    bitwise equal. Among the families reaching the optimum, the one
-    covering the most groups wins (muted ones count too, so this is not the
-    number that transmit), the first in enumeration order among equals,
-    under the first row of ``assignment_patterns`` whose slot-order sum
-    reaches the optimum.
     """
     F, S = fam_masks.shape
     C = ctx.C
@@ -611,12 +670,40 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
         for k in range(C):
             m = np.maximum(m, top[k] + g[S - 1][k])
         M[lo : lo + n] = m
+    return M
+
+
+def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
+    """The best candidate of ``fam_masks`` under every channel matching:
+    its (family index, slot-channel row, value).
+
+    Each family's best value comes from ``_exhaustive_values``. Given the
+    size-vector ``blocks`` of ``fam_masks``, the values are read through
+    ``ctx.exhaustive_scores``, so a block is scored once per context
+    whichever modes admit it; without them they are scored here.
+
+    Exact ties are common: a muted group contributes zero rate and zero
+    interference, so families differing only in where they put it evaluate
+    bitwise equal. Among the families reaching the optimum, the one
+    covering the most groups wins (muted ones count too, so this is not the
+    number that transmit), the first in enumeration order among equals,
+    under the first row of ``assignment_patterns`` whose slot-order sum
+    reaches the optimum.
+    """
+    S = fam_masks.shape[1]
+    gain = ctx.gain
+    if blocks is None:
+        M = _exhaustive_values(ctx, fam_masks)
+    else:
+        (M,) = _scores_by_vector(
+            ctx.exhaustive_scores, blocks, fam_masks, lambda fams: (_exhaustive_values(ctx, fams),)
+        )
     best = M.max()
     reach = np.flatnonzero(M == best)
     union = np.bitwise_or.reduce(fam_masks[reach], axis=1)
     covered = ((union[:, None] >> np.arange(ctx.G)) & 1).sum(axis=1)
     fi = int(reach[np.argmax(covered)])
-    pats = assignment_patterns(S, C)
+    pats = assignment_patterns(S, ctx.C)
     tv = np.full(len(pats), ctx.baseline)
     for s in range(S):
         tv += gain[pats[:, s], fam_masks[fi, s]]
@@ -624,8 +711,8 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray):
     return fi, pats[pi], float(best)
 
 
-def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray):
-    """Greedy matching of every family at once; the best family's
+def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
+    """Greedy matching of every family of ``fam_masks``; the best family's
     (index, slot-channel row, value), the first family winning exact ties.
 
     The heuristic has three stages: ``avail`` closes channels whose CU could
@@ -633,11 +720,23 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray):
     ``stage2`` scores each (channel, subset) pair by the worst sum
     interference a member would see, and greedy_match takes the smallest
     scores first. Subsets left over when channels run out stay unassigned.
+    A family's row reads only its own columns, so given the size-vector
+    ``blocks`` of ``fam_masks`` the rows and values are read through
+    ``ctx.greedy_scores``, each block matched once per context; without
+    them they are matched here.
     """
-    row_of = greedy_match(ctx.stage2, ctx.avail, fam_masks)
-    tv = np.full(fam_masks.shape[0], ctx.baseline)
-    for s in range(fam_masks.shape[1]):
-        tv += ctx.gain[row_of[:, s], fam_masks[:, s]]
+
+    def score(fams):
+        row_of = greedy_match(ctx.stage2, ctx.avail, fams)
+        tv = np.full(fams.shape[0], ctx.baseline)
+        for s in range(fams.shape[1]):
+            tv += ctx.gain[row_of[:, s], fams[:, s]]
+        return row_of, tv
+
+    if blocks is None:
+        row_of, tv = score(fam_masks)
+    else:
+        row_of, tv = _scores_by_vector(ctx.greedy_scores, blocks, fam_masks, score)
     fi = int(np.argmax(tv))
     return fi, row_of[fi], float(tv[fi])
 
@@ -713,11 +812,11 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
         # no active group, or the mode admits no family at this (G, C): CU-only
         return _assignment(chan, ()), PowerVector(ctx.cu_power_w.copy(), mg_power), ctx.baseline
 
-    fam_masks = _family_mask_array(G, min(C, G), scheme.selection_mode)
+    fam_masks, blocks = _family_table(G, min(C, G), scheme.selection_mode)
     if scheme.assignment_method == "exhaustive":
-        fi, row, tv = _exhaustive_best(ctx, fam_masks)
+        fi, row, tv = _exhaustive_best(ctx, fam_masks, blocks=blocks)
     else:
-        fi, row, tv = _greedy_best(ctx, fam_masks)
+        fi, row, tv = _greedy_best(ctx, fam_masks, blocks=blocks)
     family = fam_masks[fi]
     chan[row[row >= 0]] = family[row >= 0]
     unassigned = family[row < 0]

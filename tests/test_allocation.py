@@ -2,6 +2,7 @@
 exhaustive search against a brute-force radio-layer oracle, and the exact
 dominance relations the schemes must satisfy scenario by scenario."""
 
+import random
 from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgshare import allocation
 from mgshare.allocation import (
     SCHEME_PRESETS,
     Assignment,
@@ -22,7 +24,9 @@ from mgshare.allocation import (
     _admits_family,
     _exhaustive_best,
     _family_mask_array,
+    _family_table,
     _greedy_best,
+    _vector_family_masks,
 )
 from mgshare.combinatorics import distinct_count, enumerate_families, enumerate_size_vectors
 from mgshare.geometry import generate_scenario
@@ -150,6 +154,26 @@ def test_family_mask_arrays_are_disjoint_and_complete():
 
 # ---------------------------------------------------------------------------
 # Assignment container
+
+
+@pytest.mark.parametrize("G", range(1, 9))
+def test_family_bounds_tile_the_family_mask_array(G):
+    """Each size vector's block, in enumeration order, covers the next rows
+    of the mode's table, and its rows have that vector's subset sizes."""
+    empty = 0
+    for S in range(1, min(5, G) + 1):
+        for mode in (*MODES, f"fixed({G // S + 1})"):
+            arr, bounds = _family_table(G, S, mode)
+            assert [b[0] for b in bounds] == enumerate_size_vectors(G, S, mode)
+            ends = [0] + [hi for _, _, hi in bounds]
+            assert [lo for _, lo, _ in bounds] == ends[:-1] and ends[-1] == len(arr)
+            empty += not bounds
+            for sizes, lo, hi in bounds:
+                block = _vector_family_masks(G, sizes)
+                assert hi > lo and np.array_equal(arr[lo:hi], block), (S, mode, sizes)
+                popcounts = [[bin(m).count("1") for m in row] for row in block.tolist()]
+                assert popcounts == [list(sizes)] * len(block)
+    assert empty  # the fixed(n) mode past G // S admits no family
 
 
 def test_assignment_rejects_overlap():
@@ -467,6 +491,96 @@ def test_searches_equal_oracles_on_tie_heavy_tables(data):
     ]
     fi, row, tv = _exhaustive_best(_Tables(value), fams)
     assert (fi, row.tolist(), tv) == exhaustive_best_table(_Tables(value), fams)[:3]
+
+
+# ---------------------------------------------------------------------------
+# per-size-vector scores shared by the schemes run on one context
+
+
+CACHED_SCHEMES = (*SCHEME_PRESETS, "almost_equal:greedy", "equal:greedy")
+
+
+def _outcome(ctx, scheme):
+    a, powers, tv = allocate(ctx, scheme)
+    return tv, a, powers.cu_power_w.tobytes(), powers.mg_power_w.tobytes()
+
+
+def _uncached(monkeypatch):
+    """Make allocate call both searches without block bounds, so they score
+    every family of the mode and read and write no cache."""
+    for name in ("_exhaustive_best", "_greedy_best"):
+        search = getattr(allocation, name)
+        monkeypatch.setattr(
+            allocation, name, lambda ctx, fams, blocks=None, search=search: search(ctx, fams)
+        )
+
+
+@pytest.mark.parametrize("num_groups", [5, 7, 9])
+def test_shared_context_equals_fresh_uncached_searches(num_groups, monkeypatch):
+    """Schemes run on one context, in any order, give bitwise the result
+    each gives alone on a fresh context with uncached searches; so do the
+    fixed(n) schemes of an n_per_channel sweep on its reused context."""
+    schemes = [SchemeConfig.from_token(t) for t in CACHED_SCHEMES]
+    per_channel = [SchemeConfig(f"fixed({n})", m) for n in (1, 2) for m in ("exhaustive", "greedy")]
+    scenarios = _scenarios_with(num_groups, 3)
+    _uncached(monkeypatch)
+    expect = [
+        {sc: _outcome(build_context(s), sc) for sc in schemes + per_channel} for s in scenarios
+    ]
+    monkeypatch.undo()
+    rng = random.Random(num_groups)
+    for s, want in zip(scenarios, expect):
+        shuffled = rng.sample(schemes, len(schemes))
+        for order in (schemes, schemes[::-1], shuffled, per_channel):
+            ctx = build_context(s)
+            for sc in order:
+                assert _outcome(ctx, sc) == want[sc], (num_groups, sc, order.index(sc))
+        S = min(ctx.C, ctx.G)
+        held = {v for n in (1, 2) for v in enumerate_size_vectors(ctx.G, S, f"fixed({n})")}
+        assert set(ctx.exhaustive_scores) == set(ctx.greedy_scores) == held
+
+
+def test_a_scheme_scores_only_its_own_blocks(monkeypatch):
+    """A scheme scores the size vectors its mode admits that the context does
+    not hold yet, and nothing else; held blocks are reused, not rescored."""
+    scored = []
+    for name in ("_exhaustive_values", "greedy_match"):
+        fn = getattr(allocation, name)
+
+        def counting(a, b, *rest, fn=fn, name=name):
+            scored.append((name, len(rest[0] if rest else b)))
+            return fn(a, b, *rest)
+
+        monkeypatch.setattr(allocation, name, counting)
+    ctx = build_context(_scenarios_with(7, 1)[0])
+    G, S = ctx.G, min(ctx.C, ctx.G)
+
+    def vectors(mode):
+        return set(enumerate_size_vectors(G, S, mode))
+
+    allocate(ctx, SchemeConfig("equal"))
+    assert set(ctx.exhaustive_scores) == vectors("equal") and not ctx.greedy_scores
+    assert scored == [("_exhaustive_values", distinct_count(G, S, "equal"))]
+    held = dict(ctx.exhaustive_scores)
+    allocate(ctx, SchemeConfig("all"))
+    assert set(ctx.exhaustive_scores) == vectors("all")
+    assert all(ctx.exhaustive_scores[v] is held[v] for v in held)
+    missing = distinct_count(G, S, "all") - distinct_count(G, S, "equal")
+    assert scored[1:] == [("_exhaustive_values", missing)]
+    allocate(ctx, SchemeConfig("almost_equal"))
+    allocate(ctx, SchemeConfig("all", power_policy="grid(2)"))
+    assert len(scored) == 2
+
+    allocate(ctx, SchemeConfig("fixed(2)", "greedy"))
+    assert set(ctx.greedy_scores) == vectors("fixed(2)") == {(2, 2, 2)}
+    held = dict(ctx.greedy_scores)
+    allocate(ctx, SchemeConfig("all", "greedy"))
+    allocate(ctx, SchemeConfig("equal", "greedy"))
+    assert set(ctx.greedy_scores) == vectors("all")
+    assert ctx.greedy_scores[(2, 2, 2)] is held[(2, 2, 2)]
+    missing = distinct_count(G, S, "all") - distinct_count(G, S, "fixed(2)")
+    fixed2 = distinct_count(G, S, "fixed(2)")
+    assert scored[2:] == [("greedy_match", fixed2), ("greedy_match", missing)]
 
 
 def test_greedy_assign_all_channels_closed():
