@@ -29,8 +29,11 @@ A selection mode only chooses which size vectors take part: its family
 table is a run of whole per-vector blocks, and a family's best matching
 value, like its greedy row, does not depend on the mode that admitted it.
 So both searches keep their per-family scores on the EvalContext, keyed by
-size vector; the schemes run on one context score each block once, and each
-scheme applies its tie rules to its own mode's blocks in enumeration order.
+size vector, and score families only through that cache: each call names
+the blocks of the rows it searches, and a context that holds none of them
+scores the whole table in one pass. The schemes run on one context score
+each block once, and each scheme applies its tie rules to its own mode's
+blocks in enumeration order.
 
 Powers follow the closed-form feasibility interval: each assigned group
 transmits at the top of its interval on its channel, and a group whose
@@ -507,11 +510,6 @@ def _family_table(G: int, C: int, mode: str) -> tuple[np.ndarray, tuple]:
     return out, tuple(bounds)
 
 
-def _family_mask_array(G: int, C: int, mode: str) -> np.ndarray:
-    """The rows of ``_family_table(G, C, mode)``."""
-    return _family_table(G, C, mode)[0]
-
-
 def _groups_of(mask) -> list:
     """Indices of the set bits of a group mask, lowest first."""
     out = []
@@ -673,14 +671,14 @@ def _exhaustive_values(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
     return M
 
 
-def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
+def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     """The best candidate of ``fam_masks`` under every channel matching:
     its (family index, slot-channel row, value).
 
-    Each family's best value comes from ``_exhaustive_values``. Given the
-    size-vector ``blocks`` of ``fam_masks``, the values are read through
-    ``ctx.exhaustive_scores``, so a block is scored once per context
-    whichever modes admit it; without them they are scored here.
+    Each family's best value comes from ``_exhaustive_values``, read through
+    ``ctx.exhaustive_scores`` over the size-vector ``blocks`` of
+    ``fam_masks``, so a block is scored once per context whichever modes
+    admit it.
 
     Exact ties are common: a muted group contributes zero rate and zero
     interference, so families differing only in where they put it evaluate
@@ -692,12 +690,9 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
     """
     S = fam_masks.shape[1]
     gain = ctx.gain
-    if blocks is None:
-        M = _exhaustive_values(ctx, fam_masks)
-    else:
-        (M,) = _scores_by_vector(
-            ctx.exhaustive_scores, blocks, fam_masks, lambda fams: (_exhaustive_values(ctx, fams),)
-        )
+    (M,) = _scores_by_vector(
+        ctx.exhaustive_scores, blocks, fam_masks, lambda fams: (_exhaustive_values(ctx, fams),)
+    )
     best = M.max()
     reach = np.flatnonzero(M == best)
     union = np.bitwise_or.reduce(fam_masks[reach], axis=1)
@@ -711,7 +706,7 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
     return fi, pats[pi], float(best)
 
 
-def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
+def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     """Greedy matching of every family of ``fam_masks``; the best family's
     (index, slot-channel row, value), the first family winning exact ties.
 
@@ -720,10 +715,9 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
     ``stage2`` scores each (channel, subset) pair by the worst sum
     interference a member would see, and greedy_match takes the smallest
     scores first. Subsets left over when channels run out stay unassigned.
-    A family's row reads only its own columns, so given the size-vector
-    ``blocks`` of ``fam_masks`` the rows and values are read through
-    ``ctx.greedy_scores``, each block matched once per context; without
-    them they are matched here.
+    A family's row reads only its own columns, so the rows and values are
+    read through ``ctx.greedy_scores`` over the size-vector ``blocks`` of
+    ``fam_masks``, each block matched once per context.
     """
 
     def score(fams):
@@ -733,10 +727,7 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks=None):
             tv += ctx.gain[row_of[:, s], fams[:, s]]
         return row_of, tv
 
-    if blocks is None:
-        row_of, tv = score(fam_masks)
-    else:
-        row_of, tv = _scores_by_vector(ctx.greedy_scores, blocks, fam_masks, score)
+    row_of, tv = _scores_by_vector(ctx.greedy_scores, blocks, fam_masks, score)
     fi = int(np.argmax(tv))
     return fi, row_of[fi], float(tv[fi])
 

@@ -4,7 +4,7 @@ The channel allocation search assigns C disjoint, non-empty subsets of the G
 active multicast groups to the C channels. This module enumerates the subset
 size vectors for each selection mode, counts the families two ways, and
 enumerates the concrete families. The search reads the same families, in the
-same order, as the mask rows of ``allocation._family_mask_array``.
+same order, as the mask rows of ``allocation._family_table``.
 
 Two counters are kept on purpose:
 
@@ -97,28 +97,20 @@ def ordered_selections(G: int, sizes: Sequence[int]) -> int:
     return out
 
 
-def vector_reference_term(G: int, sizes: Sequence[int]) -> int:
-    """Reference tally for one size vector: binomial product over the
-    product of size multiplicities."""
-    div = 1
-    for m in _multiplicities(sizes).values():
-        div *= m
+def _divided_selections(G: int, sizes: Sequence[int], per_size) -> int:
+    """ordered_selections(G, sizes) over the product of ``per_size(m)`` for
+    each size multiplicity m; the quotient must be exact."""
+    div = math.prod(per_size(m) for m in _multiplicities(sizes).values())
     term, rem = divmod(ordered_selections(G, sizes), div)
     if rem:
-        raise ArithmeticError(f"non-integer reference term for {tuple(sizes)}")
+        raise ArithmeticError(f"ordered selections of {tuple(sizes)} not divisible by {div}")
     return term
 
 
 def vector_distinct_term(G: int, sizes: Sequence[int]) -> int:
     """Distinct families for one size vector: binomial product over the
     product of multiplicity factorials."""
-    div = 1
-    for m in _multiplicities(sizes).values():
-        div *= math.factorial(m)
-    term, rem = divmod(ordered_selections(G, sizes), div)
-    if rem:
-        raise ArithmeticError(f"non-integer distinct term for {tuple(sizes)}")
-    return term
+    return _divided_selections(G, sizes, math.factorial)
 
 
 # The reference tallies this package reproduces evaluate one almost-equal term
@@ -132,10 +124,12 @@ _REFERENCE_TERM_OVERRIDES: dict[tuple[int, int, str, tuple[int, ...]], int] = {
 
 
 def _reference_term(G: int, C: int, mode_kind: str, sizes: tuple[int, ...]) -> int:
+    """Reference tally for one size vector: binomial product over the
+    product of size multiplicities, unless overridden above."""
     override = _REFERENCE_TERM_OVERRIDES.get((G, C, mode_kind, sizes))
     if override is not None:
         return override
-    return vector_reference_term(G, sizes)
+    return _divided_selections(G, sizes, lambda m: m)
 
 
 def reference_count_by_total(G: int, C: int, mode: Mode = "all") -> dict[int, int]:
@@ -167,22 +161,6 @@ def distinct_count(G: int, C: int, mode: Mode = "all") -> int:
 def search_space_size(G: int, C: int, mode: Mode = "all") -> int:
     """Reference tally times C!: selections combined with channel orderings."""
     return reference_count(G, C, mode) * math.factorial(C)
-
-
-def equal_split_bound(G: int, C: int) -> int:
-    """Lower bound on search_space_size(G, C, "all"): the equal-size vectors
-    only, each ordered-selection product divided by C, times C!.
-
-    Equals search_space_size(G, C, "equal") and has the closed form
-    G! (C-1)! * sum_n 1 / ((n!)^C (G - nC)!).
-    """
-    total = 0
-    for n in range(1, G // C + 1):
-        term, rem = divmod(ordered_selections(G, [n] * C), C)
-        if rem:
-            raise ArithmeticError("equal-split term not divisible by C")
-        total += term
-    return total * math.factorial(C)
 
 
 def enumerate_families(

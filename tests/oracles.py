@@ -12,7 +12,8 @@ sampling oracles compute every candidate's position and test exclusion and
 association for every candidate against every CU and transmitter in one
 broadcast, with no candidate window and no association reach. The
 vectorized code in the package must agree with these bitwise or to within
-re-summation noise, as each test states.
+re-summation noise, as each test states. The equal-split bound counts the
+equal search space a second way, from ordered selections alone.
 """
 
 import math
@@ -20,6 +21,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from mgshare.combinatorics import ordered_selections
 from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SIR_CAP
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
@@ -368,6 +370,26 @@ def exhaustive_best_table(ctx, fam_masks):
     for s, k in pats[pi]:
         row[s] = k
     return fi, row, float(tv[fi, pi]), len(ties)
+
+
+# ---------------------------------------------------------------------------
+# counting: the equal-split bound
+
+
+def equal_split_bound(G: int, C: int) -> int:
+    """Lower bound on search_space_size(G, C, "all"): the equal-size vectors
+    only, each ordered-selection product divided by C, times C!.
+
+    Equals search_space_size(G, C, "equal") and has the closed form
+    G! (C-1)! * sum_n 1 / ((n!)^C (G - nC)!).
+    """
+    total = 0
+    for n in range(1, G // C + 1):
+        term, rem = divmod(ordered_selections(G, [n] * C), C)
+        if rem:
+            raise ArithmeticError("equal-split term not divisible by C")
+        total += term
+    return total * math.factorial(C)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from mgshare.combinatorics import (
     distinct_count,
     enumerate_families,
     enumerate_size_vectors,
-    equal_split_bound,
     reference_count,
     reference_count_by_total,
     search_space_size,
@@ -35,6 +34,7 @@ from mgshare.harness import (
 from mgshare.outage import MCLink, mc_outage, outage_cu, outage_mg
 from mgshare.params import SimParams
 from mgshare.power import group_power_cap
+from oracles import equal_split_bound
 
 N_SCENARIOS = 150
 POOL = 8

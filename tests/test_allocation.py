@@ -23,7 +23,6 @@ from mgshare.allocation import (
     matching_count,
     _admits_family,
     _exhaustive_best,
-    _family_mask_array,
     _family_table,
     _greedy_best,
     _vector_family_masks,
@@ -133,7 +132,7 @@ def test_family_mask_array_equals_enumerate_families(G):
                 for sizes in enumerate_size_vectors(G, C, mode)
                 for fam in enumerate_families(range(G), sizes)
             ]
-            arr = _family_mask_array(G, C, mode)
+            arr = _family_table(G, C, mode)[0]
             assert arr.dtype == np.int64 and arr.shape == (len(expected), C)
             assert arr.tolist() == expected, (C, mode)
             assert len(arr) == distinct_count(G, C, mode)
@@ -141,7 +140,7 @@ def test_family_mask_array_equals_enumerate_families(G):
 
 
 def test_family_mask_arrays_are_disjoint_and_complete():
-    arr = _family_mask_array(7, 3, "almost_equal")
+    arr = _family_table(7, 3, "almost_equal")[0]
     assert arr.shape[1] == 3
     for row in arr:
         combined = 0
@@ -256,7 +255,7 @@ def test_exhaustive_assign_matches_radio_brute_force():
     ctx = build_context(s)
     assignment, _, tv = allocate(ctx, SchemeConfig())
     arrays = set()
-    for masks in _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all"):
+    for masks in _family_table(ctx.G, min(ctx.C, ctx.G), "all")[0]:
         for row in assignment_patterns(len(masks), ctx.C).tolist():
             arr = [-1] * ctx.G
             for slot, k in enumerate(row):
@@ -317,7 +316,7 @@ def test_admits_family_equals_a_nonempty_family_table():
     for G in range(0, 9):
         for C in range(1, 7):
             for mode in ("all", "almost_equal", "equal", "fixed(1)", "fixed(2)", "fixed(3)"):
-                table = _family_mask_array(G, min(C, G), mode) if G else ()
+                table = _family_table(G, min(C, G), mode)[0] if G else ()
                 assert _admits_family(G, C, mode) == (len(table) > 0), (G, C, mode)
 
 
@@ -378,8 +377,8 @@ def test_greedy_assign_agrees_with_stage2_table():
     s = _scenario(max_groups=6, min_groups=3)
     ctx = build_context(s)
     a, _, _ = allocate(ctx, SchemeConfig("almost_equal", "greedy"))
-    fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "almost_equal")
-    fi, row, _ = _greedy_best(ctx, fams)
+    fams, blocks = _family_table(ctx.G, min(ctx.C, ctx.G), "almost_equal")
+    fi, row, _ = _greedy_best(ctx, fams, blocks=blocks)
     masks = [int(m) for m in fams[fi]]
 
     direct = stage2_matrix_direct(ctx, masks)
@@ -421,10 +420,10 @@ def test_batched_greedy_equals_per_family_oracle(num_groups, num_channels):
     open_counts = []
     for s in _scenarios_with(num_groups, 5, num_channels):
         ctx = build_context(s)
-        fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")
+        fams, blocks = _family_table(ctx.G, min(ctx.C, ctx.G), "all")
         family_rows = greedy_rows_loop(ctx, fams)
         assert greedy_match(ctx.stage2, ctx.avail, fams).tolist() == family_rows
-        fi, row, tv = _greedy_best(ctx, fams)
+        fi, row, tv = _greedy_best(ctx, fams, blocks=blocks)
         assert (fi, row.tolist(), tv) == greedy_best_loop(ctx, fams, family_rows)
         open_counts.append(int(ctx.avail.sum()))
     S = min(num_channels, num_groups)
@@ -445,10 +444,10 @@ def test_exhaustive_best_equals_pair_table_oracle(num_groups, num_channels):
     for s in _scenarios_with(num_groups, 8, num_channels):
         ctx = build_context(s)
         for mode in ("all", "almost_equal", "equal", "fixed(2)"):
-            fams = _family_mask_array(ctx.G, min(ctx.C, ctx.G), mode)
+            fams, blocks = _family_table(ctx.G, min(ctx.C, ctx.G), mode)
             if len(fams) == 0:
                 continue  # allocate returns CU-only without searching
-            fi, row, tv = _exhaustive_best(ctx, fams)
+            fi, row, tv = _exhaustive_best(ctx, fams, blocks=blocks)
             *expect, n_ties = exhaustive_best_table(ctx, fams)
             assert [fi, row.tolist(), tv] == expect, (num_groups, mode)
             tied += mode == "all" and n_ties > 1
@@ -456,16 +455,21 @@ def test_exhaustive_best_equals_pair_table_oracle(num_groups, num_channels):
 
 
 class _Tables:
-    """The fields both searches read, over a given value table; baseline
-    and gain are EvalContext's own."""
+    """The fields both searches read, over given value and stage-2 tables
+    and channel availability; baseline and gain are EvalContext's own, and
+    the per-size-vector caches start empty."""
 
     baseline = EvalContext.baseline
     gain = EvalContext.gain
 
-    def __init__(self, value):
+    def __init__(self, value, stage2, row_ok):
         self.value = value
+        self.stage2 = stage2
+        self.avail = np.array(row_ok, dtype=bool)
         self.C, n = value.shape
         self.G = n.bit_length() - 1
+        self.exhaustive_scores = {}
+        self.greedy_scores = {}
 
 
 @settings(max_examples=200, deadline=None)
@@ -473,24 +477,37 @@ class _Tables:
 def test_searches_equal_oracles_on_tie_heavy_tables(data):
     """Small integers stored as floats tie almost everywhere, so every
     tie-break of both searches decides the outcome. Closed channels are
-    drawn at random, all closed and fewer open than slots included."""
+    drawn at random, all closed and fewer open than slots included. Two
+    drawn modes run in sequence on one set of tables: the second reads the
+    size vectors the first scored and scores only the others."""
     C = data.draw(st.integers(1, 5), label="C")
     G = data.draw(st.integers(1, 6), label="G")
     S = data.draw(st.integers(1, min(C, G)), label="S")
-    fams = _family_mask_array(G, S, data.draw(st.sampled_from(MODES), label="mode"))
+    modes = data.draw(st.lists(st.sampled_from(MODES), min_size=2, max_size=2), label="modes")
     cells = st.lists(st.integers(0, 3), min_size=C << G, max_size=C << G)
     value = np.array(data.draw(cells, label="value"), dtype=float).reshape(C, 1 << G)
     stage2 = np.array(data.draw(cells, label="stage2"), dtype=float).reshape(C, 1 << G)
     row_ok = data.draw(st.lists(st.booleans(), min_size=C, max_size=C), label="row_ok")
-    if len(fams) == 0:
-        return  # allocate returns CU-only without searching
-    table = stage2.tolist()
-    assert greedy_match(stage2, row_ok, fams).tolist() == [
-        greedy_match_loop([[r[m] for m in masks] for r in table], row_ok)
-        for masks in fams.tolist()
-    ]
-    fi, row, tv = _exhaustive_best(_Tables(value), fams)
-    assert (fi, row.tolist(), tv) == exhaustive_best_table(_Tables(value), fams)[:3]
+    tables = _Tables(value, stage2, row_ok)
+    for mode in modes:
+        fams, blocks = _family_table(G, S, mode)
+        if len(fams) == 0:
+            continue  # allocate returns CU-only without searching
+        rows = greedy_rows_loop(tables, fams)
+        assert greedy_match(stage2, row_ok, fams).tolist() == rows
+        searches = (
+            (_exhaustive_best, tables.exhaustive_scores, exhaustive_best_table(tables, fams)[:3]),
+            (_greedy_best, tables.greedy_scores, greedy_best_loop(tables, fams, rows)),
+        )
+        for search, cache, expect in searches:
+            held = dict(cache)
+            fi, row, tv = search(tables, fams, blocks=blocks)
+            assert (fi, row.tolist(), tv) == expect, (mode, search.__name__)
+            assert set(cache) == set(held) | {b[0] for b in blocks}
+            assert all(cache[v] is held[v] for v in held)
+            # the newly held vectors share the one pass that scored them
+            scored = {id(out): len(out[0]) for v, (out, _, _) in cache.items() if v not in held}
+            assert sum(scored.values()) == sum(hi - lo for v, lo, hi in blocks if v not in held)
 
 
 # ---------------------------------------------------------------------------
@@ -505,29 +522,18 @@ def _outcome(ctx, scheme):
     return tv, a, powers.cu_power_w.tobytes(), powers.mg_power_w.tobytes()
 
 
-def _uncached(monkeypatch):
-    """Make allocate call both searches without block bounds, so they score
-    every family of the mode and read and write no cache."""
-    for name in ("_exhaustive_best", "_greedy_best"):
-        search = getattr(allocation, name)
-        monkeypatch.setattr(
-            allocation, name, lambda ctx, fams, blocks=None, search=search: search(ctx, fams)
-        )
-
-
 @pytest.mark.parametrize("num_groups", [5, 7, 9])
-def test_shared_context_equals_fresh_uncached_searches(num_groups, monkeypatch):
+def test_shared_context_equals_fresh_contexts(num_groups):
     """Schemes run on one context, in any order, give bitwise the result
-    each gives alone on a fresh context with uncached searches; so do the
-    fixed(n) schemes of an n_per_channel sweep on its reused context."""
+    each gives alone on a fresh context, where the search scores the mode's
+    whole table in one pass; so do the fixed(n) schemes of an n_per_channel
+    sweep on its reused context."""
     schemes = [SchemeConfig.from_token(t) for t in CACHED_SCHEMES]
     per_channel = [SchemeConfig(f"fixed({n})", m) for n in (1, 2) for m in ("exhaustive", "greedy")]
     scenarios = _scenarios_with(num_groups, 3)
-    _uncached(monkeypatch)
     expect = [
         {sc: _outcome(build_context(s), sc) for sc in schemes + per_channel} for s in scenarios
     ]
-    monkeypatch.undo()
     rng = random.Random(num_groups)
     for s, want in zip(scenarios, expect):
         shuffled = rng.sample(schemes, len(schemes))
@@ -593,7 +599,7 @@ def test_greedy_assign_all_channels_closed():
     assert tv == ctx.baseline
     assert all(not gs for gs in a.channel_to_groups.values())
     # every family ties at the baseline, so the first one is chosen
-    first = _family_mask_array(ctx.G, min(ctx.C, ctx.G), "all")[0]
+    first = _family_table(ctx.G, min(ctx.C, ctx.G), "all")[0][0]
     assert a.unassigned_subsets == tuple(_groups(m, ctx.G) for m in first)
     assert (powers.mg_power_w == 0.0).all()
 

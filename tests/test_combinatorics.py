@@ -16,13 +16,13 @@ from mgshare.combinatorics import (
     distinct_count,
     enumerate_families,
     enumerate_size_vectors,
-    equal_split_bound,
     ordered_selections,
     reference_count,
     reference_count_by_total,
     search_space_size,
     vector_distinct_term,
 )
+from oracles import equal_split_bound
 
 
 def brute_force_families(ids, sizes):
