@@ -241,38 +241,53 @@ class EvalContext:
 
     Built once per (scenario, fading); the allocation searches then run on
     table lookups. Tables are lazy: the heuristic's interference table is
-    only built when the heuristic runs. The links and the fading read only
-    the scenario's positions, so contexts of one scenario under other
-    parameters may pass in those of an earlier context instead of redrawing
-    them.
+    only built when the heuristic runs.
 
     The searches' per-family scores are kept per size vector:
     ``exhaustive_scores`` holds each vector's families' best exhaustive
     values, ``greedy_scores`` their greedy (rows, values), both in the form
     ``_scores_by_vector`` stores. A selection mode only chooses which
     vectors take part, so every scheme run on the context reads the blocks
-    its mode admits and scores only those not yet held. The scores depend
-    on the context's tables alone, and a context belongs to one parameter
-    set, so they never outlive a table they read.
+    its mode admits and scores only those not yet held.
+
+    A context of the same draw under other parameters (the next point of a
+    P_G or R_c_min sweep) is built with ``prev``, the previous point's
+    context. It takes the links and fading from ``prev`` and adopts each
+    table, as the very object ``prev`` holds, whose inputs besides them are
+    bitwise equal to the ones ``prev`` read (``_reads``; the powers and
+    thresholds are positive and finite, so ``==`` compares their bits):
+
+    - path gains, unit-power link strengths and the rescoring lists of
+      ``channel_value``: the maximum CU power;
+    - the silenced value table, ``gain``, ``baseline`` and
+      ``exhaustive_scores``: the maximum CU power, the feasible powers
+      ``p_gk`` byte for byte, and both decode thresholds;
+    - ``stage2``: both maximum powers;
+    - ``avail``: both maximum powers and the CU threshold;
+    - ``greedy_scores``: whenever ``gain``, ``stage2`` and ``avail`` all are.
+
+    Every context computes its own feasible powers, which read the powers,
+    thresholds, outage budgets and densities. Each score cache is shared
+    only together with every table its scores read, so a cache never
+    outlives a table it read: a context that rebuilds a table starts that
+    table's caches empty.
     """
 
-    def __init__(self, scenario, fading=None, links=None):
+    def __init__(self, scenario, fading=None, *, prev=None):
         self.scenario = scenario
-        self.params = scenario.params
-        self.links = scenario_links(scenario) if links is None else links
-        if fading is None:
-            fading = draw_fading(self.links, rng_for(scenario.scenario_seed, FADING_STREAM))
-        self.fading = fading
-        p = self.params
+        self.params = p = scenario.params
+        if prev is None:
+            self.links = scenario_links(scenario)
+            if fading is None:
+                fading = draw_fading(self.links, rng_for(scenario.scenario_seed, FADING_STREAM))
+            self.fading = fading
+        else:
+            self.links, self.fading = prev.links, prev.fading
         L = self.links
         self.C = p.num_channels
         self.G = L.num_groups
-        self.cu_power_w = np.full(self.C, p.max_cu_power_w)
-
-        g_cu_bs = path_gain(L.d_cu_bs)
-        g_mg_bs = path_gain(L.d_mg_bs)
-        g_cu_rx = path_gain(L.d_cu_rx)
-        g_mg_rx = path_gain(L.d_mg_rx)
+        cu_w, mg_w = p.max_cu_power_w, p.max_mg_power_w
+        self._mg_th, self._cu_th = mg_th, cu_th = p.mg_sir_threshold, p.cu_sir_threshold
 
         # feasible power interval per (group, channel): the floor binds at the
         # group's farthest member, the cap at the channel CU's distance
@@ -280,38 +295,48 @@ class EvalContext:
         worst_d = np.maximum.reduceat(own_d, L.offsets) if self.G else np.zeros(0)
         self.p_inf = np.zeros(self.G)
         self.p_gk = np.zeros((self.G, self.C))
+        lam_c, lam_g, guard = p.cu_density_per_m2, p.group_density_per_m2, p.exclusion_radius_m
+        mg_budget, cu_budget = p.mg_outage_budget, p.cu_outage_budget
         for g in range(self.G):
             for k in range(self.C):
                 b = power_interval(
-                    p.cu_density_per_m2,
-                    p.group_density_per_m2,
-                    p.max_cu_power_w,
-                    p.exclusion_radius_m,
-                    worst_d[g],
-                    p.mg_sir_threshold,
-                    p.mg_outage_budget,
-                    L.d_cu_bs[k],
-                    p.cu_sir_threshold,
-                    p.cu_outage_budget,
-                    p.max_mg_power_w,
+                    lam_c, lam_g, cu_w, guard, worst_d[g], mg_th, mg_budget,
+                    L.d_cu_bs[k], cu_th, cu_budget, mg_w,
                 )
                 self.p_inf[g] = b.p_inf_w
                 if b.feasible:
                     self.p_gk[g, k] = b.p_sup_w
 
-        # unit-power link strengths (powers multiply in afterwards)
-        self.sig_cu = self.cu_power_w * fading.h_cu_bs * g_cu_bs
-        self.base_I_rx = self.cu_power_w[:, None] * fading.h_cu_rx * g_cu_rx
-        self.u_contrib_rx = fading.h_mg_rx * g_mg_rx[:, :, None]
-        self.u_contrib_bs = fading.h_mg_bs * g_mg_bs[:, None]
-
-        self._g_mg_bs = g_mg_bs
-        self._g_cu_rx = g_cu_rx
-        self._g_mg_rx = g_mg_rx
-        self._g_cu_bs = g_cu_bs
-
+        self._reads = {
+            "strengths": (cu_w,),
+            "value": (cu_w, self.p_gk.tobytes(), mg_th, cu_th),
+            "stage2": (cu_w, mg_w),
+            "avail": (cu_w, mg_w, cu_th),
+        }
+        self._reads["greedy"] = (self._reads["value"], self._reads["stage2"], self._reads["avail"])
         self.exhaustive_scores: dict = {}
         self.greedy_scores: dict = {}
+        if prev is not None:
+            held = vars(prev)
+            for name, reads in _SHARED.items():
+                if name in held and prev._reads[reads] == self._reads[reads]:
+                    setattr(self, name, held[name])
+        if "sig_cu" not in vars(self):
+            self._link_strengths(cu_w)
+
+    def _link_strengths(self, cu_w: float) -> None:
+        """Path gains and unit-power link strengths (powers multiply in
+        afterwards), which read the links, the fading and the CU power."""
+        L, fading = self.links, self.fading
+        self._g_cu_bs = path_gain(L.d_cu_bs)
+        self._g_mg_bs = path_gain(L.d_mg_bs)
+        self._g_cu_rx = path_gain(L.d_cu_rx)
+        self._g_mg_rx = path_gain(L.d_mg_rx)
+        self.cu_power_w = np.full(self.C, cu_w)
+        self.sig_cu = self.cu_power_w * fading.h_cu_bs * self._g_cu_bs
+        self.base_I_rx = self.cu_power_w[:, None] * fading.h_cu_rx * self._g_cu_rx
+        self.u_contrib_rx = fading.h_mg_rx * self._g_mg_rx[:, :, None]
+        self.u_contrib_bs = fading.h_mg_bs * self._g_mg_bs[:, None]
 
     # -- tables ---------------------------------------------------------------
 
@@ -336,8 +361,8 @@ class EvalContext:
             contrib_bs,
             self.links.offsets,
             self.links.group_sizes,
-            self.params.mg_sir_threshold,
-            self.params.cu_sir_threshold,
+            self._mg_th,
+            self._cu_th,
         )
         return np.take_along_axis(raw, surv, axis=1), surv
 
@@ -366,10 +391,10 @@ class EvalContext:
         sig = p.max_cu_power_w * self._g_cu_bs[:, None]
         den = p.max_mg_power_w * self._g_mg_bs[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ok = (den <= 0.0) | (sig / den >= p.cu_sir_threshold)
+            ok = (den <= 0.0) | (sig / den >= self._cu_th)
         return ok.any(axis=1)
 
-    @property
+    @cached_property
     def baseline(self) -> float:
         """Throughput with every channel CU-only."""
         return float(self.value[:, 0].sum())
@@ -384,42 +409,82 @@ class EvalContext:
         np.subtract(value, value[:, :1], out=out[:-1])
         return out
 
+    @cached_property
+    def _rescore(self) -> tuple:
+        """What ``channel_value`` reads, as Python ints and floats: each
+        group's range of receiver indices, and per channel k the tuple
+        (sig_cu[k], u_contrib_bs[:, k], base_I_rx[k], u_contrib_rx[:, :, k]
+        receiver-major)."""
+        L = self.links
+        members = [range(o, o + n) for o, n in zip(L.offsets.tolist(), L.group_sizes.tolist())]
+        channels = zip(
+            self.sig_cu.tolist(),
+            self.u_contrib_bs.T.tolist(),
+            self.base_I_rx.tolist(),
+            self.u_contrib_rx.transpose(2, 1, 0).tolist(),
+        )
+        return members, list(channels)
+
     def channel_value(self, k: int, mask: int, mg_power_w: np.ndarray) -> float:
         """Recompute one channel's score for arbitrary group powers.
 
         Used by the grid power ascent where powers leave the precomputed
         operating point. It sums in the kernel's order, interference highest
         group first and rates lowest group first, so at the table powers it
-        reproduces the raw value table bitwise.
+        reproduces the raw value table bitwise. It reads the strengths as
+        Python floats from ``_rescore``; float and numpy float64 arithmetic
+        round alike, and log2 is libm's, as in the kernel. A group's least
+        member SIR is capped once, which equals the least of the capped
+        SIRs, as min is exact.
         """
-        p = self.params
         cap = SIR_CAP
-        live = [g for g in range(self.G) if (mask >> g) & 1]
+        members, channels = self._rescore
+        sig_cu, bs, base, rx = channels[k]
+        power = mg_power_w.tolist()
+        live = _groups_of(mask)
         down = live[::-1]
         I_bs = 0.0
         for g in down:
-            I_bs += mg_power_w[g] * self.u_contrib_bs[g, k]
-        gam = cap if I_bs <= 0.0 else min(self.sig_cu[k] / I_bs, cap)
-        total = math.log2(1.0 + gam) if gam >= p.cu_sir_threshold else 0.0
-        L = self.links
+            I_bs += power[g] * bs[g]
+        gam = cap if I_bs <= 0.0 else min(sig_cu / I_bs, cap)
+        total = math.log2(1.0 + gam) if gam >= self._cu_th else 0.0
+        mg_th = self._mg_th
         for g in live:
+            others = [g2 for g2 in down if g2 != g]
+            own = power[g]
             worst = math.inf
-            for t in range(L.group_sizes[g]):
-                j = L.offsets[g] + t
-                sig = mg_power_w[g] * self.u_contrib_rx[g, j, k]
-                den = self.base_I_rx[k, j]
-                for g2 in down:
-                    if g2 != g:
-                        den += mg_power_w[g2] * self.u_contrib_rx[g2, j, k]
-                gr = cap if den <= 0.0 else min(sig / den, cap)
-                worst = min(worst, gr)
-            if worst >= p.mg_sir_threshold:
+            for j in members[g]:
+                row = rx[j]
+                den = base[j]
+                for g2 in others:
+                    den += power[g2] * row[g2]
+                gr = cap if den <= 0.0 else own * row[g] / den
+                if gr < worst:
+                    worst = gr
+            if members[g]:
+                worst = min(worst, cap)
+            if worst >= mg_th:
                 total += math.log2(1.0 + worst)
         return total
 
 
-def build_context(scenario, fading=None, links=None) -> EvalContext:
-    return EvalContext(scenario, fading, links)
+# The attributes a context built with ``prev`` adopts from it, each with the
+# entry of ``EvalContext._reads`` that must be equal in both.
+_SHARED = {
+    **dict.fromkeys(
+        ("_g_cu_bs", "_g_mg_bs", "_g_cu_rx", "_g_mg_rx", "cu_power_w", "sig_cu", "base_I_rx",
+         "u_contrib_rx", "u_contrib_bs", "_rescore"),
+        "strengths",
+    ),
+    **dict.fromkeys(("_silenced", "gain", "baseline", "exhaustive_scores"), "value"),
+    "stage2": "stage2",
+    "avail": "avail",
+    "greedy_scores": "greedy",
+}
+
+
+def build_context(scenario, fading=None, *, prev=None) -> EvalContext:
+    return EvalContext(scenario, fading, prev=prev)
 
 
 # ---------------------------------------------------------------------------

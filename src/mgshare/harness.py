@@ -15,9 +15,12 @@ of consecutive points with equal keys (a P_G or R_c_min sweep, or an
 n_per_channel sweep, which changes no parameter) is evaluated
 scenario-major: scenario i is drawn once, and each point builds its own
 context from that draw, or reuses the previous point's context when its
-parameters are equal, before scoring its schemes. A point whose key differs
-from its neighbour's (D, R, lambda_g) forms a run of its own and draws its
-own scenarios. Each run gives every worker one contiguous block of scenario
+parameters are equal, before scoring its schemes. A point's new context is
+built from the previous point's and adopts each of its tables whose inputs
+are bitwise equal (see `allocation.EvalContext`): a P_G step that leaves
+every feasible power unchanged builds no value table and scores no
+exhaustive family. A point whose key differs from its neighbour's (D, R,
+lambda_g) forms a run of its own and draws its own scenarios. Each run gives every worker one contiguous block of scenario
 indices for all its points. Results are reduced per point in
 scenario-index order no matter how many worker processes computed them, so
 the CSV is byte-identical across parallelism levels and equal to what
@@ -284,8 +287,9 @@ def _eval_scenarios(args):
 
     Each point is (SimParams, SchemeConfig tuple). Scenario i is drawn once,
     at the first point's parameters; each point then builds its context from
-    that draw, or reuses the previous point's context when its parameters
-    are equal, and scores its schemes. Returns, per point, its results in
+    that draw and the previous point's context, adopting the tables whose
+    inputs are unchanged, or reuses that context when its parameters are
+    equal, and scores its schemes. Returns, per point, its results in
     scenario-index order, each None (degenerate) or the tuple of per-scheme
     throughputs plus the winning size vector of the first scheme, and its
     summed evaluation ms, the shared draw charged to the first point.
@@ -304,7 +308,7 @@ def _eval_scenarios(args):
                 if ctx is None:
                     ctx = build_context(scenario)
                 elif ctx.params != params:
-                    ctx = build_context(replace(scenario, params=params), ctx.fading, ctx.links)
+                    ctx = build_context(replace(scenario, params=params), prev=ctx)
                 results[i].append(_score(ctx, schemes))
             now = time.perf_counter()
             elapsed[i] += now - t

@@ -4,7 +4,8 @@ The radio-layer scorer (SIR per receiver, group and CU, rates, sum
 throughput) recomputes one assignment's throughput from the link tables,
 one term at a time; `evaluate` scores an assignment through it at the
 powers allocate would grant. The table loops walk masks in increasing order
-and extend each interference sum from the mask minus its lowest set bit.
+and extend each interference sum from the mask minus its lowest set bit;
+the channel rescorer reads numpy scalars where the package reads floats.
 The greedy oracle matches one family at a time with its own scan; the
 exhaustive oracle scores every family under every (slot, channel) pair
 pattern in a (families, patterns) table with a flat tie-break. The
@@ -264,6 +265,38 @@ def stage2_matrix_direct(ctx, subset_masks):
                 worst = max(worst, tot)
             out[k, s] = worst
     return out
+
+
+def channel_value_loop(ctx, k, mask, mg_power_w):
+    """One channel's score at arbitrary group powers, read from the
+    context's numpy link strengths one scalar at a time, summed in the
+    kernel's order: interference highest group first, rates lowest group
+    first. EvalContext.channel_value reads the same strengths as Python
+    floats and must agree bitwise."""
+    p = ctx.params
+    cap = SIR_CAP
+    live = [g for g in range(ctx.G) if (mask >> g) & 1]
+    down = live[::-1]
+    I_bs = 0.0
+    for g in down:
+        I_bs += mg_power_w[g] * ctx.u_contrib_bs[g, k]
+    gam = cap if I_bs <= 0.0 else min(ctx.sig_cu[k] / I_bs, cap)
+    total = math.log2(1.0 + gam) if gam >= p.cu_sir_threshold else 0.0
+    L = ctx.links
+    for g in live:
+        worst = math.inf
+        for t in range(L.group_sizes[g]):
+            j = L.offsets[g] + t
+            sig = mg_power_w[g] * ctx.u_contrib_rx[g, j, k]
+            den = ctx.base_I_rx[k, j]
+            for g2 in down:
+                if g2 != g:
+                    den += mg_power_w[g2] * ctx.u_contrib_rx[g2, j, k]
+            gr = cap if den <= 0.0 else min(sig / den, cap)
+            worst = min(worst, gr)
+        if worst >= p.mg_sir_threshold:
+            total += math.log2(1.0 + worst)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ exhaustive search against a brute-force radio-layer oracle, and the exact
 dominance relations the schemes must satisfy scenario by scenario."""
 
 import random
-from dataclasses import FrozenInstanceError, fields
+from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -456,8 +457,9 @@ def test_exhaustive_best_equals_pair_table_oracle(num_groups, num_channels):
 
 class _Tables:
     """The fields both searches read, over given value and stage-2 tables
-    and channel availability; baseline and gain are EvalContext's own, and
-    the per-size-vector caches start empty."""
+    and channel availability; baseline and gain are EvalContext's own
+    cached properties, computed once from ``value``, and the
+    per-size-vector caches start empty."""
 
     baseline = EvalContext.baseline
     gain = EvalContext.gain
@@ -587,6 +589,102 @@ def test_a_scheme_scores_only_its_own_blocks(monkeypatch):
     missing = distinct_count(G, S, "all") - distinct_count(G, S, "fixed(2)")
     fixed2 = distinct_count(G, S, "fixed(2)")
     assert scored[2:] == [("greedy_match", fixed2), ("greedy_match", missing)]
+
+
+# ---------------------------------------------------------------------------
+# tables shared across the points of a run that share one draw
+
+RUN_SCHEMES = (*CACHED_SCHEMES, "all:exhaustive:grid(3)", "all:greedy:grid(2)")
+
+# (parameter a P_G or R_c_min sweep sets, its values, other settings). At
+# P_G = -10 dBm a rate-floor step often leaves the feasible powers bitwise
+# equal while the CU threshold moves, so the threshold alone must rebuild
+# the value table.
+RUNS = {
+    "P_G": ("max_mg_power_dbm", (-10.0, 0.0, 10.0, 20.0, 30.0), {}),
+    "R_c_min": ("cu_min_rate_bps_hz", (0.0, 1.0, 2.0, 3.0), {}),
+    "R_c_min-low-P_G": ("cu_min_rate_bps_hz", (0.0, 1.0, 2.0, 3.0), {"max_mg_power_dbm": -10.0}),
+}
+
+
+def _run_points(scenario, run):
+    """The scenario at each point of a run, as the harness gives them."""
+    name, values, base = RUNS[run]
+    params = scenario.params.copy_with(**base)
+    return [replace(scenario, params=params.copy_with(**{name: v})) for v in values]
+
+
+@pytest.mark.parametrize("run", RUNS)
+@pytest.mark.parametrize("num_groups", [5, 7])
+def test_run_on_shared_tables_equals_fresh_contexts(run, num_groups):
+    """Each point of a run, built from the previous point's context, gives
+    every scheme bitwise the outcome of a fresh context, in the harness's
+    scheme order and in reverse; and some point adopts the value table."""
+    schemes = [SchemeConfig.from_token(t) for t in RUN_SCHEMES]
+    adopted = 0
+    for s in _scenarios_with(num_groups, 3):
+        for order in (schemes, schemes[::-1]):
+            ctx = None
+            for point in _run_points(s, run):
+                fresh = build_context(point)
+                prev, ctx = ctx, build_context(point, prev=ctx)
+                for sc in order:
+                    assert _outcome(ctx, sc) == _outcome(fresh, sc), (run, sc, point.params)
+                adopted += prev is not None and ctx.value is prev.value
+    assert adopted > 0
+
+
+def _fingerprint(*arrays) -> tuple:
+    return tuple((a.shape, a.tobytes()) for a in map(np.asarray, arrays))
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
+    """Along a run, the value and stage-2 tables are built again exactly at
+    the points whose table inputs differ from the previous point's, the
+    exhaustive scores exactly with the value table, and the greedy scores
+    exactly where the value table, the stage-2 table or the channel
+    availability differ. The inputs are read from fresh contexts' calls."""
+    calls = []
+    for name in ("build_value_table", "build_stage2_table", "_exhaustive_values", "greedy_match"):
+        fn = getattr(allocation, name)
+
+        def counting(*a, fn=fn, name=name):
+            calls.append((name, _fingerprint(*a) if name.startswith("build") else None))
+            return fn(*a)
+
+        monkeypatch.setattr(allocation, name, counting)
+    schemes = [SchemeConfig.from_token(t) for t in ("optimal", "heuristic")]
+    rebuilt = transitions = 0
+    for s in _scenarios_with(5, 4):
+        points = _run_points(s, run)
+        inputs = []
+        for point in points:
+            calls.clear()
+            fresh = build_context(point)
+            for sc in schemes:
+                allocate(fresh, sc)
+            tables = dict(calls)
+            inputs.append(
+                (tables["build_value_table"], tables["build_stage2_table"], fresh.avail.tobytes())
+            )
+        calls.clear()
+        ctx = None
+        for point in points:
+            ctx = build_context(point, prev=ctx)
+            for sc in schemes:
+                allocate(ctx, sc)
+        counts = Counter(name for name, _ in calls)
+        new = [i == 0 or inputs[i][0] != inputs[i - 1][0] for i in range(len(points))]
+        assert counts["build_value_table"] == counts["_exhaustive_values"] == sum(new)
+        new = [i == 0 or inputs[i][1] != inputs[i - 1][1] for i in range(len(points))]
+        assert counts["build_stage2_table"] == sum(new)
+        new = [i == 0 or inputs[i] != inputs[i - 1] for i in range(len(points))]
+        assert counts["greedy_match"] == sum(new)
+        rebuilt += counts["build_value_table"] - 1
+        transitions += len(points) - 1
+    # the run both rebuilds and adopts the value table
+    assert 0 < rebuilt < transitions
 
 
 def test_greedy_assign_all_channels_closed():

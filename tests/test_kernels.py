@@ -12,7 +12,15 @@ from mgshare.allocation import EvalContext
 from mgshare.geometry import generate_scenario
 from mgshare.params import SIR_CAP, SimParams
 from mgshare.radio import PowerVector
-from oracles import rate, sir_cu, sir_group, stage2_matrix_direct, stage2_table_loop, value_table_loop
+from oracles import (
+    channel_value_loop,
+    rate,
+    sir_cu,
+    sir_group,
+    stage2_matrix_direct,
+    stage2_table_loop,
+    value_table_loop,
+)
 
 
 def _random_inputs(seed, G, C=3):
@@ -144,6 +152,38 @@ def test_channel_value_bitwise_equal_to_raw_table(num_groups):
         if checked == 4:
             break
     assert checked == 4
+
+
+@pytest.mark.parametrize("num_groups", [5, 7, 9])
+def test_channel_value_bitwise_equal_to_loop_oracle(num_groups):
+    """Off the table powers too, the float rescorer equals the numpy-scalar
+    loop bitwise: at random powers inside each group's interval, with some
+    groups muted at zero power, and with every group at the bottom of its
+    interval, on every channel and every mask."""
+    p = SimParams(num_groups=num_groups)
+    rng = np.random.default_rng(num_groups)
+    checked = 0
+    for idx in range(200):
+        s = generate_scenario(p, idx)
+        if s.degenerate or len(s.groups) != num_groups:
+            continue
+        ctx = EvalContext(s)
+        G = ctx.G
+        for k in range(ctx.C):
+            top = ctx.p_gk[:, k]
+            at_random = top * rng.uniform(1e-3, 1.0, G)
+            muted = np.where(rng.random(G) < 0.4, 0.0, at_random)
+            # an empty interval has no bottom to sit at: those groups stay muted
+            bottom = np.where((top > 0.0) & np.isfinite(ctx.p_inf), ctx.p_inf, 0.0)
+            for powers in (at_random, muted, bottom):
+                for m in range(1 << G):
+                    got = ctx.channel_value(k, m, powers)
+                    want = channel_value_loop(ctx, k, m, powers)
+                    assert float(got).hex() == float(want).hex(), (idx, k, m)
+        checked += 1
+        if checked == 2:
+            break
+    assert checked == 2
 
 
 def _context():
