@@ -52,9 +52,10 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .combinatorics import distinct_count, enumerate_size_vectors, parse_mode
+from .geometry import scenario_key
 from .kernels import build_stage2_table, build_value_table
 from .params import SIR_CAP
-from .power import power_interval
+from .power import group_power_cap, group_power_floor, power_interval
 from .radio import PowerVector, draw_fading, path_gain, scenario_links
 from .seeds import rng_for
 
@@ -252,10 +253,12 @@ class EvalContext:
 
     A context of the same draw under other parameters (the next point of a
     P_G or R_c_min sweep) is built with ``prev``, the previous point's
-    context. It takes the links and fading from ``prev`` and adopts each
-    table, as the very object ``prev`` holds, whose inputs besides them are
-    bitwise equal to the ones ``prev`` read (``_reads``; the powers and
-    thresholds are positive and finite, so ``==`` compares their bits):
+    context; a ``prev`` of another draw (another scenario seed or
+    ``geometry.scenario_key``) is refused. It takes the links and fading
+    from ``prev`` and adopts each table, as the very object ``prev`` holds,
+    whose inputs besides them are bitwise equal to the ones ``prev`` read
+    (``_reads``; the powers and thresholds are positive and finite, so
+    ``==`` compares their bits):
 
     - path gains, unit-power link strengths and the rescoring lists of
       ``channel_value``: the maximum CU power;
@@ -282,6 +285,10 @@ class EvalContext:
                 fading = draw_fading(self.links, rng_for(scenario.scenario_seed, FADING_STREAM))
             self.fading = fading
         else:
+            if (scenario.scenario_seed, scenario_key(p)) != (
+                prev.scenario.scenario_seed, scenario_key(prev.params)
+            ):
+                raise ValueError("prev is a context of another draw, so its links do not fit")
             self.links, self.fading = prev.links, prev.fading
         L = self.links
         self.C = p.num_channels
@@ -290,22 +297,27 @@ class EvalContext:
         self._mg_th, self._cu_th = mg_th, cu_th = p.mg_sir_threshold, p.cu_sir_threshold
 
         # feasible power interval per (group, channel): the floor binds at the
-        # group's farthest member, the cap at the channel CU's distance
+        # group's farthest member, the cap at the channel CU's distance, so
+        # one floor per group and one cap per channel meet in the clamp
         own_d = L.d_mg_rx[L.rx_group, np.arange(L.num_rx)]
         worst_d = np.maximum.reduceat(own_d, L.offsets) if self.G else np.zeros(0)
+        lam_g = p.group_density_per_m2
+        floors = [
+            group_power_floor(
+                p.cu_density_per_m2, lam_g, cu_w, p.exclusion_radius_m, d, mg_th,
+                p.mg_outage_budget,
+            )
+            for d in worst_d
+        ]
+        caps = [group_power_cap(lam_g, cu_w, d, cu_th, p.cu_outage_budget) for d in L.d_cu_bs]
         self.p_inf = np.zeros(self.G)
         self.p_gk = np.zeros((self.G, self.C))
-        lam_c, lam_g, guard = p.cu_density_per_m2, p.group_density_per_m2, p.exclusion_radius_m
-        mg_budget, cu_budget = p.mg_outage_budget, p.cu_outage_budget
-        for g in range(self.G):
-            for k in range(self.C):
-                b = power_interval(
-                    lam_c, lam_g, cu_w, guard, worst_d[g], mg_th, mg_budget,
-                    L.d_cu_bs[k], cu_th, cu_budget, mg_w,
-                )
-                self.p_inf[g] = b.p_inf_w
+        for g, floor in enumerate(floors):
+            for k, cap in enumerate(caps):
+                b = power_interval(floor, cap, mg_w)
                 if b.feasible:
                     self.p_gk[g, k] = b.p_sup_w
+            self.p_inf[g] = b.p_inf_w
 
         self._reads = {
             "strengths": (cu_w,),
@@ -691,6 +703,18 @@ def _scores_by_vector(cache: dict, blocks, fam_masks: np.ndarray, score) -> tupl
     return tuple(parts[0]) if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
 
+def _slot_sums(ctx: EvalContext, rows: np.ndarray, fams: np.ndarray) -> np.ndarray:
+    """The baseline plus ``gain[rows[:, s], fams[..., s]]`` added in slot
+    order, one entry per row of ``rows``. ``fams`` is one family row or one
+    per row. Each slot is one flat take from the gain table; a row of -1
+    reads the zero row as a negative flat index."""
+    width = ctx.gain.shape[1]
+    tv = np.full(len(rows), ctx.baseline)
+    for s in range(rows.shape[1]):
+        tv += np.take(ctx.gain, rows[:, s] * width + fams[..., s])
+    return tv
+
+
 def _exhaustive_values(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
     """Each family's best value over every channel matching.
 
@@ -754,7 +778,6 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     reaches the optimum.
     """
     S = fam_masks.shape[1]
-    gain = ctx.gain
     (M,) = _scores_by_vector(
         ctx.exhaustive_scores, blocks, fam_masks, lambda fams: (_exhaustive_values(ctx, fams),)
     )
@@ -764,9 +787,7 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     covered = ((union[:, None] >> np.arange(ctx.G)) & 1).sum(axis=1)
     fi = int(reach[np.argmax(covered)])
     pats = assignment_patterns(S, ctx.C)
-    tv = np.full(len(pats), ctx.baseline)
-    for s in range(S):
-        tv += gain[pats[:, s], fam_masks[fi, s]]
+    tv = _slot_sums(ctx, pats, fam_masks[fi])
     pi = int(np.argmax(tv == best))
     return fi, pats[pi], float(best)
 
@@ -787,10 +808,7 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
 
     def score(fams):
         row_of = greedy_match(ctx.stage2, ctx.avail, fams)
-        tv = np.full(fams.shape[0], ctx.baseline)
-        for s in range(fams.shape[1]):
-            tv += ctx.gain[row_of[:, s], fams[:, s]]
-        return row_of, tv
+        return row_of, _slot_sums(ctx, row_of, fams)
 
     row_of, tv = _scores_by_vector(ctx.greedy_scores, blocks, fam_masks, score)
     fi = int(np.argmax(tv))

@@ -23,6 +23,7 @@ from .combinatorics import (
 )
 from .harness import gap_report, parse_config, run_experiment, write_csv
 from .outage import MCLink, mc_outage, outage_cu, outage_mg
+from .params import db_to_linear
 from .power import cap_root_residual, floor_root_comparison
 from .seeds import rng_for
 
@@ -127,8 +128,8 @@ def _cmd_validate(args) -> int:
     trials = args.trials
     ok = True
 
-    gamma_25db = 10.0**2.5
-    gamma_6db = 10.0**0.6
+    gamma_25db = db_to_linear(25.0)
+    gamma_6db = db_to_linear(6.0)
 
     closed = outage_cu(2e-5, 1.0, 1.0, 200.0, gamma_6db)
     est = mc_outage(

@@ -8,8 +8,11 @@ floor (`group_power_floor`); its derivation drops terms, so it is validated
 against a bisection oracle in the tests rather than trusted as exact.
 
 Each bound is written once, at the model's path loss exponent 4
-(``params.PATH_LOSS_EXPONENT``), and `power_interval` clamps the pair to
-the transmit limit. `bisect_outage_root`, `cap_root_residual` and
+(``params.PATH_LOSS_EXPONENT``). The floor reads only the group (its
+farthest member's distance) and the cap only the channel (its CU's
+distance), so a scenario evaluates one floor per group and one cap per
+channel, and `power_interval` clamps each (floor, cap) pair to the transmit
+limit. `bisect_outage_root`, `cap_root_residual` and
 `floor_root_comparison` are the numeric oracles the validate-lemmas command
 and the tests check the bounds against.
 """
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .outage import outage_cu, outage_mg
+from .outage import _check_nonneg, outage_cu, outage_mg
 from .params import PATH_LOSS_EXPONENT
 
 # Bisection bracket (W) and step count of `bisect_outage_root`.
@@ -56,12 +59,9 @@ def group_power_floor(
         raise ValueError("outage budget must lie in (0, 1)")
     if guard <= 0:
         raise ValueError("guard radius must be positive")
-    for name, v in dict(
-        cu_density=cu_density, mg_density=mg_density, p_c=p_c,
-        link_d=link_d, threshold=threshold,
-    ).items():
-        if v < 0:
-            raise ValueError(f"{name} must be nonnegative")
+    _check_nonneg(
+        cu_density=cu_density, mg_density=mg_density, p_c=p_c, link_d=link_d, threshold=threshold
+    )
 
     gd = threshold * link_d**PATH_LOSS_EXPONENT
     denom = (
@@ -93,8 +93,7 @@ def group_power_cap(
     """
     if not (0.0 < outage_budget < 1.0):
         raise ValueError("outage budget must lie in (0, 1)")
-    if mg_density < 0 or p_c < 0 or d_cb < 0 or threshold < 0:
-        raise ValueError("parameters must be nonnegative")
+    _check_nonneg(mg_density=mg_density, p_c=p_c, d_cb=d_cb, threshold=threshold)
     # Python floats, so that an overflowing square raises instead of warning
     interference = mg_density * math.pi**2 * math.sqrt(threshold) * float(d_cb) ** (PATH_LOSS_EXPONENT / 2.0)
     if interference == 0.0:  # a vanishing factor, or an underflowing product
@@ -108,48 +107,26 @@ def group_power_cap(
 
 @dataclass(frozen=True)
 class PowerBounds:
-    """Raw and clamped feasible interval for one multicast transmitter."""
+    """Clamped feasible interval for one multicast transmitter on one channel."""
 
-    p_low_w: float
-    p_high_w: float
     p_inf_w: float
     p_sup_w: float
     feasible: bool
 
 
-def power_interval(
-    cu_density: float,
-    mg_density: float,
-    p_c: float,
-    guard: float,
-    link_d: float,
-    mg_threshold: float,
-    mg_budget: float,
-    d_cb: float,
-    cu_threshold: float,
-    cu_budget: float,
-    max_power_w: float,
-) -> PowerBounds:
-    """Clamp the floor/cap to [0, max_power_w] and test feasibility.
+def power_interval(p_low_w: float, p_high_w: float, max_power_w: float) -> PowerBounds:
+    """Clamp a floor and a cap to [0, max_power_w] and test feasibility.
 
     p_inf = max(0, floor); p_sup = min(max_power, cap); feasible iff
-    p_inf <= p_sup. A nonpositive floor denominator gives floor = +inf and
-    therefore infeasible; see group_power_floor for why that report can be
-    optimistic.
+    p_inf <= p_sup. The floor is `group_power_floor` at the group's farthest
+    member and the cap `group_power_cap` at the channel CU's distance, each
+    evaluated by the caller once per group or channel. A floor of +inf (an
+    unreachable receiver budget) is therefore infeasible; see
+    group_power_floor for why that report can be optimistic.
     """
-    p_low = group_power_floor(
-        cu_density, mg_density, p_c, guard, link_d, mg_threshold, mg_budget
-    )
-    p_high = group_power_cap(mg_density, p_c, d_cb, cu_threshold, cu_budget)
-    p_inf = max(0.0, p_low)
-    p_sup = min(max_power_w, p_high)
-    return PowerBounds(
-        p_low_w=p_low,
-        p_high_w=p_high,
-        p_inf_w=p_inf,
-        p_sup_w=p_sup,
-        feasible=p_inf <= p_sup,
-    )
+    p_inf = max(0.0, p_low_w)
+    p_sup = min(max_power_w, p_high_w)
+    return PowerBounds(p_inf_w=p_inf, p_sup_w=p_sup, feasible=p_inf <= p_sup)
 
 
 def bisect_outage_root(outage_fn, target: float) -> float | None:

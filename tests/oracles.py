@@ -6,6 +6,9 @@ one term at a time; `evaluate` scores an assignment through it at the
 powers allocate would grant. The table loops walk masks in increasing order
 and extend each interference sum from the mask minus its lowest set bit;
 the channel rescorer reads numpy scalars where the package reads floats.
+The power loop evaluates both power bounds for every (group, channel) pair,
+where the package evaluates each floor once per group and each cap once per
+channel.
 The greedy oracle matches one family at a time with its own scan; the
 exhaustive oracle scores every family under every (slot, channel) pair
 pattern in a (families, patterns) table with a flat tie-break. The
@@ -25,6 +28,7 @@ import numpy as np
 from mgshare.combinatorics import ordered_selections
 from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SIR_CAP
+from mgshare.power import group_power_cap, group_power_floor
 from mgshare.radio import PowerVector, ScenarioLinks, path_gain, scenario_links
 from mgshare.seeds import child_seed, rng_for
 
@@ -297,6 +301,37 @@ def channel_value_loop(ctx, k, mask, mg_power_w):
         if worst >= p.mg_sir_threshold:
             total += math.log2(1.0 + worst)
     return total
+
+
+# ---------------------------------------------------------------------------
+# feasible powers
+
+
+def power_table_loop(ctx):
+    """(p_inf, p_gk) of a context, composed pair by pair: for every (group,
+    channel) the floor at the group's farthest member, the cap at the
+    channel CU's distance, and their clamp to [0, P_G], with both bounds
+    evaluated again for each pair. EvalContext evaluates one floor per group
+    and one cap per channel and must agree bitwise."""
+    p, L = ctx.params, ctx.links
+    p_inf = np.zeros(ctx.G)
+    p_gk = np.zeros((ctx.G, ctx.C))
+    for g in range(ctx.G):
+        worst = max(L.d_mg_rx[g, L.offsets[g] + t] for t in range(L.group_sizes[g]))
+        for k in range(ctx.C):
+            low = group_power_floor(
+                p.cu_density_per_m2, p.group_density_per_m2, p.max_cu_power_w,
+                p.exclusion_radius_m, worst, p.mg_sir_threshold, p.mg_outage_budget,
+            )
+            high = group_power_cap(
+                p.group_density_per_m2, p.max_cu_power_w, L.d_cu_bs[k],
+                p.cu_sir_threshold, p.cu_outage_budget,
+            )
+            p_inf[g] = max(0.0, low)
+            p_sup = min(p.max_mg_power_w, high)
+            if p_inf[g] <= p_sup:
+                p_gk[g, k] = p_sup
+    return p_inf, p_gk
 
 
 # ---------------------------------------------------------------------------

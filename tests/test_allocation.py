@@ -687,6 +687,21 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
     assert 0 < rebuilt < transitions
 
 
+def test_context_refuses_prev_of_another_draw():
+    """A prev context lends its links and fading, so it must be of the same
+    draw: another scenario index, or another scenario_key at the same index,
+    is refused; the same draw under other radio parameters is not."""
+    p = SimParams()
+    prev = build_context(generate_scenario(p, 0))
+    with pytest.raises(ValueError, match="another draw"):
+        build_context(generate_scenario(p, 1), prev=prev)
+    moved = p.copy_with(exclusion_radius_m=60.0)
+    with pytest.raises(ValueError, match="another draw"):
+        build_context(generate_scenario(moved, 0), prev=prev)
+    ctx = build_context(replace(prev.scenario, params=p.copy_with(max_mg_power_dbm=0.0)), prev=prev)
+    assert ctx.links is prev.links
+
+
 def test_greedy_assign_all_channels_closed():
     # a sky-high CU threshold closes every channel in the availability stage
     p = SimParams(cu_sir_threshold_db=90.0)

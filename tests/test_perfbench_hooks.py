@@ -54,12 +54,27 @@ def test_traced_run_reaches_every_hook(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
     names, counted, pairs = set(), set(), []
+    contexts = 0
     for path in trace_dir.glob("trace-*.json"):
         data = json.loads(path.read_text())
-        for span in data["spans"]:
+        spans = data["spans"]
+        for span in spans:
             names.add(span[0])
             counted |= set(span[5] or ())
         pairs += data["checks"]
+        # power.feasible_share counts one power_interval call per (group,
+        # channel) pair of each context: G from the scenario's draw, C = 3
+        for i, span in enumerate(spans):
+            if span[0] != "allocation.build_context":
+                continue
+            (G,) = [
+                s[4]["G"] for s in spans
+                if s[0] == "geometry.generate_scenario" and s[3] == span[3]
+            ]
+            calls = sum(s[0] == "power.power_interval" and s[3] == i for s in spans)
+            assert calls == G * 3
+            contexts += 1
+    assert contexts > 0
     assert names == SPANS
     assert counted == COUNTED
     # the family table is built in numpy; no run reaches the enumerator's hook

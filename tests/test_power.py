@@ -9,7 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgshare.allocation import build_context
+from mgshare.geometry import generate_scenario
 from mgshare.outage import outage_cu, outage_mg
+from mgshare.params import SimParams
 from mgshare.power import (
     PowerBounds,
     bisect_outage_root,
@@ -19,6 +22,7 @@ from mgshare.power import (
     group_power_floor,
     power_interval,
 )
+from oracles import power_table_loop
 
 GAMMA_25DB = 10.0**2.5
 GAMMA_6DB = 10.0**0.6
@@ -149,33 +153,32 @@ def test_floor_budget_implication_matches_root_side(lam_c, lam_g, d, guard, budg
 
 
 def test_power_interval_identities():
-    b = power_interval(
-        5e-7, 5e-7, 1.0, 50.0, 12.0, GAMMA_25DB, 0.1, 300.0, 1.0, 0.1, 1.0
-    )
+    low = group_power_floor(5e-7, 5e-7, 1.0, 50.0, 12.0, GAMMA_25DB, 0.1)
+    high = group_power_cap(5e-7, 1.0, 300.0, 1.0, 0.1)
+    b = power_interval(low, high, 1.0)
     assert isinstance(b, PowerBounds)
-    assert b.p_inf_w == max(0.0, b.p_low_w)
-    assert b.p_sup_w == min(1.0, b.p_high_w)
+    assert b.p_inf_w == max(0.0, low)
+    assert b.p_sup_w == min(1.0, high)
     assert b.feasible == (b.p_inf_w <= b.p_sup_w)
     assert b.feasible
 
 
 def test_power_interval_infeasible_cases():
     # floor above the power limit
-    b = power_interval(
-        5e-5, 1e-8, 1.0, 5.0, 30.0, GAMMA_25DB, 0.01, 300.0, 1.0, 0.1, 1e-6
-    )
+    low = group_power_floor(5e-5, 1e-8, 1.0, 5.0, 30.0, GAMMA_25DB, 0.01)
+    b = power_interval(low, group_power_cap(1e-8, 1.0, 300.0, 1.0, 0.1), 1e-6)
     assert not b.feasible or b.p_inf_w <= b.p_sup_w
     # unreachable receiver budget: floor = +inf
-    b2 = power_interval(
-        1e-6, 1e-3, 1.0, 50.0, 25.0, GAMMA_25DB, 0.1, 300.0, 1.0, 0.1, 1.0
-    )
-    assert b2.p_low_w == math.inf
+    low2 = group_power_floor(1e-6, 1e-3, 1.0, 50.0, 25.0, GAMMA_25DB, 0.1)
+    b2 = power_interval(low2, group_power_cap(1e-3, 1.0, 300.0, 1.0, 0.1), 1.0)
+    assert low2 == math.inf
     assert not b2.feasible
 
 
 def test_power_interval_wide_open():
     # no CU field and no multicast field: [0, P_G]
-    b = power_interval(0.0, 0.0, 1.0, 50.0, 12.0, GAMMA_25DB, 0.1, 300.0, 1.0, 0.1, 2.0)
+    low = group_power_floor(0.0, 0.0, 1.0, 50.0, 12.0, GAMMA_25DB, 0.1)
+    b = power_interval(low, group_power_cap(0.0, 1.0, 300.0, 1.0, 0.1), 2.0)
     assert b.p_inf_w == 0.0
     assert b.p_sup_w == 2.0
     assert b.feasible
@@ -192,7 +195,59 @@ def test_feasible_interval_respects_cu_budget_exactly(lam_c, lam_g, d_cb, budget
     """feasible => CU outage at p_sup within budget (+1e-9): the cap side is
     an exact inversion, the power limit can only loosen it."""
     b = power_interval(
-        lam_c, lam_g, 1.0, 50.0, 15.0, GAMMA_25DB, 0.1, d_cb, 1.0, budget_c, 1.0
+        group_power_floor(lam_c, lam_g, 1.0, 50.0, 15.0, GAMMA_25DB, 0.1),
+        group_power_cap(lam_g, 1.0, d_cb, 1.0, budget_c),
+        1.0,
     )
     if b.feasible and b.p_sup_w > 0:
         assert outage_cu(lam_g, b.p_sup_w, 1.0, d_cb, 1.0) <= budget_c + 1e-9
+
+
+FLOOR_ARGS = dict(
+    cu_density=1e-6, mg_density=1e-7, p_c=1.0, guard=50.0, link_d=25.0,
+    threshold=GAMMA_25DB, outage_budget=0.1,
+)
+CAP_ARGS = dict(mg_density=2e-5, p_c=1.0, d_cb=200.0, threshold=GAMMA_6DB, outage_budget=0.1)
+
+
+@pytest.mark.parametrize(
+    "bound, args, name",
+    [(group_power_floor, FLOOR_ARGS, n) for n in FLOOR_ARGS if n not in ("guard", "outage_budget")]
+    + [(group_power_cap, CAP_ARGS, n) for n in CAP_ARGS if n != "outage_budget"],
+)
+def test_bounds_refuse_a_negative_input_by_name(bound, args, name):
+    bound(**args)
+    with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+        bound(**{**args, name: -1e-9})
+
+
+# ---------------------------------------------------------------------------
+# a context's feasible powers: one floor per group, one cap per channel
+
+
+@pytest.mark.parametrize("max_mg_power_dbm", [-10.0, 30.0])
+@pytest.mark.parametrize("exclusion_radius_m", [20.0, 100.0])
+@pytest.mark.parametrize("num_groups", [5, 7, 9])
+def test_context_powers_bitwise_equal_to_pair_oracle(
+    num_groups, exclusion_radius_m, max_mg_power_dbm
+):
+    """EvalContext's p_inf and p_gk equal, byte for byte, the composition of
+    floor, cap and clamp evaluated for every (group, channel) pair. A
+    multicast field twice the default density leaves some groups' receiver
+    budget unreachable (a +inf floor), so that case is covered too."""
+    base = SimParams(
+        num_groups=num_groups, exclusion_radius_m=exclusion_radius_m,
+        max_mg_power_dbm=max_mg_power_dbm,
+    )
+    unreachable = 0
+    for params in (base, base.copy_with(group_density_per_m2=2e-5)):
+        for i in range(4):
+            s = generate_scenario(params, i)
+            if s.degenerate:
+                continue
+            ctx = build_context(s)
+            p_inf, p_gk = power_table_loop(ctx)
+            assert ctx.p_inf.tobytes() == p_inf.tobytes()
+            assert ctx.p_gk.tobytes() == p_gk.tobytes()
+            unreachable += int(np.isinf(ctx.p_inf).sum())
+    assert unreachable > 0
