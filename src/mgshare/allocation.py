@@ -82,8 +82,10 @@ EXHAUSTIVE_GUARD = (10, 5)
 
 # Limit of the greedy search: its family table and greedy_match's per-column
 # table may each hold as many cells as the `all` family table of 12 groups on
-# 3 channels (2,532,530 families), the largest size measured.
+# 3 channels (2,532,530 families), the largest size measured. The value table
+# of a CU-only run, under either method, is held to the same cell count.
 GREEDY_GUARD = (12, 3)
+_CELL_LIMIT = distinct_count(*GREEDY_GUARD) * GREEDY_GUARD[1]
 
 # Coordinate-ascent sweeps of the grid power policy.
 _GRID_SWEEPS = 3
@@ -110,13 +112,6 @@ class Assignment:
             if seen & set(gs):
                 raise ValueError("a group appears on two channels")
             seen |= set(gs)
-
-    @property
-    def assigned_groups(self) -> frozenset:
-        out = set()
-        for gs in self.channel_to_groups.values():
-            out |= set(gs)
-        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -165,9 +160,12 @@ class SchemeConfig:
         raise ValueError(f"unknown power policy {self.power_policy!r}")
 
     def check_size(self, G: int, C: int) -> None:
-        """Refuse G groups on C channels past the guard of this scheme's method."""
-        if self.assignment_method == "exhaustive":
-            check_exhaustive_size(G, C, self.selection_mode)
+        """Refuse G groups on C channels past the guard of this scheme's
+        method, or, where the mode admits no family, past the CU-only guard."""
+        if not _admits_family(G, C, self.selection_mode):
+            check_cu_only_size(G, C, self.selection_mode)
+        elif self.assignment_method == "exhaustive":
+            check_exhaustive_size(G, C)
         else:
             check_greedy_size(G, C, self.selection_mode)
 
@@ -189,15 +187,15 @@ def _admits_family(G: int, C: int, mode: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def check_exhaustive_size(G: int, C: int, mode: str) -> None:
-    """Refuse sizes past EXHAUSTIVE_GUARD. Families have at most min(C, G)
-    subsets, so the search tries matching_count(min(C, G), C) matchings per
-    family; that count is what the channel limit bounds. A mode that admits
-    no family tries none, and only the group limit of the tables holds.
-    Passing sizes are cached, as allocate checks on every call."""
+def check_exhaustive_size(G: int, C: int) -> None:
+    """Refuse sizes past EXHAUSTIVE_GUARD, for a mode that admits a family.
+    Families have at most min(C, G) subsets, so the search tries
+    matching_count(min(C, G), C) matchings per family; that count is what
+    the channel limit bounds. Passing sizes are cached, as allocate checks
+    on every call."""
     gmax, cmax = EXHAUSTIVE_GUARD
     limit = matching_count(cmax, cmax)
-    n = matching_count(min(C, G), C) if _admits_family(G, C, mode) else 0
+    n = matching_count(min(C, G), C)
     if G > gmax or n > limit:
         raise ValueError(
             f"exhaustive search refused for G={G}, C={C} ({n} channel matchings): "
@@ -206,31 +204,42 @@ def check_exhaustive_size(G: int, C: int, mode: str) -> None:
         )
 
 
+def _refuse_cells(refused: str, cells) -> ValueError:
+    """The error for tables that would hold `cells` cells, past _CELL_LIMIT."""
+    return ValueError(
+        f"{refused}: its tables would hold {cells} cells, past the limit of {_CELL_LIMIT}, "
+        f"as many as the families of {GREEDY_GUARD[0]} groups on {GREEDY_GUARD[1]} channels"
+    )
+
+
 @lru_cache(maxsize=None)
 def check_greedy_size(G: int, C: int, mode: str) -> None:
-    """Refuse sizes past GREEDY_GUARD. greedy_match's per-column table has a
-    row of 2^G + 1 entries for each set of channels a family can hold before
-    its last round, fewer than S = min(C, G) of them, and the family table
-    has S subsets per family; neither may hold more cells than the `all`
-    family table at GREEDY_GUARD. The table is counted first, since it bounds
-    G before the families are counted. A mode that admits no family builds
-    neither; its run reads the CU-only score from the (C, 2^G) value table,
-    which is counted instead. Passing sizes are cached, as allocate checks
-    on every call."""
-    gmax, cmax = GREEDY_GUARD
-    limit = distinct_count(gmax, cmax) * cmax
+    """Refuse sizes past GREEDY_GUARD, for a mode that admits a family.
+    greedy_match's per-column table has a row of 2^G + 1 entries for each
+    set of channels a family can hold before its last round, fewer than
+    S = min(C, G) of them, and the family table has S subsets per family;
+    neither may hold more than _CELL_LIMIT cells. The table is counted
+    first, since it bounds G before the families are counted, and G before
+    the table, so a huge G builds no 2^G. Passing sizes are cached, as
+    allocate checks on every call."""
     S = min(C, G)
-    if _admits_family(G, C, mode):
-        table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
-        families = distinct_count(G, S, mode) * S if table <= limit else 0
-    else:
-        table, families = C << G, 0
-    if max(table, families) > limit:
-        raise ValueError(
-            f"greedy search refused for G={G}, C={C}, mode {mode}: its tables would "
-            f"hold {max(table, families)} cells, past the limit of {limit}, as many as "
-            f"the families of {gmax} groups on {cmax} channels"
-        )
+    refused = f"greedy search refused for G={G}, C={C}, mode {mode}"
+    if G >= _CELL_LIMIT.bit_length():
+        raise _refuse_cells(refused, f"more than 2^{G}")
+    table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
+    if table > _CELL_LIMIT:
+        raise _refuse_cells(refused, table)
+    families = distinct_count(G, S, mode) * S
+    if families > _CELL_LIMIT:
+        raise _refuse_cells(refused, families)
+
+
+def check_cu_only_size(G: int, C: int, mode: str) -> None:
+    """Refuse sizes, for a mode that admits no family, whose CU-only run
+    (under either method) reads a (C, 2^G) value table of more than
+    _CELL_LIMIT cells. G is compared first, so a huge G builds no 2^G."""
+    if G >= _CELL_LIMIT.bit_length() or C << G > _CELL_LIMIT:
+        raise _refuse_cells(f"CU-only run refused for G={G}, C={C}, mode {mode}", f"{C} x 2^{G}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,15 @@ built from the previous point's and adopts each of its tables whose inputs
 are bitwise equal (see `allocation.EvalContext`): a P_G step that leaves
 every feasible power unchanged builds no value table and scores no
 exhaustive family. A point whose key differs from its neighbour's (D, R,
-lambda_g) forms a run of its own and draws its own scenarios. Each run gives every worker one contiguous block of scenario
-indices for all its points. Results are reduced per point in
-scenario-index order no matter how many worker processes computed them, so
-the CSV is byte-identical across parallelism levels and equal to what
-scoring each point alone would write. Wall-clock columns default to zero
-for the same reason; pass timing=True to fill each with its point's
-evaluation time summed over the workers (a shared draw counts toward the
-run's first point), and give up byte-stability.
+lambda_g) forms a run of its own and draws its own scenarios. Each run
+gives every worker one contiguous block of scenario indices for all its
+points. Results are reduced per point in scenario-index order no matter
+how many worker processes computed them, so the CSV is byte-identical
+across parallelism levels and equal to what scoring each point alone
+would write. Wall-clock columns default to zero for the same reason; pass
+timing=True to fill each with its point's evaluation time summed over the
+workers (a shared draw counts toward the run's first point), and give up
+byte-stability.
 
 Degenerate scenarios (no multicast group kept any receiver) are counted and
 excluded from the averages rather than resampled, so every scheme in a run
@@ -42,14 +43,15 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from itertools import groupby
+from typing import get_type_hints
 
 import numpy as np
 
 from .allocation import SchemeConfig, allocate, build_context
 from .geometry import generate_scenario, scenario_key
-from .params import SimParams, param_names, parse_param
+from .params import SimParams
 from .seeds import child_seed
 
 # Mixing tag that separates the harness's scenario stream from plain
@@ -75,7 +77,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Everything one `run` needs; round-trips through the key=value text."""
+    """Everything one `run` needs; a config key left out keeps its field's default."""
 
     base: SimParams = field(default_factory=SimParams)
     sweep_variable: str = "D"
@@ -112,7 +114,8 @@ class ExperimentConfig:
             raise ConfigError("scenarios must be at least 1")
         if self.parallelism < 1:
             raise ConfigError("parallel must be at least 1")
-        _check_output_path(self.output_path)
+        if not self.output_path:
+            raise ConfigError("out must name a file")
         try:
             self.base.validate()
         except ValueError as e:
@@ -148,26 +151,22 @@ class ResultRow:
 # ---------------------------------------------------------------------------
 # configuration text format
 
+# Each harness key, with the ExperimentConfig field it sets and the parser
+# of its value. Every other key is a SimParams field, parsed as its type.
+_HARNESS_KEYS = {
+    "sweep": ("sweep_variable", str),
+    "sweep_values": ("sweep_values", lambda text: tuple(float(v) for v in text.split(","))),
+    "schemes": ("schemes", lambda text: tuple(s.strip() for s in text.split(",") if s.strip())),
+    "scenarios": ("n_scenarios", int),
+    "out": ("output_path", str),
+    "parallel": ("parallelism", int),
+}
 _REQUIRED_KEYS = ("sweep", "sweep_values", "schemes")
-_HARNESS_KEYS = _REQUIRED_KEYS + ("scenarios", "out", "parallel")
+_SIM_KEYS = get_type_hints(SimParams)
 
 # A comment runs from a "#" at the start of a line or after whitespace to the
 # end of the line, so a value such as an output path may contain "#".
 _COMMENT = re.compile(r"(?:^|\s)#.*")
-
-
-def _check_output_path(path: str) -> None:
-    """Refuse an `out` path that is empty or that the config text cannot
-    carry: `render_config` writes it bare, so parsing it back would strip
-    leading or trailing whitespace, split it at a line break or cut it at a
-    comment."""
-    if not path:
-        raise ConfigError("out must name a file")
-    if path != path.strip() or len(path.splitlines()) > 1 or _COMMENT.search(path):
-        raise ConfigError(
-            f"out = {path!r} cannot be written in a config: it has leading or trailing "
-            "whitespace, a line break, or a '#' at its start or after whitespace"
-        )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -187,7 +186,7 @@ def parse_config(text: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _HARNESS_KEYS and key not in param_names():
+        if key not in _HARNESS_KEYS and key not in _SIM_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         seen[key] = value
 
@@ -195,59 +194,20 @@ def parse_config(text: str) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
-    overrides = {}
+    harness, sim = {}, {}
     for key, value in seen.items():
         if key in _HARNESS_KEYS:
-            continue
+            name, parse = _HARNESS_KEYS[key]
+            into = harness
+        else:
+            name, parse, into = key, _SIM_KEYS[key], sim
         try:
-            overrides[key] = parse_param(key, value)
+            into[name] = parse(value)
         except ValueError as e:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from e
-    try:
-        values = tuple(float(v) for v in seen["sweep_values"].split(","))
-    except ValueError as e:
-        raise ConfigError(f"bad sweep_values: {seen['sweep_values']!r}") from e
-    counts = {}
-    for key, default in (("scenarios", 500), ("parallel", 1)):
-        try:
-            counts[key] = int(seen.get(key, default))
-        except ValueError as e:
-            raise ConfigError(f"bad value for {key!r}: {seen[key]!r}") from e
-    cfg = ExperimentConfig(
-        base=SimParams(**overrides),
-        sweep_variable=seen["sweep"],
-        sweep_values=values,
-        schemes=tuple(s.strip() for s in seen["schemes"].split(",") if s.strip()),
-        n_scenarios=counts["scenarios"],
-        output_path=seen.get("out", "results.csv"),
-        parallelism=counts["parallel"],
-    )
+    cfg = ExperimentConfig(base=SimParams(**sim), **harness)
     cfg.validate()
     return cfg
-
-
-def render_config(cfg: ExperimentConfig) -> str:
-    """Inverse of parse_config: parse(render(c)) == c."""
-    lines = [
-        f"sweep = {cfg.sweep_variable}",
-        "sweep_values = " + ", ".join(_fmt(v) for v in cfg.sweep_values),
-        "schemes = " + ", ".join(cfg.schemes),
-        f"scenarios = {cfg.n_scenarios}",
-        f"out = {cfg.output_path}",
-        f"parallel = {cfg.parallelism}",
-    ]
-    defaults = SimParams()
-    for f in fields(SimParams):
-        v = getattr(cfg.base, f.name)
-        if v != getattr(defaults, f.name):
-            lines.append(f"{f.name} = {_fmt(v)}")
-    return "\n".join(lines) + "\n"
-
-
-def _fmt(v) -> str:
-    if isinstance(v, int):
-        return str(v)
-    return repr(float(v))
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,6 @@ class MCEstimate:
     halfwidth95: float
     n_trials: int
 
-    def brackets(self, value: float, widen: float = 1.0) -> bool:
-        return abs(value - self.outage) <= widen * self.halfwidth95
-
 
 def _field_interference(
     rng: np.random.Generator,

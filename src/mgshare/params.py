@@ -174,20 +174,3 @@ class SimParams:
             raise ValueError("need at least one channel and a nonnegative group count")
         if not (0.0 < self.cu_outage_budget < 1.0 and 0.0 < self.mg_outage_budget < 1.0):
             raise ValueError("outage budgets must lie in (0, 1)")
-
-
-# Config keys that may be set from key=value files / CLI overrides, with the
-# parser used for each. Booleans or lists are not part of this surface.
-_INT_KEYS = {"num_channels", "num_groups", "master_seed"}
-
-
-def param_names() -> list[str]:
-    return [f.name for f in fields(SimParams)]
-
-
-def parse_param(key: str, raw: str):
-    if key not in param_names():
-        raise KeyError(f"unknown parameter {key!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    return float(raw)

@@ -3,6 +3,7 @@ exhaustive search against a brute-force radio-layer oracle, and the exact
 dominance relations the schemes must satisfy scenario by scenario."""
 
 import random
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -184,7 +185,7 @@ def test_assignment_rejects_overlap():
 def test_assignment_array_round_trip():
     a = Assignment(channel_to_groups={0: frozenset({1}), 1: frozenset(), 2: frozenset({0, 3})})
     assert list(as_array(a, 4)) == [2, 0, -1, 2]
-    assert a.assigned_groups == {0, 1, 3}
+    assert set().union(*a.channel_to_groups.values()) == {0, 1, 3}
 
 
 def test_scheme_config_validation():
@@ -310,7 +311,26 @@ def test_guards_pass_modes_that_admit_no_family(scheme, params):
     assignment, powers, tv = allocate(ctx, scheme)
     assert tv == ctx.baseline
     assert not powers.mg_power_w.any()
-    assert assignment.assigned_groups == frozenset() and assignment.unassigned_subsets == ()
+    assert not any(assignment.channel_to_groups.values()) and assignment.unassigned_subsets == ()
+
+
+def test_cu_only_guard_counts_the_value_table():
+    """A mode that admits no family runs CU-only under either method, and
+    its (C, 2^G) value table is held to the greedy cell limit."""
+    for method in ("exhaustive", "greedy"):
+        SchemeConfig("fixed(2)", method).check_size(7, 30)  # 3,840 cells
+        SchemeConfig("fixed(23)", method).check_size(22, 1)  # 4,194,304 cells
+        refusals = [
+            ("fixed(12)", 22, 2, "2 x 2^22"),
+            ("fixed(2)", 7, 10**7, "10000000 x 2^7"),
+            ("fixed(2)", 10**6, 10**6, "1000000 x 2^1000000"),
+        ]
+        for mode, G, C, cells in refusals:
+            with pytest.raises(ValueError, match=re.escape(
+                f"CU-only run refused for G={G}, C={C}, mode {mode}: its tables would hold "
+                f"{cells} cells, past the limit of 7597590"
+            )):
+                SchemeConfig(mode, method).check_size(G, C)
 
 
 def test_admits_family_equals_a_nonempty_family_table():
@@ -771,7 +791,7 @@ def test_fixed_mode_without_enough_groups_degrades_to_cu_only():
     a, powers, tv = allocate(s, SchemeConfig(selection_mode="fixed(4)"))
     ctx = build_context(s)
     assert tv == ctx.baseline
-    assert not a.assigned_groups
+    assert not any(a.channel_to_groups.values())
     assert (powers.mg_power_w == 0.0).all()
 
 
@@ -791,7 +811,7 @@ def test_fewer_groups_than_channels():
     ctx = build_context(s)
     a, _, tv = allocate(ctx, SchemeConfig())
     assert tv >= ctx.baseline
-    assert len(a.assigned_groups) <= ctx.G
+    assert len(set().union(*a.channel_to_groups.values())) <= ctx.G
 
 
 # ---------------------------------------------------------------------------

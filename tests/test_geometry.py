@@ -1,6 +1,6 @@
 """Scenario generation checks against brute-force and distributional oracles."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from mgshare.geometry import (
     sample_uniform_disk,
     scenario_key,
 )
-from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams, param_names
+from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
 from oracles import apply_exclusion_dense, form_groups_dense, generate_scenario_dense
 
 
@@ -468,11 +468,12 @@ def test_scenario_key_holds_every_field_the_sampler_reads(index):
     recording = _RecordingParams(**vars(base))
     scenario = generate_scenario(recording, index)
     reads = recording.__dict__.pop("_reads_")
-    assert reads & set(param_names()) <= set(SCENARIO_FIELDS) <= set(param_names())
+    names = {f.name for f in fields(SimParams)}
+    assert reads & names <= set(SCENARIO_FIELDS) <= names
     assert not scenario.degenerate
     want = _scenario_bits(generate_scenario(base, index))
     assert _scenario_bits(scenario) == want
-    for name in set(param_names()) - set(SCENARIO_FIELDS):
+    for name in names - set(SCENARIO_FIELDS):
         changed = replace(base, **{name: 0.37})
         assert scenario_key(changed) == scenario_key(base)
         assert _scenario_bits(generate_scenario(changed, index)) == want, name

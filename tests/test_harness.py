@@ -3,7 +3,7 @@
 import math
 import multiprocessing
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare import cli, harness
-from mgshare.allocation import SCHEME_PRESETS, SchemeConfig, build_context
+from mgshare.allocation import SchemeConfig, build_context
 from mgshare.cli import main as cli_main
 from mgshare.geometry import generate_scenario
 from mgshare.harness import (
@@ -23,7 +23,6 @@ from mgshare.harness import (
     format_rows,
     gap_report,
     parse_config,
-    render_config,
     run_experiment,
     winning_combination_histogram,
     write_csv,
@@ -52,10 +51,30 @@ def test_parse_minimal_fills_defaults():
     assert cfg.base.max_cu_power_dbm == 30.0 and cfg.base.mg_sir_threshold_db == 25.0
 
 
-def test_parse_round_trip():
-    cfg = parse_config(MINIMAL + "cell_radius_m = 450\nmaster_seed = 99\n")
-    assert cfg.base.cell_radius_m == 450.0
-    assert parse_config(render_config(cfg)) == cfg
+def test_parse_sets_each_key_from_its_field():
+    """Each harness key sets its ExperimentConfig field, and each SimParams
+    field is a key parsed as the type the field declares."""
+    cfg = parse_config(
+        "sweep = P_G\nsweep_values = -10, 20\nschemes = optimal, , fixed2\nscenarios = 7\n"
+        "out = runs/x.csv\nparallel = 3\ncell_radius_m = 450\nmaster_seed = 99\n"
+    )
+    assert cfg == ExperimentConfig(
+        base=SimParams(cell_radius_m=450.0, master_seed=99),
+        sweep_variable="P_G",
+        sweep_values=(-10.0, 20.0),
+        schemes=("optimal", "fixed2"),
+        n_scenarios=7,
+        output_path="runs/x.csv",
+        parallelism=3,
+    )
+    defaults = SimParams()
+    for f in fields(SimParams):
+        default = getattr(defaults, f.name)
+        value = getattr(parse_config(MINIMAL + f"{f.name} = {default!r}\n").base, f.name)
+        assert value == default and type(value) is type(default), f.name
+        if isinstance(default, int):
+            with pytest.raises(ConfigError, match=f"bad value for '{f.name}': '{default}.0'"):
+                parse_config(MINIMAL + f"{f.name} = {default}.0\n")
 
 
 def test_parse_errors_are_named():
@@ -94,72 +113,19 @@ def test_comment_starts_at_line_start_or_after_whitespace():
     assert cfg.output_path == "runs/a#b.csv"
 
 
-# valid values per sweep variable at the default base parameters
-_SWEEP_VALUES = {
-    "D": st.floats(1.0, 400.0),  # below the 1 m link clamp is refused
-    "R": st.floats(100.0, 1000.0),
-    "R_c_min": st.floats(0.0, 10.0),
-    "P_G": st.floats(-20.0, 40.0),
-    "lambda_g": st.floats(1e-6, 1e-5),
-    "n_per_channel": st.integers(1, 4).map(float),
-}
-
-
-# paths the config text carries: each holds a "#" that no whitespace precedes
-_CARRIED = r"[a-z0-9_./=-]+#[a-z0-9_./=#-]*"
-_CARRIED_PATHS = st.from_regex(_CARRIED, fullmatch=True)
-# paths with whitespace, line breaks and "#" anywhere, the empty one included
-_AWKWARD_PATHS = st.text(st.sampled_from("ab./=#- \t\n\r\x0b\x0c\x85\u2028\u3000"), max_size=8)
-
-
-@st.composite
-def _configs(draw):
-    var = draw(st.sampled_from(sorted(_SWEEP_VALUES)))
-    # a sweep lists each value once, and an n_per_channel sweep needs a fixed(n) scheme
-    values = draw(st.lists(_SWEEP_VALUES[var], min_size=1, max_size=4, unique=True))
-    schemes = draw(st.lists(st.sampled_from(sorted(SCHEME_PRESETS)), min_size=1, max_size=3, unique=True))
-    if var == "n_per_channel" and not {"fixed2", "fixed_heuristic"} & set(schemes):
-        schemes.append(draw(st.sampled_from(("fixed2", "fixed_heuristic"))))
-    base = SimParams(
-        num_channels=draw(st.integers(1, 5)),
-        max_cu_power_dbm=draw(st.floats(-10.0, 40.0)),
-        master_seed=draw(st.integers(0, 2**63)),
-    )
-    return ExperimentConfig(
-        base=base,
-        sweep_variable=var,
-        sweep_values=tuple(sorted(values)),
-        schemes=tuple(schemes),
-        n_scenarios=draw(st.integers(1, 10**6)),
-        output_path=draw(_CARRIED_PATHS | _AWKWARD_PATHS),
-        parallelism=draw(st.integers(1, 64)),
-    )
-
-
-@settings(max_examples=60, deadline=None)
-@given(_configs())
-def test_render_parse_round_trip_property(cfg):
-    """Every config is refused by validate(), or round-trips exactly."""
-    try:
-        cfg.validate()
-    except ConfigError as e:
-        assert "out" in str(e)
-        assert re.fullmatch(_CARRIED, cfg.output_path) is None
-        return
-    assert parse_config(render_config(cfg)) == cfg
-
-
-def test_output_path_refused_when_the_config_text_cannot_carry_it():
-    for path in ("", " lead.csv", "trail.csv ", "#x.csv", "a #b.csv", "a\t#c", "a\nb.csv"):
-        with pytest.raises(ConfigError, match="out"):
-            _tiny_config(output_path=path).validate()
+def test_output_path_must_name_a_file(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="out must name a file"):
+        _tiny_config(output_path="").validate()
     # the comment that empties it is caught when the file is parsed
     with pytest.raises(ConfigError, match="out must name a file"):
         parse_config(MINIMAL + "out = #x.csv\n")
-    for path in ("runs/a#b.csv", "a b.csv", "a=b.csv"):
-        cfg = _tiny_config(output_path=path)
-        cfg.validate()
-        assert parse_config(render_config(cfg)) == cfg
+    # any other path is written as given, whitespace and "#" included
+    conf = tmp_path / "one.conf"
+    conf.write_text("sweep = D\nsweep_values = 50\nschemes = optimal\nscenarios = 1\n")
+    monkeypatch.chdir(tmp_path)
+    for path in ("a #b.csv", " lead.csv"):
+        assert cli_main(["run", "--config", str(conf), "--out", path]) == 0
+        assert (tmp_path / path).read_text().startswith(CSV_HEADER + "\n")
 
 
 def test_apply_sweep_variables():
@@ -566,6 +532,8 @@ def test_cli_reports_bad_input_without_traceback(tmp_path, capsys, argv, message
         "sweep = lambda_g\nsweep_values = 1e-5, 1e-4\n",
         # one greedy_match call would hold 768,212 table rows of 129 entries
         "sweep = D\nsweep_values = 50\nnum_channels = 30\n",
+        # refused from G alone: 2^1000000 is not built, nor printed in full
+        "sweep = D\nsweep_values = 50\nnum_groups = 1000000\n",
     ],
 )
 def test_cli_run_refuses_oversized_greedy_configs(tmp_path, capsys, monkeypatch, text):
@@ -578,6 +546,21 @@ def test_cli_run_refuses_oversized_greedy_configs(tmp_path, capsys, monkeypatch,
     # 2,532,530 families of 3 subsets: the `all` table of 12 groups on 3 channels
     assert "past the limit of 7597590" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_cli_run_refuses_a_cu_only_value_table_past_the_cell_limit(tmp_path, capsys, monkeypatch):
+    """fixed2 admits no family of 7 groups on 10^7 channels, so it runs
+    CU-only, and its first scenario would build a value table of 1.28e9
+    cells."""
+    conf = tmp_path / "wide.conf"
+    conf.write_text(
+        "sweep = D\nsweep_values = 50\nschemes = fixed2\nnum_channels = 10000000\nnum_groups = 7\n"
+    )
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mgshare: error: D = 50.0: CU-only run refused for G=7, C=10000000")
+    assert "10000000 x 2^7 cells, past the limit of 7597590" in err
 
 
 @pytest.mark.parametrize(
@@ -688,6 +671,31 @@ def test_cli_validate_refuses_a_bad_trial_count(capsys, monkeypatch, trials):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "argument --trials" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mode, counts",
+    [
+        ("all", [1841, 70, 210, 525, 735, 301, 1701, 11046]),
+        ("almost_equal", [875, 70, 210, 315, 210, 70, 770, 5250]),
+        ("equal", [280, 70, 210, 140, 1680]),
+    ],
+)
+def test_cli_count_prints_the_search_space(capsys, mode, counts):
+    assert cli_main(["count", "7", "3", "--mode", mode]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"G=7 C=3 mode={mode}"
+    # the selection count, one line per total size, the families, the search space
+    tail = lines[-len(counts):]
+    assert [int(line.rsplit(": ", 1)[1]) for line in tail] == counts
+    assert tail[0].startswith("selection count") and tail[-2].startswith("distinct families")
+
+
+def test_cli_validate_passes_its_checks(capsys):
+    assert cli_main(["validate-lemmas", "--trials", "2000"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "all checks passed"
+    assert len(out) == 5 and all(line.startswith("PASS  ") for line in out[:-1])
 
 
 def test_db_gap_and_report():
