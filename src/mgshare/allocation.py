@@ -82,8 +82,8 @@ EXHAUSTIVE_GUARD = (10, 5)
 
 # Limit of the greedy search: its family table and greedy_match's per-column
 # table may each hold as many cells as the `all` family table of 12 groups on
-# 3 channels (2,532,530 families), the largest size measured. The value table
-# of a CU-only run, under either method, is held to the same cell count.
+# 3 channels (2,532,530 families), the largest size measured. Every scheme's
+# (C, 2^G) value table is held to the same cell count.
 GREEDY_GUARD = (12, 3)
 _CELL_LIMIT = distinct_count(*GREEDY_GUARD) * GREEDY_GUARD[1]
 
@@ -159,15 +159,50 @@ class SchemeConfig:
             return n
         raise ValueError(f"unknown power policy {self.power_policy!r}")
 
-    def check_size(self, G: int, C: int) -> None:
-        """Refuse G groups on C channels past the guard of this scheme's
-        method, or, where the mode admits no family, past the CU-only guard."""
-        if not _admits_family(G, C, self.selection_mode):
-            check_cu_only_size(G, C, self.selection_mode)
-        elif self.assignment_method == "exhaustive":
-            check_exhaustive_size(G, C)
-        else:
-            check_greedy_size(G, C, self.selection_mode)
+    @lru_cache(maxsize=None)
+    def check_size(self, G: int, C: int) -> bool:
+        """Refuse G groups on C channels past this scheme's guards; return
+        whether it runs a search at that size, False where it runs CU-only.
+
+        Every scheme reads the baseline and the gains from the (C, 2^G)
+        value table, so that table is held to _CELL_LIMIT cells first, G
+        compared before 2^G is built. A mode that admits no family of
+        S = min(C, G) subsets (no group, or fixed(n) with n * S > G) runs
+        CU-only. Otherwise the exhaustive search takes at most
+        EXHAUSTIVE_GUARD groups, compared before it counts the
+        matching_count(S, C) matchings of each family. The greedy search
+        holds greedy_match's per-column table, a row of 2^G + 1 entries for
+        each set of fewer than S channels, and its family table of S
+        subsets per family to _CELL_LIMIT cells each. Passing sizes are
+        cached, as allocate checks on every call.
+        """
+        mode, method = self.selection_mode, self.assignment_method
+        if G >= _CELL_LIMIT.bit_length() or C << G > _CELL_LIMIT:
+            raise _refuse_cells(f"{mode}:{method} refused for G={G}, C={C}: its value table",
+                                f"{C} x 2^{G}")
+        S, n = min(C, G), self.fixed_size
+        if not G or n and n * S > G:
+            return False
+        if method == "exhaustive":
+            gmax, cmax = EXHAUSTIVE_GUARD
+            limit = matching_count(cmax, cmax)
+            count = G <= gmax and matching_count(S, C)
+            if not count or count > limit:
+                raise ValueError(
+                    f"exhaustive search refused for G={G}, C={C}"
+                    + (f" ({count} channel matchings)" if count else "")
+                    + f": it takes at most {gmax} groups and {limit} matchings, "
+                    f"as many as {cmax} subsets have on {cmax} channels"
+                )
+            return True
+        refused = f"greedy search refused for G={G}, C={C}, mode {mode}: its"
+        table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
+        if table > _CELL_LIMIT:
+            raise _refuse_cells(f"{refused} matching table", table)
+        families = distinct_count(G, S, mode) * S
+        if families > _CELL_LIMIT:
+            raise _refuse_cells(f"{refused} family table", families)
+        return True
 
 
 def matching_count(n_subsets: int, num_channels: int) -> int:
@@ -178,68 +213,12 @@ def matching_count(n_subsets: int, num_channels: int) -> int:
     )
 
 
-def _admits_family(G: int, C: int, mode: str) -> bool:
-    """Whether the mode admits a family of min(C, G) subsets of G groups, in
-    closed form: every mode but fixed(n) admits the singletons, and fixed(n)
-    needs n * min(C, G) groups. Without a family a scheme runs CU-only."""
-    kind, n = parse_mode(mode)
-    return G > 0 and (kind != "fixed" or n * min(C, G) <= G)
-
-
-@lru_cache(maxsize=None)
-def check_exhaustive_size(G: int, C: int) -> None:
-    """Refuse sizes past EXHAUSTIVE_GUARD, for a mode that admits a family.
-    Families have at most min(C, G) subsets, so the search tries
-    matching_count(min(C, G), C) matchings per family; that count is what
-    the channel limit bounds. Passing sizes are cached, as allocate checks
-    on every call."""
-    gmax, cmax = EXHAUSTIVE_GUARD
-    limit = matching_count(cmax, cmax)
-    n = matching_count(min(C, G), C)
-    if G > gmax or n > limit:
-        raise ValueError(
-            f"exhaustive search refused for G={G}, C={C} ({n} channel matchings): "
-            f"it takes at most {gmax} groups and {limit} matchings, "
-            f"as many as {cmax} subsets have on {cmax} channels"
-        )
-
-
-def _refuse_cells(refused: str, cells) -> ValueError:
-    """The error for tables that would hold `cells` cells, past _CELL_LIMIT."""
+def _refuse_cells(table: str, cells) -> ValueError:
+    """The error for a table that would hold `cells` cells, past _CELL_LIMIT."""
     return ValueError(
-        f"{refused}: its tables would hold {cells} cells, past the limit of {_CELL_LIMIT}, "
+        f"{table} would hold {cells} cells, past the limit of {_CELL_LIMIT}, "
         f"as many as the families of {GREEDY_GUARD[0]} groups on {GREEDY_GUARD[1]} channels"
     )
-
-
-@lru_cache(maxsize=None)
-def check_greedy_size(G: int, C: int, mode: str) -> None:
-    """Refuse sizes past GREEDY_GUARD, for a mode that admits a family.
-    greedy_match's per-column table has a row of 2^G + 1 entries for each
-    set of channels a family can hold before its last round, fewer than
-    S = min(C, G) of them, and the family table has S subsets per family;
-    neither may hold more than _CELL_LIMIT cells. The table is counted
-    first, since it bounds G before the families are counted, and G before
-    the table, so a huge G builds no 2^G. Passing sizes are cached, as
-    allocate checks on every call."""
-    S = min(C, G)
-    refused = f"greedy search refused for G={G}, C={C}, mode {mode}"
-    if G >= _CELL_LIMIT.bit_length():
-        raise _refuse_cells(refused, f"more than 2^{G}")
-    table = sum(math.comb(C, r) for r in range(S)) * ((1 << G) + 1)
-    if table > _CELL_LIMIT:
-        raise _refuse_cells(refused, table)
-    families = distinct_count(G, S, mode) * S
-    if families > _CELL_LIMIT:
-        raise _refuse_cells(refused, families)
-
-
-def check_cu_only_size(G: int, C: int, mode: str) -> None:
-    """Refuse sizes, for a mode that admits no family, whose CU-only run
-    (under either method) reads a (C, 2^G) value table of more than
-    _CELL_LIMIT cells. G is compared first, so a huge G builds no 2^G."""
-    if G >= _CELL_LIMIT.bit_length() or C << G > _CELL_LIMIT:
-        raise _refuse_cells(f"CU-only run refused for G={G}, C={C}, mode {mode}", f"{C} x 2^{G}")
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +867,9 @@ def allocate(scenario, scheme: SchemeConfig, fading=None):
     """
     ctx = scenario if isinstance(scenario, EvalContext) else EvalContext(scenario, fading)
     C, G = ctx.C, ctx.G
-    scheme.check_size(G, C)
     chan = np.zeros(C, dtype=np.int64)  # group mask on each channel
     mg_power = np.zeros(G)
-    if not _admits_family(G, C, scheme.selection_mode):
+    if not scheme.check_size(G, C):
         # no active group, or the mode admits no family at this (G, C): CU-only
         return _assignment(chan, ()), PowerVector(ctx.cu_power_w.copy(), mg_power), ctx.baseline
 

@@ -150,7 +150,6 @@ class MCLink:
 class MCEstimate:
     outage: float
     halfwidth95: float
-    n_trials: int
 
 
 def _field_interference(
@@ -208,4 +207,4 @@ def mc_outage(link: MCLink, n_trials: int, rng: np.random.Generator) -> MCEstima
         done += m
     p_hat = failures / n_trials
     hw = 1.96 * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_trials)
-    return MCEstimate(outage=p_hat, halfwidth95=hw, n_trials=n_trials)
+    return MCEstimate(outage=p_hat, halfwidth95=hw)

@@ -160,6 +160,13 @@ class SimParams:
                 f"receiver_density_per_m2 times the cell area expects {mean_candidates:.3g} "
                 f"candidate receivers, past the limit of {MAX_MEAN_CANDIDATES:,.0f}"
             )
+        # geometry.apply_exclusion holds a (C, candidates) distance table: at
+        # most its size at the candidate limit on the default 3 channels
+        if mean_candidates and self.num_channels > 3 * MAX_MEAN_CANDIDATES / mean_candidates:
+            raise ValueError(
+                f"num_channels = {self.num_channels} times {mean_candidates:.3g} expected candidate "
+                f"receivers is past the limit of {3 * MAX_MEAN_CANDIDATES:,.0f} distances"
+            )
         for name in (
             "max_cu_power_w", "max_mg_power_w", "assoc_min_rx_power_w", "assoc_ref_power_w",
             "cu_sir_threshold", "mg_sir_threshold",

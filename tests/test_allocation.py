@@ -23,7 +23,6 @@ from mgshare.allocation import (
     build_context,
     greedy_match,
     matching_count,
-    _admits_family,
     _exhaustive_best,
     _family_table,
     _greedy_best,
@@ -327,7 +326,7 @@ def test_cu_only_guard_counts_the_value_table():
         ]
         for mode, G, C, cells in refusals:
             with pytest.raises(ValueError, match=re.escape(
-                f"CU-only run refused for G={G}, C={C}, mode {mode}: its tables would hold "
+                f"{mode}:{method} refused for G={G}, C={C}: its value table would hold "
                 f"{cells} cells, past the limit of 7597590"
             )):
                 SchemeConfig(mode, method).check_size(G, C)
@@ -338,7 +337,9 @@ def test_admits_family_equals_a_nonempty_family_table():
         for C in range(1, 7):
             for mode in ("all", "almost_equal", "equal", "fixed(1)", "fixed(2)", "fixed(3)"):
                 table = _family_table(G, min(C, G), mode)[0] if G else ()
-                assert _admits_family(G, C, mode) == (len(table) > 0), (G, C, mode)
+                assert SchemeConfig(mode, "greedy").check_size(G, C) == (len(table) > 0), (
+                    G, C, mode
+                )
 
 
 # ---------------------------------------------------------------------------

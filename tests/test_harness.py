@@ -525,42 +525,79 @@ def test_cli_reports_bad_input_without_traceback(tmp_path, capsys, argv, message
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "sweep = D\nsweep_values = 50\nnum_groups = 40\n",
+        ("sweep = D\nsweep_values = 50\nnum_groups = 40\n", "its value table"),
         # the second point derives 79 transmitters
-        "sweep = lambda_g\nsweep_values = 1e-5, 1e-4\n",
+        ("sweep = lambda_g\nsweep_values = 1e-5, 1e-4\n", "its value table"),
         # one greedy_match call would hold 768,212 table rows of 129 entries
-        "sweep = D\nsweep_values = 50\nnum_channels = 30\n",
+        ("sweep = D\nsweep_values = 50\nnum_channels = 30\n", "greedy search refused"),
+        # 10,391,745 families of 3 subsets
+        ("sweep = D\nsweep_values = 50\nnum_groups = 13\n", "its family table would hold 31175235"),
         # refused from G alone: 2^1000000 is not built, nor printed in full
-        "sweep = D\nsweep_values = 50\nnum_groups = 1000000\n",
+        ("sweep = D\nsweep_values = 50\nnum_groups = 1000000\n", "its value table"),
     ],
 )
-def test_cli_run_refuses_oversized_greedy_configs(tmp_path, capsys, monkeypatch, text):
+def test_cli_run_refuses_oversized_greedy_configs(tmp_path, capsys, monkeypatch, text, message):
     conf = tmp_path / "big.conf"
     conf.write_text(text + "schemes = heuristic\nscenarios = 2\n")
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
     assert cli_main(["run", "--config", str(conf)]) == 2
     out, err = capsys.readouterr()
-    assert err.startswith("mgshare: error: ") and "greedy search refused" in err
+    assert err.startswith("mgshare: error: ") and message in err
     # 2,532,530 families of 3 subsets: the `all` table of 12 groups on 3 channels
     assert "past the limit of 7597590" in err
     assert "Traceback" not in err and out == ""
 
 
 def test_cli_run_refuses_a_cu_only_value_table_past_the_cell_limit(tmp_path, capsys, monkeypatch):
-    """fixed2 admits no family of 7 groups on 10^7 channels, so it runs
-    CU-only, and its first scenario would build a value table of 1.28e9
+    """fixed(12) admits no family of 22 groups on 2 channels, so it runs
+    CU-only, and its first scenario would build a value table of 8,388,608
     cells."""
     conf = tmp_path / "wide.conf"
     conf.write_text(
-        "sweep = D\nsweep_values = 50\nschemes = fixed2\nnum_channels = 10000000\nnum_groups = 7\n"
+        "sweep = D\nsweep_values = 50\nschemes = fixed(12):exhaustive\nnum_channels = 2\n"
+        "num_groups = 22\n"
     )
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
     assert cli_main(["run", "--config", str(conf)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("mgshare: error: D = 50.0: CU-only run refused for G=7, C=10000000")
-    assert "10000000 x 2^7 cells, past the limit of 7597590" in err
+    assert err.startswith("mgshare: error: D = 50.0: fixed(12):exhaustive refused for G=22, C=2")
+    assert "2 x 2^22 cells, past the limit of 7597590" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the value table alone would admit up to 3,798,795 channels
+        "schemes = heuristic\nnum_groups = 1\nnum_channels = 10000000\n",
+        # the distance table would take about 3 GB
+        "schemes = fixed2\nnum_groups = 7\nnum_channels = 59356\n",
+    ],
+)
+def test_cli_run_refuses_a_sampler_distance_table_past_its_limit(tmp_path, capsys, monkeypatch, text):
+    conf = tmp_path / "wide.conf"
+    conf.write_text("sweep = D\nsweep_values = 50\n" + text)
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mgshare: error: num_channels = ")
+    assert "past the limit of 300,000,000 distances" in err
+
+
+@pytest.mark.parametrize("size", [2000, 5000, 20000])
+def test_cli_run_refuses_a_huge_optimal_by_its_value_table(tmp_path, capsys, monkeypatch, size):
+    """The value table is counted before the matchings, so no count of
+    thousands of digits is built or printed."""
+    conf = tmp_path / "huge.conf"
+    conf.write_text(
+        f"sweep = D\nsweep_values = 50\nschemes = optimal\nnum_groups = {size}\n"
+        f"num_channels = {size}\n"
+    )
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert f"all:exhaustive refused for G={size}, C={size}: its value table" in err
 
 
 @pytest.mark.parametrize(
@@ -598,6 +635,32 @@ def test_cli_run_refuses_a_huge_candidate_count(tmp_path, capsys, text, message)
 )
 def test_greedy_limit_admits_the_measured_sizes(text):
     parse_config(text).validate()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "schemes = fixed2\nnum_channels = 30\n",
+        "schemes = optimal\nnum_groups = 1\nnum_channels = 1545\n",
+        # 1.0e8 expected candidates, at the candidate limit, on 3 channels
+        "schemes = optimal\nreceiver_density_per_m2 = 127.3\n",
+    ],
+)
+def test_distance_table_limit_admits_the_candidate_limit_on_three_channels(text):
+    parse_config("sweep = D\nsweep_values = 50\n" + text).validate()
+
+
+def test_cli_run_seed_and_scenarios_override_the_config(tmp_path, capsys):
+    text = "sweep = D\nsweep_values = 50\nschemes = optimal, heuristic\n"
+    flags, keys = tmp_path / "flags.conf", tmp_path / "keys.conf"
+    flags.write_text(text)
+    keys.write_text(text + "master_seed = 5\nscenarios = 3\n")
+    a, b = tmp_path / "flags.csv", tmp_path / "keys.csv"
+    argv = ["run", "--config", str(flags), "--out", str(a), "--seed", "5", "--scenarios", "3"]
+    assert cli_main(argv) == 0
+    assert cli_main(["run", "--config", str(keys), "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    capsys.readouterr()
 
 
 def test_cli_run_warns_on_a_wholly_degenerate_point(tmp_path, capsys):

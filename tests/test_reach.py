@@ -37,9 +37,12 @@ RUNS = [
     "sweep = P_G\nsweep_values = 10, 20\nscenarios = 2\nschemes = fixed2, optimal\nnum_groups = 5\n",
     "sweep = n_per_channel\nsweep_values = 1, 2\nscenarios = 2\nschemes = fixed_heuristic\n",
 ]
-# fixed2 admits no family of 7 groups on 10^7 channels, and its CU-only value
-# table would hold 1.28e9 cells
-REFUSED = "sweep = D\nsweep_values = 50\nschemes = fixed2\nnum_channels = 10000000\n"
+# fixed(12) admits no family of 22 groups on 2 channels, and its CU-only
+# value table would hold 8,388,608 cells
+REFUSED = (
+    "sweep = D\nsweep_values = 50\nschemes = fixed(12):greedy\nnum_channels = 2\n"
+    "num_groups = 22\n"
+)
 
 
 def _modules() -> dict:
@@ -88,11 +91,13 @@ def _run_commands(tmp_path, capsys, monkeypatch) -> None:
 
 def test_every_function_is_reached_by_a_command(tmp_path, capsys, monkeypatch):
     functions = _package_functions()
-    # a cached function's body runs only on a miss, so start every cache empty
+    # a cached function's body runs only on a miss, so start every cache
+    # empty, a cached method's too
     for module in _modules().values():
         for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+            for member in [obj, *(vars(obj).values() if inspect.isclass(obj) else ())]:
+                if hasattr(member, "cache_clear"):
+                    member.cache_clear()
     entered = set()
 
     def trace(frame, event, arg):
