@@ -156,6 +156,8 @@ class SchemeConfig:
             n = int(self.power_policy[5:-1])
             if n < 1:
                 raise ValueError("grid policy needs at least one point")
+            if n + 1 > _CELL_LIMIT:
+                raise _refuse_cells(f"power policy grid({n}) refused: its candidate list", n + 1)
             return n
         raise ValueError(f"unknown power policy {self.power_policy!r}")
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from .params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
 from .radio import path_gain, squared_distances
-from .seeds import child_seed, rng_for
+from .seeds import child_seed
 
 # Relative pad on the association reach (see the module docstring).
 _REACH_PAD = 1e-9
@@ -270,7 +270,7 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     degenerate scenario.
     """
     seed = child_seed(params.master_seed, index)
-    rng = rng_for(params.master_seed, index)
+    rng = np.random.default_rng(seed)
     R = params.cell_radius_m
     C = params.num_channels
     cu_pos = sample_uniform_disk(C, R, rng)

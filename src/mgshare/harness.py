@@ -1,7 +1,7 @@
 """Experiment driver: parameter sweeps, Monte Carlo averaging over random
 scenarios, key=value configuration, CSV persistence.
 
-A run is a pure function of (config, master seed). Every sweep point
+A sweep's output is a pure function of (config, master seed). Every sweep point
 draws from one shared scenario stream: scenario seeds mix (master seed,
 scenario index) through the same splitmix chain the rest of the package
 uses, and the sweep index does not enter. Scenario i at one sweep value is
@@ -10,28 +10,27 @@ parameters from the same random numbers, so neighbouring points are
 compared on paired scenarios (common random numbers).
 
 Points whose parameters agree on `geometry.scenario_key`, the fields the
-sampler reads, draw bitwise the same scenarios, links and fading. So a run
-of consecutive points with equal keys (a P_G or R_c_min sweep, or an
-n_per_channel sweep, which changes no parameter) is evaluated
-scenario-major: scenario i is drawn once, and each point builds its own
-context from that draw, or reuses the previous point's context when its
-parameters are equal, before scoring its schemes. A point's new context is
-built from the previous point's and adopts each of its tables whose inputs
-are bitwise equal (see `allocation.EvalContext`): a P_G step that leaves
-every feasible power unchanged builds no value table and scores no
-exhaustive family. A point whose key differs from its neighbour's (D, R,
-lambda_g) forms a run of its own and draws its own scenarios. Each run
-gives every worker one contiguous block of scenario indices for all its
-points. Results are reduced per point in scenario-index order no matter
-how many worker processes computed them, so the CSV is byte-identical
-across parallelism levels and equal to what scoring each point alone
-would write. Wall-clock columns default to zero for the same reason; pass
-timing=True to fill each with its point's evaluation time summed over the
-workers (a shared draw counts toward the run's first point), and give up
-byte-stability.
+sampler reads, draw bitwise the same scenarios, links and fading. So a
+sweep is evaluated in one scenario-major pass: scenario i is drawn at the
+first point and again only where a point's key differs from the previous
+point's (a D or R step, or a lambda_g step that changes the transmitter
+count it derives). Each point builds its own context from its draw, or
+reuses the previous point's context when its parameters are equal (an
+n_per_channel sweep). A new context of the same draw (a P_G or R_c_min
+step) is built from the previous point's and adopts each of its tables
+whose inputs are bitwise equal (see `allocation.EvalContext`): a P_G step
+that leaves every feasible power unchanged builds no value table and
+scores no exhaustive family. Every worker takes one contiguous block of
+scenario indices for all points. Results are reduced per point in
+scenario-index order no matter how many worker processes computed them,
+so the CSV is byte-identical across parallelism levels and equal to what
+scoring each point alone would write. Wall-clock columns default to zero
+for the same reason; pass timing=True to fill each with its point's
+evaluation time summed over the workers (a draw counts toward the point
+that made it), and give up byte-stability.
 
 Degenerate scenarios (no multicast group kept any receiver) are counted and
-excluded from the averages rather than resampled, so every scheme in a run
+excluded from the averages rather than resampled, so every scheme at a point
 is scored on exactly the same scenario set, and so is every sweep point.
 """
 
@@ -44,7 +43,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from typing import get_type_hints
 
 import numpy as np
@@ -242,32 +240,33 @@ def apply_sweep(base: SimParams, variable: str, value: float, schemes: tuple) ->
 
 
 def _eval_scenarios(args):
-    """Evaluate a contiguous block of scenario indices at a run of sweep
-    points that share one scenario_key, so one draw.
+    """Evaluate a contiguous block of scenario indices at every sweep point,
+    scenario-major.
 
-    Each point is (SimParams, SchemeConfig tuple). Scenario i is drawn once,
-    at the first point's parameters; each point then builds its context from
-    that draw and the previous point's context, adopting the tables whose
-    inputs are unchanged, or reuses that context when its parameters are
-    equal, and scores its schemes. Returns, per point, its results in
+    Each point is (SimParams, SchemeConfig tuple). Scenario i is drawn at
+    the first point and again only where a point's scenario_key differs
+    from the previous point's. Each point then builds its context from its
+    draw and the previous point's context of that draw, adopting the tables
+    whose inputs are unchanged, or reuses that context when its parameters
+    are equal, and scores its schemes. Returns, per point, its results in
     scenario-index order, each None (degenerate) or the tuple of per-scheme
     throughputs plus the winning size vector of the first scheme, and its
-    summed evaluation ms, the shared draw charged to the first point.
+    summed evaluation ms, a draw charged to the point that made it.
     """
     points, lo, hi = args
     results = [[] for _ in points]
     elapsed = [0.0] * len(points)
     for idx in range(lo, hi):
         t = time.perf_counter()
-        scenario = generate_scenario(points[0][0], idx)
-        ctx = None
+        drawn = None
         for i, (params, schemes) in enumerate(points):
+            key = scenario_key(params)
+            if key != drawn:
+                scenario, ctx, drawn = generate_scenario(params, idx), None, key
             if scenario.degenerate:
                 results[i].append(None)
             else:
-                if ctx is None:
-                    ctx = build_context(scenario)
-                elif ctx.params != params:
+                if ctx is None or ctx.params != params:
                     ctx = build_context(replace(scenario, params=params), prev=ctx)
                 results[i].append(_score(ctx, schemes))
             now = time.perf_counter()
@@ -292,35 +291,29 @@ def _score(ctx, schemes) -> tuple:
 
 def _sweep_points(cfg: ExperimentConfig):
     """Validate, then yield (sweep value, scenario results in scenario-index
-    order, summed evaluation ms) per sweep point, all points sharing one
-    worker pool.
+    order, summed evaluation ms) per sweep point.
 
-    Consecutive points with equal scenario keys form a run that is evaluated
-    scenario-major: one contiguous block of scenario indices per worker, a
-    single block when serial, each block covering every point of the run.
+    The whole sweep is one scenario-major pass, mapped once: one contiguous
+    block of scenario indices per worker, a single block when serial, each
+    block covering every point.
     """
     points = cfg.points()
     # A fork-started pool launches all its workers at the first task, so a
     # worker past the scenario count or the CPU count would only idle.
     workers = min(cfg.parallelism, cfg.n_scenarios, os.cpu_count() or 1)
     sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
+    seeded = tuple(
+        (params.copy_with(master_seed=sweep_master), schemes) for _, params, schemes in points
+    )
     n = cfg.n_scenarios
     chunk = -(-n // workers)
-    # One pool for the whole sweep, none when serial. Leaving its context joins
-    # the workers, so their CPU time is reaped before the run returns.
+    blocks = [(seeded, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    # No pool when serial. Leaving the pool's context joins the workers, so
+    # their CPU time is reaped before the results are reduced.
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        run = pool.map if pool else map
-        for _, shared in groupby(points, key=lambda point: scenario_key(point[1])):
-            shared = list(shared)
-            seeded = tuple(
-                (params.copy_with(master_seed=sweep_master), schemes)
-                for _, params, schemes in shared
-            )
-            blocks = [(seeded, lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-            parts = list(run(_eval_scenarios, blocks))
-            for i, (value, _, _) in enumerate(shared):
-                results = [r for part in parts for r in part[i][0]]
-                yield value, results, sum(part[i][1] for part in parts)
+        parts = list((pool.map if pool else map)(_eval_scenarios, blocks))
+    for i, (value, _, _) in enumerate(points):
+        yield value, [r for part in parts for r in part[i][0]], sum(part[i][1] for part in parts)
 
 
 def run_experiment(cfg: ExperimentConfig, timing: bool = False) -> list:

@@ -363,7 +363,7 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
 
     class FakePool:
         def __init__(self, max_workers):
-            self.max_workers, self.blocks = max_workers, []
+            self.max_workers, self.blocks, self.maps = max_workers, [], 0
             pools.append(self)
 
         def __enter__(self):
@@ -373,6 +373,7 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
             return False
 
         def map(self, fn, blocks):
+            self.maps += 1
             self.blocks += [(lo, hi) for *_, lo, hi in blocks]
             return map(fn, blocks)
 
@@ -395,6 +396,14 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
             assert [p.max_workers for p in pools] == [workers]
             assert len(pools[0].blocks) == workers
             assert pools[0].blocks[0][0] == 0 and pools[0].blocks[-1][1] == 3
+    # a sweep of three points that draw their own scenarios maps its blocks
+    # once, each block covering every point
+    sweep = replace(cfg, sweep_values=(30.0, 50.0, 70.0))
+    serial = format_rows("D", run_experiment(sweep))
+    pools.clear()
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    assert format_rows("D", run_experiment(replace(sweep, parallelism=2))) == serial
+    assert [(p.maps, len(p.blocks)) for p in pools] == [(1, 2)]
 
 
 def test_sweep_points_share_one_scenario_stream():
@@ -426,11 +435,15 @@ def test_sweep_points_share_one_scenario_stream():
         ("D", 2, 2),
         ("R", 2, 2),
         ("lambda_g", 2, 2),
+        # two densities that derive the same transmitter count share the draw
+        ("lambda_g", 1, 2),
     ],
 )
 def test_points_sharing_a_scenario_key_draw_each_scenario_once(
     monkeypatch, variable, draws, contexts
 ):
+    # 1e-5 and 1.01e-5 per m^2 both derive 8 transmitters on the 500 m cell
+    values = (1e-5, 1.01e-5) if (variable, draws) == ("lambda_g", 1) else _SWEEPS[variable]
     calls = {"draw": 0, "context": 0}
 
     def counted(name, fn):
@@ -444,7 +457,7 @@ def test_points_sharing_a_scenario_key_draw_each_scenario_once(
     monkeypatch.setattr(harness, "build_context", counted("context", harness.build_context))
     n = 4
     cfg = _tiny_config(
-        sweep_variable=variable, sweep_values=_SWEEPS[variable], schemes=("fixed2",), n_scenarios=n
+        sweep_variable=variable, sweep_values=values, schemes=("fixed2",), n_scenarios=n
     )
     assert all(r.n_degenerate == 0 for r in run_experiment(cfg))
     assert (calls["draw"], calls["context"]) == (draws * n, contexts * n)
@@ -583,6 +596,21 @@ def test_cli_run_refuses_a_sampler_distance_table_past_its_limit(tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("mgshare: error: num_channels = ")
     assert "past the limit of 300,000,000 distances" in err
+
+
+def test_cli_run_refuses_a_grid_policy_past_the_cell_limit(tmp_path, capsys, monkeypatch):
+    """grid(n) tries n + 1 powers at each group visit, a list held to the
+    cell limit."""
+    text = "sweep = D\nsweep_values = 50\nschemes = all:exhaustive:grid({})\n"
+    conf = tmp_path / "grid.conf"
+    conf.write_text(text.format(7597590))
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("sweep started"))
+    assert cli_main(["run", "--config", str(conf)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mgshare: error: bad scheme 'all:exhaustive:grid(7597590)': ")
+    assert "power policy grid(7597590) refused: its candidate list would hold 7597591" in err
+    assert "past the limit of 7597590" in err
+    assert parse_config(text.format(7597589)).schemes == ("all:exhaustive:grid(7597589)",)
 
 
 @pytest.mark.parametrize("size", [2000, 5000, 20000])
