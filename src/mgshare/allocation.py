@@ -52,7 +52,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .combinatorics import distinct_count, enumerate_size_vectors, parse_mode
-from .geometry import scenario_key
+from .geometry import same_draw
 from .kernels import build_stage2_table, build_value_table
 from .params import SIR_CAP
 from .power import group_power_cap, group_power_floor, power_interval
@@ -241,14 +241,16 @@ class EvalContext:
     vectors take part, so every scheme run on the context reads the blocks
     its mode admits and scores only those not yet held.
 
-    A context of the same draw under other parameters (the next point of a
-    P_G or R_c_min sweep) is built with ``prev``, the previous point's
-    context; a ``prev`` of another draw (another scenario seed or
-    ``geometry.scenario_key``) is refused. It takes the links and fading
-    from ``prev`` and adopts each table, as the very object ``prev`` holds,
-    whose inputs besides them are bitwise equal to the ones ``prev`` read
-    (``_reads``; the powers and thresholds are positive and finite, so
-    ``==`` compares their bits):
+    A context of the same draw under other parameters is built with
+    ``prev``, the previous point's context. The same draw
+    (``geometry.same_draw``) is the same scenario seed with bitwise-equal CU
+    positions and groups: the next point of a P_G or R_c_min sweep, or a D
+    step that thins no group's receivers. A ``prev`` of another draw is
+    refused. The context takes the links and fading from ``prev`` and
+    adopts each table, as the very object ``prev`` holds, whose inputs
+    besides them are bitwise equal to the ones ``prev`` read (``_reads``;
+    the powers and thresholds are positive and finite, so ``==`` compares
+    their bits):
 
     - path gains, unit-power link strengths and the rescoring lists of
       ``channel_value``: the maximum CU power;
@@ -260,10 +262,10 @@ class EvalContext:
     - ``greedy_scores``: whenever ``gain``, ``stage2`` and ``avail`` all are.
 
     Every context computes its own feasible powers, which read the powers,
-    thresholds, outage budgets and densities. Each score cache is shared
-    only together with every table its scores read, so a cache never
-    outlives a table it read: a context that rebuilds a table starts that
-    table's caches empty.
+    thresholds, outage budgets, densities and D, so D reaches the tables
+    only through ``p_gk``. Each score cache is shared only together with
+    every table its scores read, so a cache never outlives a table it read:
+    a context that rebuilds a table starts that table's caches empty.
     """
 
     def __init__(self, scenario, fading=None, *, prev=None):
@@ -275,9 +277,7 @@ class EvalContext:
                 fading = draw_fading(self.links, rng_for(scenario.scenario_seed, FADING_STREAM))
             self.fading = fading
         else:
-            if (scenario.scenario_seed, scenario_key(p)) != (
-                prev.scenario.scenario_seed, scenario_key(prev.params)
-            ):
+            if not same_draw(scenario, prev.scenario):
                 raise ValueError("prev is a context of another draw, so its links do not fit")
             self.links, self.fading = prev.links, prev.fading
         L = self.links

@@ -53,6 +53,22 @@ transmitters, since every step is elementwise or runs along one candidate's
 row (`tests/test_geometry.py` pins this for cos and sin). A window of radius
 R or more (an infinite reach, or D > R) marks every cell, and then every
 position is computed.
+
+D enters only the exclusion test, so the points of a D sweep share one
+draw. `generate_scenario` keeps the last draw it made (`_kept`, keyed by
+the index and every value it reads but D): the seed, the CU and transmitter
+positions, the candidate count, the generator's state before the candidate
+uniforms, and, once a second D asks for it, the association of the
+transmitter windows' candidates. A call at a kept draw draws the uniforms
+again from that state, rather than hold them (about 100 KB at the default
+density) while its point is scored, computes only the positions in the CU
+windows at its D, to count the excluded candidates, and drops the excluded
+receivers from the kept association. Since association reads each
+candidate's own row, associating first and excluding afterwards gives
+bitwise the groups of excluding first. Two scenarios hold the same draw
+(`same_draw`) when their seeds, CU positions and groups are bitwise equal;
+a D step that excludes no associated receiver keeps the draw, and with it
+the links and fading.
 """
 
 from __future__ import annotations
@@ -79,11 +95,15 @@ def _disk_points(radius: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The points (radius sqrt(u) cos 2 pi v, radius sqrt(u) sin 2 pi v), shape (n, 2).
 
     Radial inversion: r = radius * sqrt(u) makes the area element uniform
-    for u uniform on [0, 1). Every step is elementwise.
+    for u uniform on [0, 1). Every step is elementwise; the products are
+    written straight into the columns.
     """
     r = radius * np.sqrt(u)
     theta = v * (2.0 * np.pi)
-    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+    out = np.empty((len(r), 2))
+    np.multiply(r, np.cos(theta), out=out[:, 0])
+    np.multiply(r, np.sin(theta), out=out[:, 1])
+    return out
 
 
 def sample_uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
@@ -99,13 +119,19 @@ def sample_uniform_disk(n: int, radius: float, rng: np.random.Generator) -> np.n
     return _disk_points(radius, u, v)
 
 
-def _in_windows(
-    u: np.ndarray, v: np.ndarray, cell_radius: float, centers: np.ndarray, window_radii
-) -> np.ndarray:
-    """Boolean mask of the draws (u, v) whose cell of the (_RINGS, _SECTORS)
-    table holds a point of some window, the disk of window_radii[i] around
-    centers[i], padded and with one cell of margin (see the module
-    docstring)."""
+def _cell_index(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Flat index of each draw's (u, v) cell in the (_RINGS, _SECTORS) table."""
+    index = (u * _RINGS).astype(np.intp)
+    index *= _SECTORS
+    index += (v * _SECTORS).astype(np.intp)
+    return index
+
+
+def _window_cells(cell_radius: float, centers: np.ndarray, window_radii) -> np.ndarray:
+    """Flat boolean table of the (_RINGS, _SECTORS) cells that hold a point of
+    some window, the disk of window_radii[i] around centers[i], padded and
+    with one cell of margin (see the module docstring). A draw is in a window
+    where the table holds True at its `_cell_index`."""
     # Sector ranges span -0.75 to 1.75 turns once shifted by one turn, so
     # they are marked unwrapped over two turns and folded afterwards.
     marked = np.zeros((_RINGS, 2 * _SECTORS), dtype=bool)
@@ -125,11 +151,7 @@ def _in_windows(
                 math.floor((mid + half) * _SECTORS) + 2 + _SECTORS,
             )
         marked[rings, sectors] = True
-    cells = marked[:, :_SECTORS] | marked[:, _SECTORS:]
-    index = (u * _RINGS).astype(np.intp)
-    index *= _SECTORS
-    index += (v * _SECTORS).astype(np.intp)
-    return cells.ravel()[index]
+    return (marked[:, :_SECTORS] | marked[:, _SECTORS:]).ravel()
 
 
 def sample_poisson_count(intensity: float, area_m2: float, rng: np.random.Generator) -> int:
@@ -137,6 +159,12 @@ def sample_poisson_count(intensity: float, area_m2: float, rng: np.random.Genera
     if intensity < 0.0 or area_m2 < 0.0:
         raise ValueError("intensity and area must be nonnegative")
     return int(rng.poisson(intensity * area_m2))
+
+
+def _outside_holes(points: np.ndarray, cu_positions: np.ndarray, exclusion_radius_m: float):
+    """Boolean mask of the (n, 2) points at distance D or more from every
+    (C, 2) CU position; each entry reads its own point alone."""
+    return (squared_distances(cu_positions, points) >= exclusion_radius_m ** 2).all(axis=0)
 
 
 def apply_exclusion(candidates, cu_positions, exclusion_radius_m: float):
@@ -150,7 +178,7 @@ def apply_exclusion(candidates, cu_positions, exclusion_radius_m: float):
         raise ValueError("exclusion radius must be nonnegative")
     pts = np.asarray(candidates, dtype=float).reshape(-1, 2)
     centers = np.asarray(cu_positions, dtype=float).reshape(-1, 2)
-    keep = (squared_distances(centers, pts) >= exclusion_radius_m ** 2).all(axis=0)
+    keep = _outside_holes(pts, centers, exclusion_radius_m)
     return pts[keep], int(len(pts) - keep.sum())
 
 
@@ -258,6 +286,90 @@ def scenario_key(params: SimParams) -> tuple:
     return tuple(getattr(params, name) for name in SCENARIO_FIELDS)
 
 
+def same_draw(a: NetworkScenario, b: NetworkScenario) -> bool:
+    """True when two scenarios hold the same draw: the same seed and bitwise
+    equal CU positions and groups (ids, transmitter positions, receivers).
+    Links and fading read nothing else, so such scenarios share them, and a
+    D step that thins no group's receivers keeps the draw. Scenarios that
+    share their CU and group lists (`dataclasses.replace` of one another)
+    hold the same draw without a comparison."""
+    if a.scenario_seed != b.scenario_seed:
+        return False
+    if a.cus is b.cus and a.groups is b.groups:
+        return True
+    return (
+        len(a.cus) == len(b.cus)
+        and len(a.groups) == len(b.groups)
+        and all(x.position.tobytes() == y.position.tobytes() for x, y in zip(a.cus, b.cus))
+        and all(
+            x.id == y.id
+            and x.tx_position.tobytes() == y.tx_position.tobytes()
+            and x.receivers.tobytes() == y.receivers.tobytes()
+            for x, y in zip(a.groups, b.groups)
+        )
+    )
+
+
+@dataclass(eq=False)
+class _Draw:
+    """The part of a scenario that D does not read, less the candidate
+    uniforms: its seed, the CU and transmitter positions, the candidate
+    count, the generator's state before the uniforms, from which a later
+    call draws them again rather than hold them, and, once a second D asks
+    for it, ``associated``. No array of it is handed out or written."""
+
+    seed: int
+    cu_pos: np.ndarray
+    tx_pos: np.ndarray
+    candidate_count: int
+    state: dict
+    associated: tuple | None = None
+
+    def uniforms(self) -> np.ndarray:
+        """The candidates' uniforms, rows u and v, drawn again from ``state``."""
+        rng = np.random.default_rng(self.seed)
+        rng.bit_generator.state = self.state
+        return rng.random((2, self.candidate_count))
+
+
+# The last draw `generate_scenario` made, by the arguments of its `_draw`
+# call. It lets go of that draw before making the next, so it never holds two.
+_kept: dict = {}
+
+
+def _draw(master_seed, index, R, C, G, density, area, ref_w, min_w) -> tuple:
+    """The D-free part of `generate_scenario`'s draw, from the values it
+    reads, and the candidate uniforms u and v, which the draw does not
+    keep."""
+    seed = child_seed(master_seed, index)
+    rng = np.random.default_rng(seed)
+    cu_pos = sample_uniform_disk(C, R, rng)
+    tx_pos = sample_uniform_disk(G, R, rng)
+    n_cand = sample_poisson_count(density, area, rng)
+    draw = _Draw(seed, cu_pos, tx_pos, n_cand, rng.bit_generator.state)
+    u, v = rng.random((2, n_cand))  # the stream of drawing u, then v
+    return draw, u, v
+
+
+def _associate(draw, R, u, v, cells, reach, ref_w, min_w) -> tuple:
+    """(group ids, offsets, receivers) of the transmitter-window candidates
+    associated through `form_groups` before any exclusion disk applies,
+    receivers flattened group-major: group ``ids[i]`` holds rows
+    ``offsets[i]:offsets[i + 1]``, in candidate order.
+
+    Association reads each candidate's own row alone, so dropping the
+    excluded receivers afterwards keeps bitwise the groups of associating
+    the survivors.
+    """
+    groups = []
+    if len(draw.tx_pos):
+        near = _window_cells(R, draw.tx_pos, [reach] * len(draw.tx_pos))[cells]
+        groups = form_groups(draw.tx_pos, _disk_points(R, u[near], v[near]), ref_w, min_w)
+    sizes = [g.num_receivers for g in groups]
+    receivers = np.vstack([g.receivers for g in groups]) if groups else np.empty((0, 2))
+    return [g.id for g in groups], [0, *np.cumsum(sizes).tolist()], receivers
+
+
 def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     """Draw one scenario, deterministic in (params.master_seed, index).
 
@@ -265,34 +377,66 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
     positions, transmitter positions, candidate count, candidate positions.
     Only candidates in a window of some CU or transmitter get positions;
     the rest can be neither excluded nor scored (see the module docstring).
-    Parameter validation belongs to the config surface, not here; passing an
-    exclusion radius larger than the cell is allowed and simply yields a
-    degenerate scenario.
+
+    Everything D does not read is drawn once per index and values of the
+    other SCENARIO_FIELDS, and kept for the next call (`_kept`), but for the
+    candidate uniforms, which a later call draws again. Each call counts the
+    excluded candidates among those of the CU windows at its D. The first
+    call on a draw also takes the transmitter windows' candidates in the
+    same pass and associates the survivors, as a draw that is never reused
+    needs; a later call drops the excluded receivers from the draw's
+    association (`_associate`), which is made once. Every scenario gets its
+    own position arrays. Parameter validation belongs to the config
+    surface, not here; passing an exclusion radius larger than the cell is
+    allowed and simply yields a degenerate scenario.
     """
-    seed = child_seed(params.master_seed, index)
-    rng = np.random.default_rng(seed)
     R = params.cell_radius_m
-    C = params.num_channels
-    cu_pos = sample_uniform_disk(C, R, rng)
-    cus = [CellularUser(position=pos) for pos in cu_pos]
-    tx_pos = sample_uniform_disk(params.num_groups, R, rng)
-    n_cand = sample_poisson_count(params.receiver_density_per_m2, params.cell_area_m2, rng)
-    u = rng.random(n_cand)
-    v = rng.random(n_cand)
-    reach = association_reach(params.assoc_ref_power_w, params.assoc_min_rx_power_w)
-    windows = [params.exclusion_radius_m] * C + [reach] * len(tx_pos)
-    inside = _in_windows(u, v, R, np.vstack((cu_pos, tx_pos)), windows)
-    candidates = _disk_points(R, u[inside], v[inside])
-    kept, removed = apply_exclusion(candidates, cu_pos, params.exclusion_radius_m)
-    if len(tx_pos):
-        groups = form_groups(tx_pos, kept, params.assoc_ref_power_w, params.assoc_min_rx_power_w)
+    D = params.exclusion_radius_m
+    ref_w, min_w = params.assoc_ref_power_w, params.assoc_min_rx_power_w
+    key = (
+        params.master_seed,
+        index,
+        R,
+        params.num_channels,
+        params.num_groups,
+        params.receiver_density_per_m2,
+        params.cell_area_m2,
+        ref_w,
+        min_w,
+    )
+    draw = _kept.get(key)
+    first = draw is None
+    if first:
+        _kept.clear()
+        draw, u, v = _draw(*key)
+        _kept[key] = draw
     else:
+        u, v = draw.uniforms()
+    cells = _cell_index(u, v)
+    cu_pos, tx_pos = draw.cu_pos.copy(), draw.tx_pos.copy()
+    reach = association_reach(ref_w, min_w)
+    centers, windows = cu_pos, [D] * len(cu_pos)
+    if first:
+        centers, windows = np.vstack((cu_pos, tx_pos)), windows + [reach] * len(tx_pos)
+    near = _window_cells(R, centers, windows)[cells]
+    kept, removed = apply_exclusion(_disk_points(R, u[near], v[near]), cu_pos, D)
+    if first:
+        groups = form_groups(tx_pos, kept, ref_w, min_w) if len(tx_pos) else []
+    else:
+        if draw.associated is None:
+            draw.associated = _associate(draw, R, u, v, cells, reach, ref_w, min_w)
+        ids, offsets, receivers = draw.associated
+        keep = _outside_holes(receivers, cu_pos, D)
         groups = []
+        for g, lo, hi in zip(ids, offsets, offsets[1:]):
+            members = receivers[lo:hi][keep[lo:hi]]
+            if len(members):
+                groups.append(MulticastGroup(id=g, tx_position=tx_pos[g], receivers=members))
     return NetworkScenario(
         params=params,
-        cus=cus,
+        cus=[CellularUser(position=pos) for pos in cu_pos],
         groups=groups,
         excluded_receiver_count=removed,
-        scenario_seed=seed,
-        candidate_receiver_count=n_cand,
+        scenario_seed=draw.seed,
+        candidate_receiver_count=draw.candidate_count,
     )

@@ -14,20 +14,22 @@ sampler reads, draw bitwise the same scenarios, links and fading. So a
 sweep is evaluated in one scenario-major pass: scenario i is drawn at the
 first point and again only where a point's key differs from the previous
 point's (a D or R step, or a lambda_g step that changes the transmitter
-count it derives). Each point builds its own context from its draw, or
-reuses the previous point's context when its parameters are equal (an
-n_per_channel sweep). A new context of the same draw (a P_G or R_c_min
-step) is built from the previous point's and adopts each of its tables
-whose inputs are bitwise equal (see `allocation.EvalContext`): a P_G step
-that leaves every feasible power unchanged builds no value table and
-scores no exhaustive family. Every worker takes one contiguous block of
-scenario indices for all points. Results are reduced per point in
-scenario-index order no matter how many worker processes computed them,
-so the CSV is byte-identical across parallelism levels and equal to what
-scoring each point alone would write. Wall-clock columns default to zero
-for the same reason; pass timing=True to fill each with its point's
-evaluation time summed over the workers (a draw counts toward the point
-that made it), and give up byte-stability.
+count it derives). A D step redraws nothing but the exclusion disks: the
+sampler keeps the rest of the draw. Each point builds its own context from
+its draw, or reuses the previous point's context when its parameters are
+equal (an n_per_channel sweep). A new context of the same draw
+(`geometry.same_draw`: a P_G or R_c_min step, or a D step that leaves every
+group's receivers in place) is built from the previous point's and adopts
+each of its tables whose inputs are bitwise equal (see
+`allocation.EvalContext`): such a step that leaves every feasible power
+unchanged builds no value table and scores no exhaustive family. Every
+worker takes one contiguous block of scenario indices for all points.
+Results are reduced per point in scenario-index order no matter how many
+worker processes computed them, so the CSV is byte-identical across
+parallelism levels and equal to what scoring each point alone would write.
+Wall-clock columns default to zero for the same reason; pass timing=True to
+fill each with its point's evaluation time summed over the workers (a draw
+counts toward the point that made it), and give up byte-stability.
 
 Degenerate scenarios (no multicast group kept any receiver) are counted and
 excluded from the averages rather than resampled, so every scheme at a point
@@ -48,7 +50,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .allocation import SchemeConfig, allocate, build_context
-from .geometry import generate_scenario, scenario_key
+from .geometry import generate_scenario, same_draw, scenario_key
 from .params import SimParams
 from .seeds import child_seed
 
@@ -246,7 +248,8 @@ def _eval_scenarios(args):
     Each point is (SimParams, SchemeConfig tuple). Scenario i is drawn at
     the first point and again only where a point's scenario_key differs
     from the previous point's. Each point then builds its context from its
-    draw and the previous point's context of that draw, adopting the tables
+    draw and the previous point's context when both hold the same draw
+    (`geometry.same_draw`, which a D step may keep), adopting the tables
     whose inputs are unchanged, or reuses that context when its parameters
     are equal, and scores its schemes. Returns, per point, its results in
     scenario-index order, each None (degenerate) or the tuple of per-scheme
@@ -258,15 +261,17 @@ def _eval_scenarios(args):
     elapsed = [0.0] * len(points)
     for idx in range(lo, hi):
         t = time.perf_counter()
-        drawn = None
+        drawn = ctx = None
         for i, (params, schemes) in enumerate(points):
             key = scenario_key(params)
             if key != drawn:
-                scenario, ctx, drawn = generate_scenario(params, idx), None, key
+                scenario, drawn = generate_scenario(params, idx), key
             if scenario.degenerate:
                 results[i].append(None)
             else:
                 if ctx is None or ctx.params != params:
+                    if ctx is not None and not same_draw(ctx.scenario, scenario):
+                        ctx = None
                     ctx = build_context(replace(scenario, params=params), prev=ctx)
                 results[i].append(_score(ctx, schemes))
             now = time.perf_counter()
@@ -289,6 +294,15 @@ def _score(ctx, schemes) -> tuple:
     return tuple(values), vector
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the system
+    reports one (a run under taskset or a cgroup CPU set sees its own
+    share, not the machine's), else the machine's count, 1 if unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_points(cfg: ExperimentConfig):
     """Validate, then yield (sweep value, scenario results in scenario-index
     order, summed evaluation ms) per sweep point.
@@ -300,7 +314,7 @@ def _sweep_points(cfg: ExperimentConfig):
     points = cfg.points()
     # A fork-started pool launches all its workers at the first task, so a
     # worker past the scenario count or the CPU count would only idle.
-    workers = min(cfg.parallelism, cfg.n_scenarios, os.cpu_count() or 1)
+    workers = min(cfg.parallelism, cfg.n_scenarios, _usable_cpus())
     sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
     seeded = tuple(
         (params.copy_with(master_seed=sweep_master), schemes) for _, params, schemes in points

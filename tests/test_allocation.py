@@ -29,7 +29,7 @@ from mgshare.allocation import (
     _vector_family_masks,
 )
 from mgshare.combinatorics import distinct_count, enumerate_families, enumerate_size_vectors
-from mgshare.geometry import generate_scenario
+from mgshare.geometry import generate_scenario, same_draw
 from mgshare.params import SimParams
 from mgshare.seeds import child_seed
 from oracles import (
@@ -708,17 +708,71 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
     assert 0 < rebuilt < transitions
 
 
+def test_d_steps_rebuild_a_table_exactly_where_the_groups_or_powers_move(monkeypatch):
+    """Along a D sweep, each point's context built on the previous point's
+    when their draws are the same, as the harness builds them, builds the
+    value table exactly where the groups or the feasible powers' bytes move,
+    and the stage-2 table exactly where the groups move; every scheme's
+    outcome is bitwise that of a fresh context."""
+    built = Counter()
+    for name in ("build_value_table", "build_stage2_table"):
+        fn = getattr(allocation, name)
+
+        def counting(*a, fn=fn, name=name):
+            built[name] += 1
+            return fn(*a)
+
+        monkeypatch.setattr(allocation, name, counting)
+    tokens = ("optimal", "heuristic", "all:exhaustive:grid(2)")
+    schemes = [SchemeConfig.from_token(t) for t in tokens]
+    steps = Counter()
+    for idx in range(12):
+        points = [
+            generate_scenario(SimParams(exclusion_radius_m=d), idx)
+            for d in (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
+        ]
+        points = [s for s in points if not s.degenerate]
+        fresh = [build_context(s) for s in points]
+        want = [[_outcome(c, sc) for sc in schemes] for c in fresh]
+        ctx = None
+        for i, (s, f) in enumerate(zip(points, fresh)):
+            built.clear()
+            prev = ctx if ctx is not None and same_draw(ctx.scenario, s) else None
+            ctx = build_context(s, prev=prev)
+            assert [_outcome(ctx, sc) for sc in schemes] == want[i]
+            groups = i == 0 or _group_bits(s) != _group_bits(points[i - 1])
+            powers = i == 0 or f.p_gk.tobytes() != fresh[i - 1].p_gk.tobytes()
+            assert (prev is None) == groups
+            assert built["build_value_table"] == (groups or powers)
+            assert built["build_stage2_table"] == groups
+            steps[groups, powers] += i > 0
+    # D steps that keep the groups, with and without the same powers, and
+    # steps that move them
+    assert steps[False, False] and steps[False, True] and steps[True, True]
+
+
+def _group_bits(scenario) -> list:
+    return [(g.id, g.tx_position.tobytes(), g.receivers.tobytes()) for g in scenario.groups]
+
+
 def test_context_refuses_prev_of_another_draw():
     """A prev context lends its links and fading, so it must be of the same
-    draw: another scenario index, or another scenario_key at the same index,
-    is refused; the same draw under other radio parameters is not."""
+    draw: another scenario index, or a D at the same index that moves some
+    group's receivers, is refused; a D step that keeps every group, and the
+    same draw under other radio parameters, are not."""
     p = SimParams()
     prev = build_context(generate_scenario(p, 0))
     with pytest.raises(ValueError, match="another draw"):
         build_context(generate_scenario(p, 1), prev=prev)
-    moved = p.copy_with(exclusion_radius_m=60.0)
+    moved = generate_scenario(p.copy_with(exclusion_radius_m=150.0), 0)
+    assert _group_bits(moved) != _group_bits(prev.scenario)
     with pytest.raises(ValueError, match="another draw"):
-        build_context(generate_scenario(moved, 0), prev=prev)
+        build_context(moved, prev=prev)
+    kept = generate_scenario(p.copy_with(exclusion_radius_m=60.0), 0)
+    assert _group_bits(kept) == _group_bits(prev.scenario)
+    held = prev.stage2
+    ctx = build_context(kept, prev=prev)
+    assert ctx.links is prev.links and ctx.stage2 is held
     ctx = build_context(replace(prev.scenario, params=p.copy_with(max_mg_power_dbm=0.0)), prev=prev)
     assert ctx.links is prev.links
 

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgshare import geometry
 from mgshare.geometry import (
     _RINGS,
     _SECTORS,
     SCENARIO_FIELDS,
     MulticastGroup,
     NetworkScenario,
+    _cell_index,
     _disk_points,
-    _in_windows,
+    _kept,
+    _window_cells,
     apply_exclusion,
     association_reach,
     form_groups,
@@ -388,7 +391,7 @@ def test_windows_hold_every_candidate_at_their_edges(R, d_frac, reach_frac, cu_d
         d2 = dx * dx + dy * dy
         # the tests of apply_exclusion (CUs) and form_groups (transmitters)
         must |= d2 < rho * rho if i < len(cu_draws) else d2 <= rho * rho
-    assert not (must & ~_in_windows(u, v, R, centers, radii)).any()
+    assert not (must & ~_window_cells(R, centers, radii)[_cell_index(u, v)]).any()
 
 
 def test_disk_points_same_bits_in_subsets():
@@ -477,6 +480,67 @@ def test_scenario_key_holds_every_field_the_sampler_reads(index):
         changed = replace(base, **{name: 0.37})
         assert scenario_key(changed) == scenario_key(base)
         assert _scenario_bits(generate_scenario(changed, index)) == want, name
+
+
+def _fresh(params, index) -> NetworkScenario:
+    """generate_scenario with nothing kept from an earlier call."""
+    _kept.clear()
+    return generate_scenario(params, index)
+
+
+def test_kept_draw_equals_fresh_and_dense_draws(monkeypatch):
+    """Calls that alternate index, seed, D, R and num_groups, where each
+    call either reuses the previous call's draw at another D or draws anew,
+    give bitwise the scenario of a fresh draw and of the dense oracle. The
+    D steps include one past R (a degenerate scenario) and back, and an
+    infinite association reach (a threshold that underflows to 0 W)."""
+    base = SimParams(num_groups=9)
+    infinite = SimParams(num_groups=5, assoc_min_rx_power_dbm=-4000.0)
+    assert infinite.assoc_min_rx_power_w == 0.0
+    calls = []
+    for index in (0, 3):
+        for p in (base, base.copy_with(master_seed=11), infinite):
+            calls += [(p.copy_with(exclusion_radius_m=d), index) for d in (20.0, 50.0, 100.0, 50.0)]
+        calls += [(base.copy_with(exclusion_radius_m=d), index) for d in (40.0, 700.0, 10.0)]
+        small = base.copy_with(cell_radius_m=300.0)
+        calls += [(small.copy_with(exclusion_radius_m=d), index) for d in (30.0, 90.0)]
+        calls += [(base.copy_with(num_groups=g), index) for g in (7, 0, 7)]
+    draws, draw, associated, associate = [], geometry._draw, [], geometry.form_groups
+    monkeypatch.setattr(geometry, "_draw", lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(geometry, "form_groups", lambda *a: associated.append(a) or associate(*a))
+    _kept.clear()
+    got = [_scenario_bits(generate_scenario(p, i)) for p, i in calls]
+    # per index: three D steps on each of three draws, two on the default
+    # draw (to D past R and back) and one on the smaller cell kept the draw
+    assert len(calls) - len(draws) == 2 * (3 * 3 + 2 + 1)
+    # each draw with transmitters associates once, and once more for its D
+    # steps, which five draws per index take
+    assert len(associated) == 2 * (7 + 5)
+    monkeypatch.undo()
+    assert got == [_scenario_bits(_fresh(p, i)) for p, i in calls]
+    for (p, i), bits in zip(calls, got):
+        assert bits == _scenario_bits(generate_scenario_dense(p, i)), (p.exclusion_radius_m, i)
+    assert any(not g for *_, g in got)  # D past R leaves no group
+    assert sum(len(g) for *_, g in got) > 0
+
+
+def test_each_scenario_owns_its_position_arrays():
+    """Writing into one scenario's positions leaves the next scenario of the
+    same draw, and the draw itself, unchanged."""
+    p = SimParams(num_groups=9)
+    _kept.clear()
+    first = generate_scenario(p, 2)
+    assert first.groups
+    want = _scenario_bits(first)
+    for _ in range(2):
+        for c in first.cus:
+            c.position += 1.0
+        for g in first.groups:
+            g.tx_position += 1.0
+            g.receivers += 1.0
+        second = generate_scenario(p, 2)
+        assert _scenario_bits(second) == want
+        first = second
 
 
 def test_scenario_structure_and_exclusion_invariant():

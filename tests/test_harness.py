@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgshare import cli, harness
-from mgshare.allocation import SchemeConfig, build_context
+from mgshare.allocation import SCHEME_PRESETS, SchemeConfig, build_context
 from mgshare.cli import main as cli_main
 from mgshare.geometry import generate_scenario
 from mgshare.harness import (
@@ -340,7 +340,7 @@ def test_one_worker_pool_per_run(monkeypatch):
             super().__init__(*a, **kw)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # the pool is capped at the CPUs
+    _allow_cpus(monkeypatch, 2)  # the pool is capped at the CPUs
     cfg = _tiny_config(sweep_values=(20.0, 50.0, 80.0), schemes=("optimal",), n_scenarios=4)
     serial = format_rows("D", run_experiment(cfg))
     assert not opened
@@ -355,9 +355,22 @@ def test_one_worker_pool_per_run(monkeypatch):
     assert hist == winning_combination_histogram(cfg)
 
 
+def _allow_cpus(monkeypatch, cpus, machine=64):
+    """Let this process run on `cpus` CPUs of a `machine`-CPU host; with cpus
+    None, the system reports no affinity set and no CPU count."""
+    if cpus is None:
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: None)
+    else:
+        allowed = set(range(cpus))
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: allowed, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: machine)
+
+
 def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
     """`parallel` sizes the pool and the blocks at most at the scenario count
-    and the CPU count, and a count of one runs serially. The fake executor
+    and the CPUs the process may run on, its affinity set rather than the
+    machine's count, and a count of one runs serially. The fake executor
     maps in the test's own process, so no worker process starts."""
     pools = []
 
@@ -384,11 +397,11 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
         (8, 64, 3),  # capped at the 3 scenarios
         (8, 2, 2),  # capped at the CPU count
         (10**9, 2, 2),
-        (2, 1, 1),
+        (2, 1, 1),  # one allowed CPU of 64 (taskset -c 0) runs serially
         (3, None, 1),  # an unknown CPU count runs serially
     ]:
         pools.clear()
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus)
         assert format_rows("D", run_experiment(replace(cfg, parallelism=parallel))) == serial
         if workers == 1:
             assert pools == []
@@ -401,9 +414,33 @@ def test_worker_count_is_capped_at_scenarios_and_cpus(monkeypatch):
     sweep = replace(cfg, sweep_values=(30.0, 50.0, 70.0))
     serial = format_rows("D", run_experiment(sweep))
     pools.clear()
-    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     assert format_rows("D", run_experiment(replace(sweep, parallelism=2))) == serial
     assert [(p.maps, len(p.blocks)) for p in pools] == [(1, 2)]
+
+
+def test_d_sweep_on_adopted_tables_writes_the_bytes_of_fresh_contexts(monkeypatch):
+    """A D sweep whose contexts adopt the previous point's tables across D
+    steps that keep the draw writes, serial and pooled, the bytes of
+    building every point's context afresh."""
+    cfg = _tiny_config(
+        sweep_values=(20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0),
+        schemes=(*SCHEME_PRESETS, "all:exhaustive:grid(2)"),
+        n_scenarios=6,
+    )
+    _allow_cpus(monkeypatch, 2)
+    serial = format_rows("D", run_experiment(cfg))
+    assert format_rows("D", run_experiment(replace(cfg, parallelism=2))) == serial
+    d_steps = []
+
+    def fresh(scenario, prev=None):
+        d_steps.append(prev is not None)
+        return build_context(scenario)
+
+    monkeypatch.setattr(harness, "build_context", fresh)
+    assert format_rows("D", run_experiment(cfg)) == serial
+    # most D steps keep the draw, so the harness passes a prev context
+    assert sum(d_steps) > len(d_steps) / 2
 
 
 def test_sweep_points_share_one_scenario_stream():

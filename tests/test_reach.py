@@ -30,7 +30,8 @@ UNREACHED = {
 PACKAGE = Path(mgshare.__file__).parent
 
 RUNS = [
-    # every preset plus the grid ascent and a greedy mode of its own; D moves the draw
+    # every preset plus the grid ascent and a greedy mode of its own; a D step
+    # redraws only the exclusion disks and compares the draws of its contexts
     "sweep = D\nsweep_values = 30, 60\nscenarios = 2\nschemes = optimal, almost_equal, equal, "
     "fixed2, heuristic, fixed_heuristic, all:exhaustive:grid(2), almost_equal:greedy\n",
     # P_G points share a draw, and fixed2 admits no family of 5 groups: CU-only
