@@ -243,14 +243,14 @@ class EvalContext:
 
     A context of the same draw under other parameters is built with
     ``prev``, the previous point's context. The same draw
-    (``geometry.same_draw``) is the same scenario seed with bitwise-equal CU
-    positions and groups: the next point of a P_G or R_c_min sweep, or a D
-    step that thins no group's receivers. A ``prev`` of another draw is
-    refused. The context takes the links and fading from ``prev`` and
-    adopts each table, as the very object ``prev`` holds, whose inputs
-    besides them are bitwise equal to the ones ``prev`` read (``_reads``;
-    the powers and thresholds are positive and finite, so ``==`` compares
-    their bits):
+    (``geometry.same_draw``) is a scenario that shares its CU and group
+    lists with ``prev``'s, as ``geometry.next_scenario`` hands them on: the
+    next point of a P_G or R_c_min sweep, or a D step that drops no
+    receiver. A ``prev`` of another draw is refused. The context takes the
+    links and fading from ``prev`` and adopts each table, as the very object
+    ``prev`` holds, whose inputs besides them are bitwise equal to the ones
+    ``prev`` read (``_reads``; the powers and thresholds are positive and
+    finite, so ``==`` compares their bits):
 
     - path gains, unit-power link strengths and the rescoring lists of
       ``channel_value``: the maximum CU power;

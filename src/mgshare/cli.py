@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,7 +68,7 @@ def _cmd_run(args) -> int:
     try:
         cfg = parse_config(text)
         if args.seed is not None:
-            cfg.base = cfg.base.copy_with(master_seed=args.seed)
+            cfg.base = replace(cfg.base, master_seed=args.seed)
         if args.scenarios is not None:
             cfg.n_scenarios = args.scenarios
         if args.parallel is not None:

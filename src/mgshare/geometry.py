@@ -9,72 +9,61 @@ transmitter with the strongest mean received power, provided that power
 clears the association threshold. Both tests take their distances and path
 gains from `radio`, which writes each link formula once.
 
-Candidate positions are computed only inside windows. A point is drawn as
-two uniforms (u, v) and sits at (R sqrt(u) cos 2 pi v, R sqrt(u) sin 2 pi v).
-Only a candidate within D of a CU can be excluded, and only one within the
-association reach of a transmitter can join a group. Mean power
+Candidate positions are computed only inside windows: the disks of the
+association reach around the transmitters. A point is drawn as two uniforms
+(u, v) and sits at (R sqrt(u) cos 2 pi v, R sqrt(u) sin 2 pi v). Mean power
 P_ref * max(d, 1 m)^-4 falls with distance, so a receiver farther than the
 reach r = (P_ref / P_min)^(1/4) from every transmitter fails the threshold
-everywhere (r is about 11.5 m at the defaults). The bound is exact in
-floating point, not only on paper: the reach is padded by a relative 1e-9,
-which lowers the power at the padded reach by a relative 4e-9, while
-rounding moves the computed reach and power by under 1e-13 relative for any
-power ratio a float holds. A threshold of 0 W or less bounds nothing, and
-the reach is infinite.
+everywhere (r is about 11.5 m at the defaults), and whether the exclusion
+disks would take it changes nothing. The bound is exact in floating point,
+not only on paper: the reach is padded by a relative 1e-9, which lowers the
+power at the padded reach by a relative 4e-9, while rounding moves the
+computed reach and power by under 1e-13 relative for any power ratio a float
+holds. A threshold of 0 W or less bounds nothing, and the reach is infinite.
 
 So `generate_scenario` computes positions only for candidates whose (u, v)
 falls in a cell of a _RINGS x _SECTORS table over [0, 1)^2 that a window
-can reach; a window is the disk of radius D around a CU or of the reach
-around a transmitter. Both powers of two make u * _RINGS and v * _SECTORS
-exact, so a candidate's cell is exact. The windows are conservative in
-floating point:
+can reach. Both powers of two make u * _RINGS and v * _SECTORS exact, so a
+candidate's cell is exact. The windows are conservative in floating point:
 
 - The computed position of a candidate lies within about 1e-14 R of its
   exact polar point (sqrt, products and the float 2 pi are correctly
-  rounded; cos and sin err by a few ulp), and the exclusion and association
-  tests err by a few ulp of the distance. Each window's radius rho is
-  padded by a relative 1e-9 of (R + rho), far above both.
-- So the exact polar point (R sqrt(u), 2 pi v) of any candidate the tests
-  can exclude or attach lies in the padded disk around the computed centre
-  c. Its radius is within rho of |c|, which bounds u, and, when |c| > rho,
-  its angle is within asin(rho / |c|) of c's, which bounds v (modulo 1).
-  When |c| <= rho the disk holds the origin and every angle is marked.
+  rounded; cos and sin err by a few ulp), and the association test errs by
+  a few ulp of the distance. Each window's radius rho is padded by a
+  relative 1e-9 of (R + rho), far above both.
+- So the exact polar point (R sqrt(u), 2 pi v) of any candidate the test
+  can attach lies in the padded disk around the computed centre c. Its
+  radius is within rho of |c|, which bounds u, and, when |c| > rho, its
+  angle is within asin(rho / |c|) of c's, which bounds v (modulo 1). When
+  |c| <= rho the disk holds the origin and every angle is marked.
 - The bounds on u and v are computed from hypot, atan2 and asin, whose
   errors stay far below a cell (asin's near 1 is about 1e-8 rad against a
   sector of 0.025 rad), and one cell of margin on each side covers them
   where they floor to a cell.
 
-Every other candidate is neither excluded nor attached, so the excluded
-count, the groups and their receivers are bitwise those of computing every
-position and scoring every candidate. The kept candidates keep their order.
-Each position gets the same bits in a subset, and so does each candidate's
-exclusion test, distances, powers and first-max argmax over the
-transmitters, since every step is elementwise or runs along one candidate's
-row (`tests/test_geometry.py` pins this for cos and sin). A window of radius
-R or more (an infinite reach, or D > R) marks every cell, and then every
-position is computed.
+Every other candidate is attached to no group, so the groups and their
+receivers are bitwise those of computing every position and scoring every
+candidate. The kept candidates keep their order. Each position gets the
+same bits in a subset, and so does each candidate's exclusion test,
+distances, powers and first-max argmax over the transmitters, since every
+step is elementwise or runs along one candidate's row (`tests/test_geometry.py`
+pins this for cos and sin). A window of radius R or more (an infinite
+reach) marks every cell, and then every position is computed.
 
-D enters only the exclusion test, so the points of a D sweep share one
-draw. `generate_scenario` keeps the last draw it made (`_kept`, keyed by
-the index and every value it reads but D): the seed, the CU and transmitter
-positions, the candidate count, the generator's state before the candidate
-uniforms, and, once a second D asks for it, the association of the
-transmitter windows' candidates. A call at a kept draw draws the uniforms
-again from that state, rather than hold them (about 100 KB at the default
-density) while its point is scored, computes only the positions in the CU
-windows at its D, to count the excluded candidates, and drops the excluded
-receivers from the kept association. Since association reads each
-candidate's own row, associating first and excluding afterwards gives
-bitwise the groups of excluding first. Two scenarios hold the same draw
-(`same_draw`) when their seeds, CU positions and groups are bitwise equal;
-a D step that excludes no associated receiver keeps the draw, and with it
-the links and fading.
+D enters only the exclusion test, d^2 >= D^2 to every CU, which reads one
+receiver and holds at D' > D only where it holds at D. So the receivers a
+larger D keeps are the receivers a smaller D kept, less those the wider
+disks cover: the hole process is thinned, not drawn again. `next_scenario`
+takes a sweep's D steps this way, since sweep values ascend; a point whose
+other scenario fields are unchanged hands on the previous point's scenario.
+Both keep the CU list, and the group list when no receiver is dropped, and
+`same_draw` reads that sharing: such scenarios share their links and fading.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,7 +200,6 @@ class NetworkScenario:
     params: SimParams
     cus: list
     groups: list
-    excluded_receiver_count: int
     scenario_seed: int
     candidate_receiver_count: int = 0
 
@@ -287,87 +275,11 @@ def scenario_key(params: SimParams) -> tuple:
 
 
 def same_draw(a: NetworkScenario, b: NetworkScenario) -> bool:
-    """True when two scenarios hold the same draw: the same seed and bitwise
-    equal CU positions and groups (ids, transmitter positions, receivers).
-    Links and fading read nothing else, so such scenarios share them, and a
-    D step that thins no group's receivers keeps the draw. Scenarios that
-    share their CU and group lists (`dataclasses.replace` of one another)
-    hold the same draw without a comparison."""
-    if a.scenario_seed != b.scenario_seed:
-        return False
-    if a.cus is b.cus and a.groups is b.groups:
-        return True
-    return (
-        len(a.cus) == len(b.cus)
-        and len(a.groups) == len(b.groups)
-        and all(x.position.tobytes() == y.position.tobytes() for x, y in zip(a.cus, b.cus))
-        and all(
-            x.id == y.id
-            and x.tx_position.tobytes() == y.tx_position.tobytes()
-            and x.receivers.tobytes() == y.receivers.tobytes()
-            for x, y in zip(a.groups, b.groups)
-        )
-    )
-
-
-@dataclass(eq=False)
-class _Draw:
-    """The part of a scenario that D does not read, less the candidate
-    uniforms: its seed, the CU and transmitter positions, the candidate
-    count, the generator's state before the uniforms, from which a later
-    call draws them again rather than hold them, and, once a second D asks
-    for it, ``associated``. No array of it is handed out or written."""
-
-    seed: int
-    cu_pos: np.ndarray
-    tx_pos: np.ndarray
-    candidate_count: int
-    state: dict
-    associated: tuple | None = None
-
-    def uniforms(self) -> np.ndarray:
-        """The candidates' uniforms, rows u and v, drawn again from ``state``."""
-        rng = np.random.default_rng(self.seed)
-        rng.bit_generator.state = self.state
-        return rng.random((2, self.candidate_count))
-
-
-# The last draw `generate_scenario` made, by the arguments of its `_draw`
-# call. It lets go of that draw before making the next, so it never holds two.
-_kept: dict = {}
-
-
-def _draw(master_seed, index, R, C, G, density, area, ref_w, min_w) -> tuple:
-    """The D-free part of `generate_scenario`'s draw, from the values it
-    reads, and the candidate uniforms u and v, which the draw does not
-    keep."""
-    seed = child_seed(master_seed, index)
-    rng = np.random.default_rng(seed)
-    cu_pos = sample_uniform_disk(C, R, rng)
-    tx_pos = sample_uniform_disk(G, R, rng)
-    n_cand = sample_poisson_count(density, area, rng)
-    draw = _Draw(seed, cu_pos, tx_pos, n_cand, rng.bit_generator.state)
-    u, v = rng.random((2, n_cand))  # the stream of drawing u, then v
-    return draw, u, v
-
-
-def _associate(draw, R, u, v, cells, reach, ref_w, min_w) -> tuple:
-    """(group ids, offsets, receivers) of the transmitter-window candidates
-    associated through `form_groups` before any exclusion disk applies,
-    receivers flattened group-major: group ``ids[i]`` holds rows
-    ``offsets[i]:offsets[i + 1]``, in candidate order.
-
-    Association reads each candidate's own row alone, so dropping the
-    excluded receivers afterwards keeps bitwise the groups of associating
-    the survivors.
-    """
-    groups = []
-    if len(draw.tx_pos):
-        near = _window_cells(R, draw.tx_pos, [reach] * len(draw.tx_pos))[cells]
-        groups = form_groups(draw.tx_pos, _disk_points(R, u[near], v[near]), ref_w, min_w)
-    sizes = [g.num_receivers for g in groups]
-    receivers = np.vstack([g.receivers for g in groups]) if groups else np.empty((0, 2))
-    return [g.id for g in groups], [0, *np.cumsum(sizes).tolist()], receivers
+    """True when two scenarios hold the same draw: they share their CU and
+    group lists, as `next_scenario` hands them on. Links and fading read
+    nothing else, so such scenarios share them. Two `generate_scenario`
+    calls are two draws, even when their positions are bitwise equal."""
+    return a.cus is b.cus and a.groups is b.groups
 
 
 def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
@@ -375,68 +287,63 @@ def generate_scenario(params: SimParams, index: int) -> NetworkScenario:
 
     Draw order is part of the contract (it pins reproducibility): CU
     positions, transmitter positions, candidate count, candidate positions.
-    Only candidates in a window of some CU or transmitter get positions;
-    the rest can be neither excluded nor scored (see the module docstring).
-
-    Everything D does not read is drawn once per index and values of the
-    other SCENARIO_FIELDS, and kept for the next call (`_kept`), but for the
-    candidate uniforms, which a later call draws again. Each call counts the
-    excluded candidates among those of the CU windows at its D. The first
-    call on a draw also takes the transmitter windows' candidates in the
-    same pass and associates the survivors, as a draw that is never reused
-    needs; a later call drops the excluded receivers from the draw's
-    association (`_associate`), which is made once. Every scenario gets its
-    own position arrays. Parameter validation belongs to the config
-    surface, not here; passing an exclusion radius larger than the cell is
-    allowed and simply yields a degenerate scenario.
+    Only candidates in a transmitter's window get positions; the rest can
+    join no group (see the module docstring). Every scenario gets its own
+    position arrays. Parameter validation belongs to the config surface,
+    not here; passing an exclusion radius larger than the cell is allowed
+    and simply yields a degenerate scenario.
     """
+    seed = child_seed(params.master_seed, index)
+    rng = np.random.default_rng(seed)
     R = params.cell_radius_m
-    D = params.exclusion_radius_m
-    ref_w, min_w = params.assoc_ref_power_w, params.assoc_min_rx_power_w
-    key = (
-        params.master_seed,
-        index,
-        R,
-        params.num_channels,
-        params.num_groups,
-        params.receiver_density_per_m2,
-        params.cell_area_m2,
-        ref_w,
-        min_w,
-    )
-    draw = _kept.get(key)
-    first = draw is None
-    if first:
-        _kept.clear()
-        draw, u, v = _draw(*key)
-        _kept[key] = draw
-    else:
-        u, v = draw.uniforms()
-    cells = _cell_index(u, v)
-    cu_pos, tx_pos = draw.cu_pos.copy(), draw.tx_pos.copy()
-    reach = association_reach(ref_w, min_w)
-    centers, windows = cu_pos, [D] * len(cu_pos)
-    if first:
-        centers, windows = np.vstack((cu_pos, tx_pos)), windows + [reach] * len(tx_pos)
-    near = _window_cells(R, centers, windows)[cells]
-    kept, removed = apply_exclusion(_disk_points(R, u[near], v[near]), cu_pos, D)
-    if first:
-        groups = form_groups(tx_pos, kept, ref_w, min_w) if len(tx_pos) else []
-    else:
-        if draw.associated is None:
-            draw.associated = _associate(draw, R, u, v, cells, reach, ref_w, min_w)
-        ids, offsets, receivers = draw.associated
-        keep = _outside_holes(receivers, cu_pos, D)
-        groups = []
-        for g, lo, hi in zip(ids, offsets, offsets[1:]):
-            members = receivers[lo:hi][keep[lo:hi]]
-            if len(members):
-                groups.append(MulticastGroup(id=g, tx_position=tx_pos[g], receivers=members))
+    cu_pos = sample_uniform_disk(params.num_channels, R, rng)
+    tx_pos = sample_uniform_disk(params.num_groups, R, rng)
+    n_cand = sample_poisson_count(params.receiver_density_per_m2, params.cell_area_m2, rng)
+    u, v = rng.random((2, n_cand))  # the stream of drawing u, then v
+    groups = []
+    if len(tx_pos):
+        ref_w, min_w = params.assoc_ref_power_w, params.assoc_min_rx_power_w
+        reach = association_reach(ref_w, min_w)
+        near = _window_cells(R, tx_pos, [reach] * len(tx_pos))[_cell_index(u, v)]
+        candidates = _disk_points(R, u[near], v[near])
+        kept, _ = apply_exclusion(candidates, cu_pos, params.exclusion_radius_m)
+        groups = form_groups(tx_pos, kept, ref_w, min_w)
     return NetworkScenario(
         params=params,
         cus=[CellularUser(position=pos) for pos in cu_pos],
         groups=groups,
-        excluded_receiver_count=removed,
-        scenario_seed=draw.seed,
-        candidate_receiver_count=draw.candidate_count,
+        scenario_seed=seed,
+        candidate_receiver_count=n_cand,
     )
+
+
+# Where D sits in a scenario key.
+_D = SCENARIO_FIELDS.index("exclusion_radius_m")
+
+
+def next_scenario(prev: NetworkScenario | None, params: SimParams, index: int) -> NetworkScenario:
+    """Bitwise the scenario `generate_scenario(params, index)` draws, from
+    `prev`, the scenario of the same index at the previous sweep point, or
+    None.
+
+    An equal scenario key gives `prev` under `params`. A key that differs
+    only by a larger D gives `prev` less the receivers the wider disks
+    cover, and groups left empty dropped (see the module docstring). Both
+    hand on `prev`'s CU list, and its group list when no receiver is
+    dropped, so `same_draw` holds. Any other key, or a `prev` of another
+    index, draws anew.
+    """
+    if prev is not None and prev.scenario_seed == child_seed(params.master_seed, index):
+        old, new = scenario_key(prev.params), scenario_key(params)
+        if old == new:
+            return replace(prev, params=params)
+        if new[_D] > old[_D] and old[:_D] + old[_D + 1 :] == new[:_D] + new[_D + 1 :]:
+            cu_pos = np.vstack([c.position for c in prev.cus])
+            keep = [_outside_holes(g.receivers, cu_pos, new[_D]) for g in prev.groups]
+            groups = prev.groups
+            if not all(k.all() for k in keep):
+                groups = [
+                    replace(g, receivers=g.receivers[k]) for g, k in zip(groups, keep) if k.any()
+                ]
+            return replace(prev, params=params, groups=groups)
+    return generate_scenario(params, index)

@@ -11,25 +11,26 @@ compared on paired scenarios (common random numbers).
 
 Points whose parameters agree on `geometry.scenario_key`, the fields the
 sampler reads, draw bitwise the same scenarios, links and fading. So a
-sweep is evaluated in one scenario-major pass: scenario i is drawn at the
-first point and again only where a point's key differs from the previous
-point's (a D or R step, or a lambda_g step that changes the transmitter
-count it derives). A D step redraws nothing but the exclusion disks: the
-sampler keeps the rest of the draw. Each point builds its own context from
-its draw, or reuses the previous point's context when its parameters are
-equal (an n_per_channel sweep). A new context of the same draw
-(`geometry.same_draw`: a P_G or R_c_min step, or a D step that leaves every
-group's receivers in place) is built from the previous point's and adopts
-each of its tables whose inputs are bitwise equal (see
-`allocation.EvalContext`): such a step that leaves every feasible power
-unchanged builds no value table and scores no exhaustive family. Every
-worker takes one contiguous block of scenario indices for all points.
-Results are reduced per point in scenario-index order no matter how many
-worker processes computed them, so the CSV is byte-identical across
-parallelism levels and equal to what scoring each point alone would write.
-Wall-clock columns default to zero for the same reason; pass timing=True to
-fill each with its point's evaluation time summed over the workers (a draw
-counts toward the point that made it), and give up byte-stability.
+sweep is evaluated in one scenario-major pass, and each point takes scenario
+i from the previous point's through `geometry.next_scenario`: an equal key
+hands the scenario on, a D step (sweep values ascend) drops the receivers
+the wider exclusion disks cover, and any other change of key (an R step, or
+a lambda_g step that changes the transmitter count it derives) draws it
+anew. Each point builds its own context, or reuses the previous point's
+context when its parameters are equal (an n_per_channel sweep). A new
+context of the same draw (`geometry.same_draw`, the shared CU and group
+lists: a P_G or R_c_min step, or a D step that drops no receiver) is built
+from the previous point's and adopts each of its tables whose inputs are
+bitwise equal (see `allocation.EvalContext`): such a step that leaves every
+feasible power unchanged builds no value table and scores no exhaustive
+family. Every worker takes one contiguous block of scenario indices for
+all points. Results are reduced per point in scenario-index order no matter
+how many worker processes computed them, so the CSV is byte-identical
+across parallelism levels and equal to what scoring each point alone would
+write. Wall-clock columns default to zero for the same reason; pass
+timing=True to fill each with its point's evaluation time summed over the
+workers (a draw counts toward the point that made it), and give up
+byte-stability.
 
 Degenerate scenarios (no multicast group kept any receiver) are counted and
 excluded from the averages rather than resampled, so every scheme at a point
@@ -50,7 +51,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .allocation import SchemeConfig, allocate, build_context
-from .geometry import generate_scenario, same_draw, scenario_key
+from .geometry import next_scenario, same_draw
 from .params import SimParams
 from .seeds import child_seed
 
@@ -223,10 +224,10 @@ def apply_sweep(base: SimParams, variable: str, value: float, schemes: tuple) ->
     size of every fixed(n) scheme and leaves the rest alone.
     """
     if variable in _SWEEP_FIELDS:
-        return base.copy_with(**{_SWEEP_FIELDS[variable]: value}), schemes
+        return replace(base, **{_SWEEP_FIELDS[variable]: value}), schemes
     if variable == "lambda_g":
         n = max(1, round(value * math.pi * base.cell_radius_m**2))
-        return base.copy_with(group_density_per_m2=value, num_groups=n), schemes
+        return replace(base, group_density_per_m2=value, num_groups=n), schemes
     if variable == "n_per_channel":
         if not float(value).is_integer():
             raise ConfigError(f"n_per_channel must be a whole number, got {value!r}")
@@ -245,34 +246,33 @@ def _eval_scenarios(args):
     """Evaluate a contiguous block of scenario indices at every sweep point,
     scenario-major.
 
-    Each point is (SimParams, SchemeConfig tuple). Scenario i is drawn at
-    the first point and again only where a point's scenario_key differs
-    from the previous point's. Each point then builds its context from its
-    draw and the previous point's context when both hold the same draw
-    (`geometry.same_draw`, which a D step may keep), adopting the tables
-    whose inputs are unchanged, or reuses that context when its parameters
-    are equal, and scores its schemes. Returns, per point, its results in
-    scenario-index order, each None (degenerate) or the tuple of per-scheme
-    throughputs plus the winning size vector of the first scheme, and its
-    summed evaluation ms, a draw charged to the point that made it.
+    Each point is (SimParams, SchemeConfig tuple) and takes scenario i from
+    the previous point's (`geometry.next_scenario`), which draws only at the
+    first point and where the scenario key changes other than by a larger
+    D. Each point then builds its context from its scenario and the
+    previous point's context when both hold the same draw
+    (`geometry.same_draw`), adopting the tables whose inputs are unchanged,
+    or reuses that context when its parameters are equal, and scores its
+    schemes. Returns, per point, its results in scenario-index order, each
+    None (degenerate) or the tuple of per-scheme throughputs plus the
+    winning size vector of the first scheme, and its summed evaluation ms,
+    a draw charged to the point that made it.
     """
     points, lo, hi = args
     results = [[] for _ in points]
     elapsed = [0.0] * len(points)
     for idx in range(lo, hi):
         t = time.perf_counter()
-        drawn = ctx = None
+        scenario = ctx = None
         for i, (params, schemes) in enumerate(points):
-            key = scenario_key(params)
-            if key != drawn:
-                scenario, drawn = generate_scenario(params, idx), key
+            scenario = next_scenario(scenario, params, idx)
             if scenario.degenerate:
                 results[i].append(None)
             else:
                 if ctx is None or ctx.params != params:
                     if ctx is not None and not same_draw(ctx.scenario, scenario):
                         ctx = None
-                    ctx = build_context(replace(scenario, params=params), prev=ctx)
+                    ctx = build_context(scenario, prev=ctx)
                 results[i].append(_score(ctx, schemes))
             now = time.perf_counter()
             elapsed[i] += now - t
@@ -317,7 +317,7 @@ def _sweep_points(cfg: ExperimentConfig):
     workers = min(cfg.parallelism, cfg.n_scenarios, _usable_cpus())
     sweep_master = child_seed(cfg.base.master_seed, _SWEEP_STREAM, 0)
     seeded = tuple(
-        (params.copy_with(master_seed=sweep_master), schemes) for _, params, schemes in points
+        (replace(params, master_seed=sweep_master), schemes) for _, params, schemes in points
     )
     n = cfg.n_scenarios
     chunk = -(-n // workers)

@@ -13,7 +13,7 @@ sets `path_loss_exponent` or `bandwidth_hz` is refused as an unknown key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 
 def db_to_linear(x_db):
@@ -131,9 +131,6 @@ class SimParams:
     @property
     def assoc_ref_power_w(self) -> float:
         return dbm_to_watt(self.assoc_ref_power_dbm)
-
-    def copy_with(self, **kw) -> "SimParams":
-        return replace(self, **kw)
 
     def validate(self) -> None:
         for f in fields(self):

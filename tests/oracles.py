@@ -504,17 +504,22 @@ def _disk_dense(n, radius, rng):
     return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-def generate_scenario_dense(params, index):
-    """`geometry.generate_scenario` computing every candidate's position,
-    then excluding and associating every candidate densely."""
+def draw_dense(params, index):
+    """The CU positions, transmitter positions and every candidate position
+    of scenario `index`, drawn in `geometry.generate_scenario`'s order."""
     rng = rng_for(params.master_seed, index)
     R = params.cell_radius_m
     cu_pos = _disk_dense(params.num_channels, R, rng)
-    cus = [CellularUser(position=pos) for pos in cu_pos]
     tx_pos = _disk_dense(params.num_groups, R, rng)
     n_cand = int(rng.poisson(params.receiver_density_per_m2 * params.cell_area_m2))
-    candidates = _disk_dense(n_cand, R, rng)
-    kept, removed = apply_exclusion_dense(candidates, cu_pos, params.exclusion_radius_m)
+    return cu_pos, tx_pos, _disk_dense(n_cand, R, rng)
+
+
+def generate_scenario_dense(params, index):
+    """`geometry.generate_scenario` computing every candidate's position,
+    then excluding and associating every candidate densely."""
+    cu_pos, tx_pos, candidates = draw_dense(params, index)
+    kept, _ = apply_exclusion_dense(candidates, cu_pos, params.exclusion_radius_m)
     groups = (
         form_groups_dense(tx_pos, kept, params.assoc_ref_power_w, params.assoc_min_rx_power_w)
         if len(tx_pos)
@@ -522,9 +527,8 @@ def generate_scenario_dense(params, index):
     )
     return NetworkScenario(
         params=params,
-        cus=cus,
+        cus=[CellularUser(position=pos) for pos in cu_pos],
         groups=groups,
-        excluded_receiver_count=removed,
         scenario_seed=child_seed(params.master_seed, index),
-        candidate_receiver_count=n_cand,
+        candidate_receiver_count=len(candidates),
     )

@@ -29,7 +29,7 @@ from mgshare.allocation import (
     _vector_family_masks,
 )
 from mgshare.combinatorics import distinct_count, enumerate_families, enumerate_size_vectors
-from mgshare.geometry import generate_scenario, same_draw
+from mgshare.geometry import generate_scenario, next_scenario, same_draw
 from mgshare.params import SimParams
 from mgshare.seeds import child_seed
 from oracles import (
@@ -631,8 +631,8 @@ RUNS = {
 def _run_points(scenario, run):
     """The scenario at each point of a run, as the harness gives them."""
     name, values, base = RUNS[run]
-    params = scenario.params.copy_with(**base)
-    return [replace(scenario, params=params.copy_with(**{name: v})) for v in values]
+    params = replace(scenario.params, **base)
+    return [replace(scenario, params=replace(params, **{name: v})) for v in values]
 
 
 @pytest.mark.parametrize("run", RUNS)
@@ -709,11 +709,12 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
 
 
 def test_d_steps_rebuild_a_table_exactly_where_the_groups_or_powers_move(monkeypatch):
-    """Along a D sweep, each point's context built on the previous point's
-    when their draws are the same, as the harness builds them, builds the
-    value table exactly where the groups or the feasible powers' bytes move,
-    and the stage-2 table exactly where the groups move; every scheme's
-    outcome is bitwise that of a fresh context."""
+    """Along a D sweep, each point's scenario taken from the previous
+    point's and its context built on the previous point's when their draws
+    are the same, as the harness builds them, builds the value table exactly
+    where the groups or the feasible powers' bytes move, and the stage-2
+    table exactly where the groups move; every scheme's outcome is bitwise
+    that of a fresh context."""
     built = Counter()
     for name in ("build_value_table", "build_stage2_table"):
         fn = getattr(allocation, name)
@@ -727,10 +728,10 @@ def test_d_steps_rebuild_a_table_exactly_where_the_groups_or_powers_move(monkeyp
     schemes = [SchemeConfig.from_token(t) for t in tokens]
     steps = Counter()
     for idx in range(12):
-        points = [
-            generate_scenario(SimParams(exclusion_radius_m=d), idx)
-            for d in (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0)
-        ]
+        points, s = [], None
+        for d in (20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0):
+            s = next_scenario(s, SimParams(exclusion_radius_m=d), idx)
+            points.append(s)
         points = [s for s in points if not s.degenerate]
         fresh = [build_context(s) for s in points]
         want = [[_outcome(c, sc) for sc in schemes] for c in fresh]
@@ -757,23 +758,28 @@ def _group_bits(scenario) -> list:
 
 def test_context_refuses_prev_of_another_draw():
     """A prev context lends its links and fading, so it must be of the same
-    draw: another scenario index, or a D at the same index that moves some
-    group's receivers, is refused; a D step that keeps every group, and the
-    same draw under other radio parameters, are not."""
+    draw, one whose CU and group lists the scenario shares: another scenario
+    index, a second `generate_scenario` call at the same index, even one
+    with bitwise-equal positions, and a D step that drops some receiver are
+    refused; a D step that drops none, and the same draw under other radio
+    parameters, are not."""
     p = SimParams()
     prev = build_context(generate_scenario(p, 0))
-    with pytest.raises(ValueError, match="another draw"):
-        build_context(generate_scenario(p, 1), prev=prev)
-    moved = generate_scenario(p.copy_with(exclusion_radius_m=150.0), 0)
+    again = generate_scenario(p, 0)
+    assert _group_bits(again) == _group_bits(prev.scenario)
+    for other in (generate_scenario(p, 1), again):
+        with pytest.raises(ValueError, match="another draw"):
+            build_context(other, prev=prev)
+    moved = next_scenario(prev.scenario, replace(p, exclusion_radius_m=150.0), 0)
     assert _group_bits(moved) != _group_bits(prev.scenario)
     with pytest.raises(ValueError, match="another draw"):
         build_context(moved, prev=prev)
-    kept = generate_scenario(p.copy_with(exclusion_radius_m=60.0), 0)
+    kept = next_scenario(prev.scenario, replace(p, exclusion_radius_m=60.0), 0)
     assert _group_bits(kept) == _group_bits(prev.scenario)
     held = prev.stage2
     ctx = build_context(kept, prev=prev)
     assert ctx.links is prev.links and ctx.stage2 is held
-    ctx = build_context(replace(prev.scenario, params=p.copy_with(max_mg_power_dbm=0.0)), prev=prev)
+    ctx = build_context(replace(prev.scenario, params=replace(p, max_mg_power_dbm=0.0)), prev=prev)
     assert ctx.links is prev.links
 
 
@@ -830,7 +836,7 @@ def test_grid_never_below_optimal_exactly():
     cases = [(50.0, 8)] + [(d, i) for d in (20.0, 50.0, 100.0) for i in range(40)]
     checked = 0
     for d, idx in cases:
-        s = generate_scenario(SimParams(exclusion_radius_m=d).copy_with(master_seed=stream), idx)
+        s = generate_scenario(SimParams(exclusion_radius_m=d, master_seed=stream), idx)
         if s.degenerate:
             continue
         ctx = build_context(s)

@@ -1,5 +1,6 @@
 """Scenario generation checks against brute-force and distributional oracles."""
 
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -16,18 +17,19 @@ from mgshare.geometry import (
     NetworkScenario,
     _cell_index,
     _disk_points,
-    _kept,
     _window_cells,
     apply_exclusion,
     association_reach,
     form_groups,
     generate_scenario,
+    next_scenario,
+    same_draw,
     sample_poisson_count,
     sample_uniform_disk,
     scenario_key,
 )
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SimParams
-from oracles import apply_exclusion_dense, form_groups_dense, generate_scenario_dense
+from oracles import apply_exclusion_dense, draw_dense, form_groups_dense, generate_scenario_dense
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +263,6 @@ def test_scenarios_match_dense_oracle():
             got, want = generate_scenario(p, i), generate_scenario_dense(p, i)
             assert got.scenario_seed == want.scenario_seed
             assert got.candidate_receiver_count == want.candidate_receiver_count
-            assert got.excluded_receiver_count == want.excluded_receiver_count
             assert [c.position.tobytes() for c in got.cus] == [c.position.tobytes() for c in want.cus]
             _assert_groups_identical(got.groups, want.groups)
             want_groups += len(want.groups)
@@ -419,8 +420,6 @@ def test_disk_points_same_bits_in_subsets():
 def _scenarios_equal(a: NetworkScenario, b: NetworkScenario) -> bool:
     if len(a.cus) != len(b.cus) or len(a.groups) != len(b.groups):
         return False
-    if a.excluded_receiver_count != b.excluded_receiver_count:
-        return False
     if a.scenario_seed != b.scenario_seed:
         return False
     for x, y in zip(a.cus, b.cus):
@@ -455,7 +454,6 @@ def _scenario_bits(s: NetworkScenario) -> tuple:
     """Everything a scenario holds but its parameters, positions as raw bytes."""
     return (
         s.scenario_seed,
-        s.excluded_receiver_count,
         s.candidate_receiver_count,
         [c.position.tobytes() for c in s.cus],
         [(g.id, g.tx_position.tobytes(), g.receivers.tobytes()) for g in s.groups],
@@ -482,53 +480,74 @@ def test_scenario_key_holds_every_field_the_sampler_reads(index):
         assert _scenario_bits(generate_scenario(changed, index)) == want, name
 
 
-def _fresh(params, index) -> NetworkScenario:
-    """generate_scenario with nothing kept from an earlier call."""
-    _kept.clear()
-    return generate_scenario(params, index)
-
-
-def test_kept_draw_equals_fresh_and_dense_draws(monkeypatch):
-    """Calls that alternate index, seed, D, R and num_groups, where each
-    call either reuses the previous call's draw at another D or draws anew,
-    give bitwise the scenario of a fresh draw and of the dense oracle. The
-    D steps include one past R (a degenerate scenario) and back, and an
-    infinite association reach (a threshold that underflows to 0 W)."""
+def test_d_steps_thin_the_previous_scenario(monkeypatch):
+    """Ascending D sequences on the default, seed-11 and infinite-reach
+    draws, up to a D that empties every group and one past it: each
+    `next_scenario` step draws nothing and gives bitwise the scenario of
+    `generate_scenario` and of the dense oracle. It hands on the CU list,
+    and the group list exactly when it drops no receiver. A falling D, a
+    change of any other key field or another index draws anew, and an
+    equal key hands on both lists."""
     base = SimParams(num_groups=9)
     infinite = SimParams(num_groups=5, assoc_min_rx_power_dbm=-4000.0)
     assert infinite.assoc_min_rx_power_w == 0.0
-    calls = []
+    drawn, draw = [], geometry.generate_scenario
+    monkeypatch.setattr(geometry, "generate_scenario", lambda *a: drawn.append(a) or draw(*a))
+    steps = Counter()
     for index in (0, 3):
-        for p in (base, base.copy_with(master_seed=11), infinite):
-            calls += [(p.copy_with(exclusion_radius_m=d), index) for d in (20.0, 50.0, 100.0, 50.0)]
-        calls += [(base.copy_with(exclusion_radius_m=d), index) for d in (40.0, 700.0, 10.0)]
-        small = base.copy_with(cell_radius_m=300.0)
-        calls += [(small.copy_with(exclusion_radius_m=d), index) for d in (30.0, 90.0)]
-        calls += [(base.copy_with(num_groups=g), index) for g in (7, 0, 7)]
-    draws, draw, associated, associate = [], geometry._draw, [], geometry.form_groups
-    monkeypatch.setattr(geometry, "_draw", lambda *a: draws.append(a) or draw(*a))
-    monkeypatch.setattr(geometry, "form_groups", lambda *a: associated.append(a) or associate(*a))
-    _kept.clear()
-    got = [_scenario_bits(generate_scenario(p, i)) for p, i in calls]
-    # per index: three D steps on each of three draws, two on the default
-    # draw (to D past R and back) and one on the smaller cell kept the draw
-    assert len(calls) - len(draws) == 2 * (3 * 3 + 2 + 1)
-    # each draw with transmitters associates once, and once more for its D
-    # steps, which five draws per index take
-    assert len(associated) == 2 * (7 + 5)
-    monkeypatch.undo()
-    assert got == [_scenario_bits(_fresh(p, i)) for p, i in calls]
-    for (p, i), bits in zip(calls, got):
-        assert bits == _scenario_bits(generate_scenario_dense(p, i)), (p.exclusion_radius_m, i)
-    assert any(not g for *_, g in got)  # D past R leaves no group
-    assert sum(len(g) for *_, g in got) > 0
+        for p in (base, replace(base, master_seed=11), infinite):
+            prev = None
+            for d in (1.0, 20.0, 50.0, 60.0, 100.0, 1200.0, 1500.0):
+                params = replace(p, exclusion_radius_m=d)
+                drawn.clear()
+                s = next_scenario(prev, params, index)
+                assert len(drawn) == (prev is None) and s.params is params
+                bits = _scenario_bits(s)
+                assert bits == _scenario_bits(draw(params, index))
+                assert bits == _scenario_bits(generate_scenario_dense(params, index)), (d, index)
+                if prev is not None:
+                    receivers = [sum(g.num_receivers for g in x.groups) for x in (prev, s)]
+                    kept = receivers[0] == receivers[1]
+                    assert s.cus is prev.cus and (s.groups is prev.groups) == kept
+                    assert same_draw(s, prev) == kept
+                    steps[kept, s.degenerate] += 1
+                prev = s
+            assert s.degenerate  # D past 2R leaves no group
+    # steps that keep every receiver, that drop some, and from a degenerate scenario
+    assert steps[True, False] and steps[False, False] and steps[True, True]
+
+    prev = generate_scenario(replace(base, exclusion_radius_m=50.0), 0)
+    others = {
+        "master_seed": 11,
+        "cell_radius_m": 300.0,
+        "num_channels": 2,
+        "num_groups": 7,
+        "receiver_density_per_m2": 5e-3,
+        "assoc_min_rx_power_dbm": -40.0,
+        "assoc_ref_power_dbm": 20.0,
+    }
+    assert set(others) == set(SCENARIO_FIELDS) - {"exclusion_radius_m"}
+    anew = [(replace(prev.params, exclusion_radius_m=20.0), 0)]
+    anew += [(replace(prev.params, exclusion_radius_m=100.0), 1)]
+    anew += [
+        (replace(prev.params, exclusion_radius_m=100.0, **{name: v}), 0)
+        for name, v in others.items()
+    ]
+    for params, index in anew:
+        drawn.clear()
+        s = next_scenario(prev, params, index)
+        assert drawn == [(params, index)] and not same_draw(s, prev)
+        assert _scenario_bits(s) == _scenario_bits(draw(params, index))
+    drawn.clear()
+    params = replace(prev.params, max_mg_power_dbm=0.0)
+    s = next_scenario(prev, params, 0)
+    assert not drawn and s.params is params and same_draw(s, prev)
 
 
 def test_each_scenario_owns_its_position_arrays():
-    """Writing into one scenario's positions leaves the next scenario of the
-    same draw, and the draw itself, unchanged."""
+    """Writing into one scenario's positions leaves the next scenario drawn
+    at the same index unchanged."""
     p = SimParams(num_groups=9)
-    _kept.clear()
     first = generate_scenario(p, 2)
     assert first.groups
     want = _scenario_bits(first)
@@ -559,8 +578,7 @@ def test_scenario_degenerate_when_exclusion_covers_cell():
     p = SimParams(exclusion_radius_m=1200.0)  # > 2R: every point inside a hole
     s = generate_scenario(p, 0)
     assert s.degenerate
-    assert s.groups == []
-    assert s.excluded_receiver_count == s.candidate_receiver_count
+    assert s.groups == [] and s.candidate_receiver_count > 0
 
 
 def test_scenario_degenerate_when_no_candidates():
@@ -588,12 +606,12 @@ def test_excluded_fraction_matches_area_oracle():
     expected = frac_hits.mean()
 
     p = SimParams(receiver_density_per_m2=1e-3)
-    removed = kept = 0
+    removed = total = 0
     for i in range(400):
-        s = generate_scenario(p, i)
-        removed += s.excluded_receiver_count
-        kept += s.candidate_receiver_count - s.excluded_receiver_count
-    observed = removed / (removed + kept)
+        cu_pos, _, candidates = draw_dense(p, i)
+        removed += apply_exclusion_dense(candidates, cu_pos, p.exclusion_radius_m)[1]
+        total += len(candidates)
+    observed = removed / total
     assert observed == pytest.approx(expected, rel=0.08)
 
 

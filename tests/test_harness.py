@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgshare import cli, harness
+from mgshare import cli, geometry, harness
 from mgshare.allocation import SCHEME_PRESETS, SchemeConfig, build_context
 from mgshare.cli import main as cli_main
 from mgshare.geometry import generate_scenario
@@ -468,8 +468,9 @@ def test_sweep_points_share_one_scenario_stream():
         ("R_c_min", 1, 2),
         # n_per_channel leaves every parameter: one context per scenario
         ("n_per_channel", 1, 1),
+        # a D step thins the previous point's receivers: one draw per scenario
+        ("D", 1, 2),
         # the others move the draw: one per scenario and point
-        ("D", 2, 2),
         ("R", 2, 2),
         ("lambda_g", 2, 2),
         # two densities that derive the same transmitter count share the draw
@@ -490,7 +491,7 @@ def test_points_sharing_a_scenario_key_draw_each_scenario_once(
 
         return wrapper
 
-    monkeypatch.setattr(harness, "generate_scenario", counted("draw", harness.generate_scenario))
+    monkeypatch.setattr(geometry, "generate_scenario", counted("draw", geometry.generate_scenario))
     monkeypatch.setattr(harness, "build_context", counted("context", harness.build_context))
     n = 4
     cfg = _tiny_config(
@@ -511,7 +512,7 @@ def test_timing_flag_fills_wall_ms():
         rows = run_experiment(replace(cfg, parallelism=parallel), timing=True)
         assert len(rows) == 2
         assert all(r.wall_ms > 0.0 for r in rows)
-    # D points draw their own scenarios
+    # a point that draws its scenarios
     rows = run_experiment(_tiny_config(schemes=("optimal",), n_scenarios=2), timing=True)
     assert all(r.wall_ms > 0.0 for r in rows)
 

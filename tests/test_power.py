@@ -3,6 +3,7 @@ floor is a documented approximation validated against a bisection oracle."""
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,7 +241,7 @@ def test_context_powers_bitwise_equal_to_pair_oracle(
         max_mg_power_dbm=max_mg_power_dbm,
     )
     unreachable = 0
-    for params in (base, base.copy_with(group_density_per_m2=2e-5)):
+    for params in (base, replace(base, group_density_per_m2=2e-5)):
         for i in range(4):
             s = generate_scenario(params, i)
             if s.degenerate:

@@ -55,9 +55,7 @@ def _tiny_scenario():
     tx = np.array([0.0, 50.0])
     member = np.array([[0.0, 40.0]])
     groups = [MulticastGroup(id=0, tx_position=tx, receivers=member)]
-    scn = NetworkScenario(
-        params=p, cus=cus, groups=groups, excluded_receiver_count=0, scenario_seed=0
-    )
+    scn = NetworkScenario(params=p, cus=cus, groups=groups, scenario_seed=0)
     fading = FadingRealization(
         h_cu_bs=np.array([1.5]),
         h_mg_bs=np.array([[0.7]]),
@@ -362,7 +360,6 @@ def test_sum_throughput_permutation_symmetry():
         params=scn.params,
         cus=[scn.cus[cperm[k]] for k in range(scn.params.num_channels)],
         groups=[scn.groups[g] for g in gperm],
-        excluded_receiver_count=scn.excluded_receiver_count,
         scenario_seed=scn.scenario_seed,
     )
     fading2 = FadingRealization(
