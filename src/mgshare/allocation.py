@@ -28,12 +28,25 @@ channels still open, so each round is one lookup per slot.
 A selection mode only chooses which size vectors take part: its family
 table is a run of whole per-vector blocks, and a family's best matching
 value, like its greedy row, does not depend on the mode that admitted it.
-So both searches keep their per-family scores on the EvalContext, keyed by
-size vector, and score families only through that cache: each call names
-the blocks of the rows it searches, and a context that holds none of them
-scores the whole table in one pass. The schemes run on one context score
-each block once, and each scheme applies its tie rules to its own mode's
-blocks in enumeration order.
+So on a table of at most _BLOCK families both searches keep their
+per-family scores on the EvalContext, keyed by size vector: each call
+names the blocks of the rows it searches, and a context that holds none of
+them scores the whole table in one pass. The schemes run on one context
+score each block once, and each scheme applies its tie rules to its own
+mode's blocks in enumeration order.
+
+A larger table (the `all` mode from 8 groups on 3 channels) is bounded and
+pruned, branch and bound (Land & Doig 1960) kept exact by the same
+monotone rounding. With ub the column maximum of the gain table, zero row
+included, u_f = baseline + ub[T_0] + ub[T_1] + ... in slot order bounds
+every candidate of family f, its best matching and its greedy row alike.
+The _SEED families of highest u_f are scored for a lower bound lb, and
+only the families with u_f >= lb are scored, in enumeration order; every
+family reaching the optimum is among them, so both tie rules see the same
+contenders. The result (family index, row, value) is kept per mode, keyed
+by the mode's blocks, so a scheme that shares a mode and method with
+another (``optimal`` and ``all:exhaustive:grid(n)``) searches once, and
+the next point of a run adopts it with the score cache.
 
 Powers follow the closed-form feasibility interval: each assigned group
 transmits at the top of its interval on its channel, and a group whose
@@ -93,6 +106,10 @@ _GRID_SWEEPS = 3
 # Families per block in both searches: a block's per-family arrays stay in
 # cache, and each search allocates the same few small arrays per block.
 _BLOCK = 4096
+
+# Families each search scores first, those of highest upper bound, for the
+# lower bound that prunes a table of more than _BLOCK families; below _BLOCK.
+_SEED = 256
 
 
 @dataclass(eq=True)
@@ -239,7 +256,10 @@ class EvalContext:
     values, ``greedy_scores`` their greedy (rows, values), both in the form
     ``_scores_by_vector`` stores. A selection mode only chooses which
     vectors take part, so every scheme run on the context reads the blocks
-    its mode admits and scores only those not yet held.
+    its mode admits and scores only those not yet held. A mode whose table
+    is pruned holds one entry instead, its (family index, row, value)
+    under its blocks. ``match_setups`` holds greedy_match's set-up per slot
+    count.
 
     A context of the same draw under other parameters is built with
     ``prev``, the previous point's context. The same draw
@@ -259,7 +279,8 @@ class EvalContext:
       ``p_gk`` byte for byte, and both decode thresholds;
     - ``stage2``: both maximum powers;
     - ``avail``: both maximum powers and the CU threshold;
-    - ``greedy_scores``: whenever ``gain``, ``stage2`` and ``avail`` all are.
+    - ``greedy_scores`` and ``match_setups``: whenever ``gain``, ``stage2``
+      and ``avail`` all are.
 
     Every context computes its own feasible powers, which read the powers,
     thresholds, outage budgets, densities and D, so D reaches the tables
@@ -318,6 +339,7 @@ class EvalContext:
         self._reads["greedy"] = (self._reads["value"], self._reads["stage2"], self._reads["avail"])
         self.exhaustive_scores: dict = {}
         self.greedy_scores: dict = {}
+        self.match_setups: dict = {}
         if prev is not None:
             held = vars(prev)
             for name, reads in _SHARED.items():
@@ -481,7 +503,7 @@ _SHARED = {
     **dict.fromkeys(("_silenced", "gain", "baseline", "exhaustive_scores"), "value"),
     "stage2": "stage2",
     "avail": "avail",
-    "greedy_scores": "greedy",
+    **dict.fromkeys(("greedy_scores", "match_setups"), "greedy"),
 }
 
 
@@ -592,33 +614,17 @@ def _groups_of(mask) -> list:
 # greedy heuristic (availability, interference ranking, greedy matching)
 
 
-def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray:
-    """Repeatedly take the globally smallest entry among free rows/columns.
-
-    Every family f of ``col_sets`` (shape (F, S)) is matched on
-    ``matrix[:, col_sets[f]]`` at once, in min(open rows, S) rounds. Ties
-    break toward the lower row (channel), then the lower column (subset):
-    each round takes the lexicographic (value, row, column) minimum over
-    the free entries. The result is an (F, S) array holding the row each
-    slot got, -1 where the slot stayed unmatched.
-
-    Entries become integer keys, the value's rank among all entries, then
-    the row, then the slot in the low bits, so one integer minimum is the
-    lexicographic one and names the row and slot it took. For each set of
-    rows a family can hold before its last round, a per-column table keeps
-    the least key over the open rows not in the set. A round reads one key
-    per slot from the family's table and takes their minimum; a matched
-    slot reads a key above every real one. Families run in blocks of
-    _BLOCK, so no (F, C, S) array is built.
-    """
+def _match_setup(matrix: np.ndarray, row_ok, S: int) -> tuple:
+    """What greedy_match reads besides the families, for families of S
+    slots: (rounds, sb, cb, N, table, step), as its docstring describes.
+    It depends on the matrix, the open rows and S only, so a caller matching
+    several family sets on one matrix builds it once."""
     matrix = np.asarray(matrix, dtype=np.float64)
     C, N = matrix.shape
-    F, S = col_sets.shape
     open_rows = [k for k, ok in enumerate(np.asarray(row_ok, dtype=bool).tolist()) if ok]
     rounds = min(len(open_rows), S)
-    row_of = np.full((S, F), -1, dtype=np.int64)
     if rounds == 0:
-        return row_of.T
+        return rounds, 0, 0, N, None, None
     flat = matrix.ravel()
     rank = np.searchsorted(np.sort(flat), flat)  # equal values share a rank
     sb, cb = (S - 1).bit_length(), (C - 1).bit_length()
@@ -636,6 +642,34 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray) -> np.ndarray
     offset = {K: i * W for i, K in enumerate(sets)}
     step = np.zeros((len(sets), W), dtype=np.int64)
     step[:, :C] = [[offset.get(K | 1 << k, 0) for k in range(C)] for K in sets]
+    return rounds, sb, cb, N, table, step
+
+
+def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray, setup=None) -> np.ndarray:
+    """Repeatedly take the globally smallest entry among free rows/columns.
+
+    Every family f of ``col_sets`` (shape (F, S)) is matched on
+    ``matrix[:, col_sets[f]]`` at once, in min(open rows, S) rounds. Ties
+    break toward the lower row (channel), then the lower column (subset):
+    each round takes the lexicographic (value, row, column) minimum over
+    the free entries. The result is an (F, S) array holding the row each
+    slot got, -1 where the slot stayed unmatched.
+
+    Entries become integer keys, the value's rank among all entries, then
+    the row, then the slot in the low bits, so one integer minimum is the
+    lexicographic one and names the row and slot it took. For each set of
+    rows a family can hold before its last round, a per-column table keeps
+    the least key over the open rows not in the set. A round reads one key
+    per slot from the family's table and takes their minimum; a matched
+    slot reads a key above every real one. That set-up is ``setup``,
+    ``_match_setup(matrix, row_ok, S)``, built here when None. Families run
+    in blocks of _BLOCK, so no (F, C, S) array is built.
+    """
+    F, S = col_sets.shape
+    rounds, sb, cb, N, table, step = setup or _match_setup(matrix, row_ok, S)
+    row_of = np.full((S, F), -1, dtype=np.int64)
+    if rounds == 0:
+        return row_of.T
     slot = np.arange(S)[:, None]
     fam = np.arange(min(F, _BLOCK))
     for lo in range(0, F, _BLOCK):
@@ -750,14 +784,68 @@ def _exhaustive_values(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
     return M
 
 
+def _upper_bounds(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
+    """u_f = baseline + ub[T_0] + ub[T_1] + ... added in slot order, one
+    entry per family row T of ``fam_masks``, where ub is the column maximum
+    of ``ctx.gain``. The zero row takes part, so ub >= 0 and ub[T_s] is at
+    least every term slot s can add, the zero row's included. Round-to-
+    nearest addition is monotone, so every slot-order sum of a family, its
+    best matching's and its greedy row's among them, is at most u_f
+    exactly."""
+    ub = ctx.gain.max(axis=0)
+    u = np.full(len(fam_masks), ctx.baseline)
+    for s in range(fam_masks.shape[1]):
+        u += np.take(ub, fam_masks[:, s])
+    return u
+
+
+def _search(ctx: EvalContext, cache: dict, fam_masks: np.ndarray, blocks, score, pick) -> tuple:
+    """The (family index, slot-channel row, value) ``pick`` chooses over
+    ``fam_masks``. ``score(fams)`` returns per-family arrays, each family's
+    value last. ``pick(fams, *arrays)`` applies a search's tie rules and
+    returns its choice plus a rank; the first family in enumeration order
+    wins equal ranks.
+
+    A table of at most _BLOCK families is scored whole, read through the
+    per-size-vector ``cache`` (``_scores_by_vector``). A larger one is
+    bounded and pruned: the _SEED families of highest ``_upper_bounds``
+    are scored for a lower bound lb on the best value, and only the
+    families with u_f >= lb are scored, _BLOCK at a time in enumeration
+    order, each block's pick kept when its rank beats the picks before it.
+    Every family reaching the best value v has u_f >= v >= lb, so the
+    result and its tie rules are unchanged. It is cached under ``blocks``,
+    the mode's whole table; no size vector's entry is written, as no block
+    was scored whole, and no bound or kept row outlives the call.
+    """
+    if len(fam_masks) <= _BLOCK:
+        return pick(fam_masks, *_scores_by_vector(cache, blocks, fam_masks, score))[:3]
+    if blocks not in cache:
+        u = _upper_bounds(ctx, fam_masks)
+        lb = score(fam_masks[np.argpartition(u, -_SEED)[-_SEED:]])[-1].max()
+        keep = np.flatnonzero(u >= lb)
+        del u  # the bound is not held while the kept families are scored
+        best = None
+        for lo in range(0, len(keep), _BLOCK):
+            at = keep[lo : lo + _BLOCK]
+            fams = fam_masks[at]
+            fi, row, value, rank = pick(fams, *score(fams))
+            if best is None or rank > best[3]:
+                best = int(at[fi]), row.copy(), value, rank
+        cache[blocks] = best[:3]
+    return cache[blocks]
+
+
 def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     """The best candidate of ``fam_masks`` under every channel matching:
     its (family index, slot-channel row, value).
 
-    Each family's best value comes from ``_exhaustive_values``, read through
-    ``ctx.exhaustive_scores`` over the size-vector ``blocks`` of
-    ``fam_masks``, so a block is scored once per context whichever modes
-    admit it.
+    Each family's best value comes from ``_exhaustive_values`` through
+    ``_search`` over the size-vector ``blocks`` of ``fam_masks``: a table of
+    at most _BLOCK families is read through ``ctx.exhaustive_scores`` per
+    size vector, so a block is scored once per context whichever modes
+    admit it; a larger one is bounded and pruned, and its result kept
+    there under ``blocks``, so ``optimal`` and ``all:exhaustive:grid(n)``
+    search once.
 
     Exact ties are common: a muted group contributes zero rate and zero
     interference, so families differing only in where they put it evaluate
@@ -767,19 +855,21 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     under the first row of ``assignment_patterns`` whose slot-order sum
     reaches the optimum.
     """
-    S = fam_masks.shape[1]
-    (M,) = _scores_by_vector(
-        ctx.exhaustive_scores, blocks, fam_masks, lambda fams: (_exhaustive_values(ctx, fams),)
-    )
-    best = M.max()
-    reach = np.flatnonzero(M == best)
-    union = np.bitwise_or.reduce(fam_masks[reach], axis=1)
-    covered = ((union[:, None] >> np.arange(ctx.G)) & 1).sum(axis=1)
-    fi = int(reach[np.argmax(covered)])
-    pats = assignment_patterns(S, ctx.C)
-    tv = _slot_sums(ctx, pats, fam_masks[fi])
-    pi = int(np.argmax(tv == best))
-    return fi, pats[pi], float(best)
+
+    def score(fams):
+        return (_exhaustive_values(ctx, fams),)
+
+    def pick(fams, M):
+        best = M.max()
+        reach = np.flatnonzero(M == best)
+        union = np.bitwise_or.reduce(fams[reach], axis=1)
+        covered = ((union[:, None] >> np.arange(ctx.G)) & 1).sum(axis=1)
+        fi = int(reach[np.argmax(covered)])
+        pats = assignment_patterns(fams.shape[1], ctx.C)
+        pi = int(np.argmax(_slot_sums(ctx, pats, fams[fi]) == best))
+        return fi, pats[pi], float(best), (best, covered.max())
+
+    return _search(ctx, ctx.exhaustive_scores, fam_masks, blocks, score, pick)
 
 
 def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
@@ -791,18 +881,27 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     ``stage2`` scores each (channel, subset) pair by the worst sum
     interference a member would see, and greedy_match takes the smallest
     scores first. Subsets left over when channels run out stay unassigned.
-    A family's row reads only its own columns, so the rows and values are
-    read through ``ctx.greedy_scores`` over the size-vector ``blocks`` of
-    ``fam_masks``, each block matched once per context.
+    A family's row reads only its own columns, so the rows and values go
+    through ``_search`` over the size-vector ``blocks`` of ``fam_masks``
+    and ``ctx.greedy_scores``, as in ``_exhaustive_best``: per size vector
+    up to _BLOCK families, bounded and pruned past that. greedy_match's
+    set-up is held per slot count in ``ctx.match_setups``, so the calls on
+    one context build it once.
     """
+    setups = ctx.match_setups
 
     def score(fams):
-        row_of = greedy_match(ctx.stage2, ctx.avail, fams)
+        S = fams.shape[1]
+        if S not in setups:
+            setups[S] = _match_setup(ctx.stage2, ctx.avail, S)
+        row_of = greedy_match(ctx.stage2, ctx.avail, fams, setups[S])
         return row_of, _slot_sums(ctx, row_of, fams)
 
-    row_of, tv = _scores_by_vector(ctx.greedy_scores, blocks, fam_masks, score)
-    fi = int(np.argmax(tv))
-    return fi, row_of[fi], float(tv[fi])
+    def pick(fams, row_of, tv):
+        fi = int(np.argmax(tv))
+        return fi, row_of[fi], float(tv[fi]), tv[fi]
+
+    return _search(ctx, ctx.greedy_scores, fam_masks, blocks, score, pick)
 
 
 def _grid_refine(

@@ -258,6 +258,10 @@ def _eval_scenarios(args):
     winning size vector of the first scheme, and its summed evaluation ms,
     a draw charged to the point that made it.
     """
+    # numpy imports numpy.random at its first use, the first draw's seeding;
+    # importing it here keeps that out of the first point's evaluation time
+    import numpy.random  # noqa: F401
+
     points, lo, hi = args
     results = [[] for _ in points]
     elapsed = [0.0] * len(points)

@@ -12,6 +12,8 @@ channel.
 The greedy oracle matches one family at a time with its own scan; the
 exhaustive oracle scores every family under every (slot, channel) pair
 pattern in a (families, patterns) table with a flat tie-break. The
+unpruned searches score every family of a table in one pass, with no
+bound, prune or cache, and apply the package's tie rules. The
 sampling oracles compute every candidate's position and test exclusion and
 association for every candidate against every CU and transmitter in one
 broadcast, with no candidate window and no association reach. The
@@ -25,6 +27,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from mgshare.allocation import _exhaustive_values, _slot_sums, assignment_patterns, greedy_match
 from mgshare.combinatorics import ordered_selections
 from mgshare.geometry import CellularUser, MulticastGroup, NetworkScenario
 from mgshare.params import MIN_LINK_DISTANCE_M, PATH_LOSS_EXPONENT, SIR_CAP
@@ -438,6 +441,32 @@ def exhaustive_best_table(ctx, fam_masks):
     for s, k in pats[pi]:
         row[s] = k
     return fi, row, float(tv[fi, pi]), len(ties)
+
+
+def exhaustive_best_unpruned(ctx, fam_masks):
+    """The exhaustive search over every family of ``fam_masks`` in one pass:
+    (family index, slot-channel row, value). Of the families reaching the
+    optimum, the first covering the most groups, under its first pattern
+    reaching it."""
+    M = _exhaustive_values(ctx, fam_masks)
+    best = M.max()
+    reach = np.flatnonzero(M == best)
+    union = np.bitwise_or.reduce(fam_masks[reach], axis=1)
+    covered = [bin(int(m)).count("1") for m in union]
+    fi = int(reach[np.argmax(covered)])
+    pats = assignment_patterns(fam_masks.shape[1], ctx.C)
+    pi = int(np.argmax(_slot_sums(ctx, pats, fam_masks[fi]) == best))
+    return fi, pats[pi].tolist(), float(best)
+
+
+def greedy_best_unpruned(ctx, fam_masks):
+    """The greedy search over every family of ``fam_masks`` in one pass:
+    (family index, slot-channel row, value), the first family winning
+    exact ties."""
+    row_of = greedy_match(ctx.stage2, ctx.avail, fam_masks)
+    tv = _slot_sums(ctx, row_of, fam_masks)
+    fi = int(np.argmax(tv))
+    return fi, row_of[fi].tolist(), float(tv[fi])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,9 @@ from oracles import (
     assignment_pairs,
     evaluate,
     exhaustive_best_table,
+    exhaustive_best_unpruned,
     greedy_best_loop,
+    greedy_best_unpruned,
     greedy_match_loop,
     greedy_rows_loop,
     silenced_throughput,
@@ -479,8 +481,8 @@ def test_exhaustive_best_equals_pair_table_oracle(num_groups, num_channels):
 class _Tables:
     """The fields both searches read, over given value and stage-2 tables
     and channel availability; baseline and gain are EvalContext's own
-    cached properties, computed once from ``value``, and the
-    per-size-vector caches start empty."""
+    cached properties, computed once from ``value``, and the score and
+    set-up caches start empty."""
 
     baseline = EvalContext.baseline
     gain = EvalContext.gain
@@ -493,6 +495,7 @@ class _Tables:
         self.G = n.bit_length() - 1
         self.exhaustive_scores = {}
         self.greedy_scores = {}
+        self.match_setups = {}
 
 
 @settings(max_examples=200, deadline=None)
@@ -503,6 +506,23 @@ def test_searches_equal_oracles_on_tie_heavy_tables(data):
     drawn at random, all closed and fewer open than slots included. Two
     drawn modes run in sequence on one set of tables: the second reads the
     size vectors the first scored and scores only the others."""
+    _check_tie_heavy_tables(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_pruned_searches_equal_oracles_on_tie_heavy_tables(data):
+    """The tie-heavy tables above with ``_BLOCK`` at 3 and ``_SEED`` at 2:
+    every table of more than 3 families is bounded and pruned from a
+    2-family seed and scored in blocks of 3, and its result is cached under
+    the mode's blocks alone."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(allocation, "_BLOCK", 3)
+        m.setattr(allocation, "_SEED", 2)
+        _check_tie_heavy_tables(data)
+
+
+def _check_tie_heavy_tables(data):
     C = data.draw(st.integers(1, 5), label="C")
     G = data.draw(st.integers(1, 6), label="G")
     S = data.draw(st.integers(1, min(C, G)), label="S")
@@ -526,11 +546,43 @@ def test_searches_equal_oracles_on_tie_heavy_tables(data):
             held = dict(cache)
             fi, row, tv = search(tables, fams, blocks=blocks)
             assert (fi, row.tolist(), tv) == expect, (mode, search.__name__)
+            if len(fams) > allocation._BLOCK:
+                # pruned: one entry for the mode's table, no size vector's
+                assert set(cache) == set(held) | {blocks}
+                fi, row, tv = cache[blocks]
+                assert (fi, row.tolist(), tv) == expect
+                continue
             assert set(cache) == set(held) | {b[0] for b in blocks}
             assert all(cache[v] is held[v] for v in held)
             # the newly held vectors share the one pass that scored them
             scored = {id(out): len(out[0]) for v, (out, _, _) in cache.items() if v not in held}
             assert sum(scored.values()) == sum(hi - lo for v, lo, hi in blocks if v not in held)
+
+
+@pytest.mark.parametrize("num_groups, num_channels", _sizes((8, 3), (9, 3), (10, 3), (9, 2), (10, 2)))
+def test_upper_bounds_hold_and_pruned_searches_equal_unpruned(num_groups, num_channels):
+    """On real scenarios, each family's bound u_f is at least its best
+    exhaustive value and its greedy value, with no slack, and the pruned
+    searches pick bitwise what the unpruned ones pick, in every mode that
+    prunes at this size. On two channels some subsets lose on both, so a
+    bound without the zero row fails."""
+    S = min(num_groups, num_channels)
+    modes = [m for m in MODES if distinct_count(num_groups, S, m) > allocation._BLOCK]
+    assert "all" in modes
+    for s in _scenarios_with(num_groups, 8, num_channels):
+        ctx = build_context(s)
+        for mode in modes:
+            fams, blocks = _family_table(ctx.G, min(ctx.C, ctx.G), mode)
+            u = allocation._upper_bounds(ctx, fams)
+            assert (u >= allocation._exhaustive_values(ctx, fams)).all(), mode
+            row_of = greedy_match(ctx.stage2, ctx.avail, fams)
+            assert (u >= allocation._slot_sums(ctx, row_of, fams)).all(), mode
+            for search, oracle in (
+                (_exhaustive_best, exhaustive_best_unpruned),
+                (_greedy_best, greedy_best_unpruned),
+            ):
+                fi, row, tv = search(ctx, fams, blocks=blocks)
+                assert (fi, row.tolist(), tv) == oracle(ctx, fams), (mode, search.__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -545,12 +597,25 @@ def _outcome(ctx, scheme):
     return tv, a, powers.cu_power_w.tobytes(), powers.mg_power_w.tobytes()
 
 
+def _cache_keys(ctx, schemes, method) -> set:
+    """The keys of a context's score cache for ``method`` after it ran
+    ``schemes``: the size vectors of each mode of at most _BLOCK families,
+    and the blocks of each larger mode, whose search was pruned."""
+    keys = set()
+    for sc in schemes:
+        if sc.assignment_method == method:
+            fams, blocks = _family_table(ctx.G, min(ctx.C, ctx.G), sc.selection_mode)
+            keys |= {blocks} if len(fams) > allocation._BLOCK else {b[0] for b in blocks}
+    return keys
+
+
 @pytest.mark.parametrize("num_groups", [5, 7, 9])
 def test_shared_context_equals_fresh_contexts(num_groups):
     """Schemes run on one context, in any order, give bitwise the result
     each gives alone on a fresh context, where the search scores the mode's
-    whole table in one pass; so do the fixed(n) schemes of an n_per_channel
-    sweep on its reused context."""
+    table alone; so do the fixed(n) schemes of an n_per_channel sweep on its
+    reused context. Each cache then holds the size vectors of the modes run
+    whole and one entry per pruned mode."""
     schemes = [SchemeConfig.from_token(t) for t in CACHED_SCHEMES]
     per_channel = [SchemeConfig(f"fixed({n})", m) for n in (1, 2) for m in ("exhaustive", "greedy")]
     scenarios = _scenarios_with(num_groups, 3)
@@ -564,6 +629,8 @@ def test_shared_context_equals_fresh_contexts(num_groups):
             ctx = build_context(s)
             for sc in order:
                 assert _outcome(ctx, sc) == want[sc], (num_groups, sc, order.index(sc))
+            assert set(ctx.exhaustive_scores) == _cache_keys(ctx, order, "exhaustive")
+            assert set(ctx.greedy_scores) == _cache_keys(ctx, order, "greedy")
         S = min(ctx.C, ctx.G)
         held = {v for n in (1, 2) for v in enumerate_size_vectors(ctx.G, S, f"fixed({n})")}
         assert set(ctx.exhaustive_scores) == set(ctx.greedy_scores) == held

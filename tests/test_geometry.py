@@ -355,30 +355,25 @@ _center_draw = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(
     R=st.sampled_from([1.0, 30.0, 500.0]) | st.floats(0.5, 5000.0),
-    d_frac=st.sampled_from([0.0, 0.04, 0.1, 1.0, 1.5]) | st.floats(0.0, 1.2),
-    reach_frac=st.sampled_from([0.002, 0.02, np.inf]) | st.floats(0.0005, 0.5),
-    cu_draws=st.lists(_center_draw, min_size=1, max_size=3),
-    tx_draws=st.lists(_center_draw, max_size=4),
+    reach_frac=st.sampled_from([0.002, 0.02, 0.1, 1.0, 1.5, np.inf]) | st.floats(0.0005, 1.2),
+    tx_draws=st.lists(_center_draw, min_size=1, max_size=4),
     extra=st.lists(st.tuples(_unit, _unit), max_size=20),
 )
-def test_windows_hold_every_candidate_at_their_edges(R, d_frac, reach_frac, cu_draws, tx_draws, extra):
-    """Points exactly on an exclusion circle or at a transmitter's reach, at
-    the circle's extremes and tangent points and where it crosses cell
-    boundaries, with u and v each nudged by up to 4 ulp: every one that the
-    exclusion test removes or the association test scores is in a window.
-    Centres include the base station, the cell edge, and centres whose
-    window extremes lie on cell boundaries."""
-    D = d_frac * R
+def test_windows_hold_every_candidate_at_their_edges(R, reach_frac, tx_draws, extra):
+    """Points exactly at a transmitter's reach, at the circle's extremes and
+    tangent points and where it crosses cell boundaries, with u and v each
+    nudged by up to 4 ulp: every one that the association test scores is in
+    a window. The sampler builds windows around the transmitters only, at
+    the association reach, floored at the link clamp. Centres include the
+    base station, the cell edge, and centres whose window extremes lie on
+    cell boundaries."""
     reach = max(reach_frac * R, MIN_LINK_DISTANCE_M)
-    centers = np.array(
-        [_center(R, c, D) for c in cu_draws] + [_center(R, c, reach) for c in tx_draws]
-    )
-    radii = [D] * len(cu_draws) + [reach] * len(tx_draws)
+    centers = np.array([_center(R, c, reach) for c in tx_draws])
     us = [np.array([a for a, _ in extra], dtype=float)]
     vs = [np.array([b for _, b in extra], dtype=float)]
-    for c, rho in zip(centers, radii):
-        if np.isfinite(rho):
-            u, v = _edge_draws(R, c, rho)
+    if np.isfinite(reach):
+        for c in centers:
+            u, v = _edge_draws(R, c, reach)
             nu, nv = _nudged(u), _nudged(v)
             us.append(np.broadcast_to(nu[:, None, :], (9, 9, len(u))).ravel())
             vs.append(np.broadcast_to(nv[None, :, :], (9, 9, len(v))).ravel())
@@ -387,12 +382,11 @@ def test_windows_hold_every_candidate_at_their_edges(R, d_frac, reach_frac, cu_d
     v = np.clip(np.concatenate(vs) % 1.0, 0.0, below_one)
     x, y = _disk_points(R, u, v).T
     must = np.zeros(len(u), dtype=bool)
-    for i, ((cx, cy), rho) in enumerate(zip(centers, radii)):
+    for cx, cy in centers:
         dx, dy = x - cx, y - cy
-        d2 = dx * dx + dy * dy
-        # the tests of apply_exclusion (CUs) and form_groups (transmitters)
-        must |= d2 < rho * rho if i < len(cu_draws) else d2 <= rho * rho
-    assert not (must & ~_window_cells(R, centers, radii)[_cell_index(u, v)]).any()
+        must |= dx * dx + dy * dy <= reach * reach  # the test of form_groups
+    windows = _window_cells(R, centers, [reach] * len(centers))
+    assert not (must & ~windows[_cell_index(u, v)]).any()
 
 
 def test_disk_points_same_bits_in_subsets():

@@ -31,12 +31,15 @@ PACKAGE = Path(mgshare.__file__).parent
 
 RUNS = [
     # every preset plus the grid ascent and a greedy mode of its own; a D step
-    # redraws only the exclusion disks and compares the draws of its contexts
+    # thins the previous point's receivers, drawing nothing, and its context
+    # adopts the previous one's tables when both share the draw's lists
     "sweep = D\nsweep_values = 30, 60\nscenarios = 2\nschemes = optimal, almost_equal, equal, "
     "fixed2, heuristic, fixed_heuristic, all:exhaustive:grid(2), almost_equal:greedy\n",
     # P_G points share a draw, and fixed2 admits no family of 5 groups: CU-only
     "sweep = P_G\nsweep_values = 10, 20\nscenarios = 2\nschemes = fixed2, optimal\nnum_groups = 5\n",
     "sweep = n_per_channel\nsweep_values = 1, 2\nscenarios = 2\nschemes = fixed_heuristic\n",
+    # 9 groups: both searches bound and prune the `all` table
+    "sweep = D\nsweep_values = 50\nscenarios = 2\nschemes = optimal, heuristic\nnum_groups = 9\n",
 ]
 # fixed(12) admits no family of 22 groups on 2 channels, and its CU-only
 # value table would hold 8,388,608 cells
