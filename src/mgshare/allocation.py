@@ -33,7 +33,9 @@ per-family scores on the EvalContext, keyed by size vector: each call
 names the blocks of the rows it searches, and a context that holds none of
 them scores the whole table in one pass. The schemes run on one context
 score each block once, and each scheme applies its tie rules to its own
-mode's blocks in enumeration order.
+mode's blocks in enumeration order. A greedy row reads the stage-2 table
+and the availability but never the gains, so the rows are kept apart from
+the values and outlive a change of powers: the pick sums them afresh.
 
 A larger table (the `all` mode from 8 groups on 3 channels) is bounded and
 pruned, branch and bound (Land & Doig 1960) kept exact by the same
@@ -43,10 +45,13 @@ every candidate of family f, its best matching and its greedy row alike.
 The _SEED families of highest u_f are scored for a lower bound lb, and
 only the families with u_f >= lb are scored, in enumeration order; every
 family reaching the optimum is among them, so both tie rules see the same
-contenders. The result (family index, row, value) is kept per mode, keyed
-by the mode's blocks, so a scheme that shares a mode and method with
-another (``optimal`` and ``all:exhaustive:grid(n)``) searches once, and
-the next point of a run adopts it with the score cache.
+contenders.
+
+On a table of either size the result (family index, row, value) is kept
+per mode, keyed by the mode's blocks, so a scheme that shares a mode and
+method with another (``optimal`` and ``all:exhaustive:grid(n)``) searches
+once, and the next point of a run adopts it with the score cache and picks
+nothing again.
 
 Powers follow the closed-form feasibility interval: each assigned group
 transmits at the top of its interval on its channel, and a group whose
@@ -253,13 +258,14 @@ class EvalContext:
 
     The searches' per-family scores are kept per size vector:
     ``exhaustive_scores`` holds each vector's families' best exhaustive
-    values, ``greedy_scores`` their greedy (rows, values), both in the form
+    values, ``greedy_rows`` their greedy rows, both in the form
     ``_scores_by_vector`` stores. A selection mode only chooses which
     vectors take part, so every scheme run on the context reads the blocks
-    its mode admits and scores only those not yet held. A mode whose table
-    is pruned holds one entry instead, its (family index, row, value)
-    under its blocks. ``match_setups`` holds greedy_match's set-up per slot
-    count.
+    its mode admits and scores only those not yet held; a mode whose table
+    is pruned scores no whole vector. Each mode that searched holds its
+    (family index, row, value) under its blocks, in ``exhaustive_scores``
+    or ``greedy_scores``. ``match_setups`` holds greedy_match's set-up per
+    slot count.
 
     A context of the same draw under other parameters is built with
     ``prev``, the previous point's context. The same draw
@@ -275,12 +281,20 @@ class EvalContext:
     - path gains, unit-power link strengths and the rescoring lists of
       ``channel_value``: the maximum CU power;
     - the silenced value table, ``gain``, ``baseline`` and
-      ``exhaustive_scores``: the maximum CU power, the feasible powers
-      ``p_gk`` byte for byte, and both decode thresholds;
+      ``exhaustive_scores``: the maximum CU power, both decode thresholds,
+      and the feasible powers ``p_gk`` byte for byte;
     - ``stage2``: both maximum powers;
     - ``avail``: both maximum powers and the CU threshold;
-    - ``greedy_scores`` and ``match_setups``: whenever ``gain``, ``stage2``
-      and ``avail`` all are.
+    - ``greedy_rows`` and ``match_setups``: whenever ``stage2`` and
+      ``avail`` both are;
+    - ``greedy_scores``: whenever ``gain``, ``stage2`` and ``avail`` all
+      are.
+
+    Where the maximum CU power and both thresholds hold and only ``p_gk``
+    moved (a P_G step, or a D step of the same draw), the value table is
+    spliced instead: unless every column moved, the context builds the rows
+    of the channels whose ``p_gk`` column moved and takes the other rows
+    from ``prev``'s (``_silenced``).
 
     Every context computes its own feasible powers, which read the powers,
     thresholds, outage budgets, densities and D, so D reaches the tables
@@ -332,19 +346,31 @@ class EvalContext:
 
         self._reads = {
             "strengths": (cu_w,),
-            "value": (cu_w, self.p_gk.tobytes(), mg_th, cu_th),
+            "kernel": (cu_w, mg_th, cu_th),
             "stage2": (cu_w, mg_w),
             "avail": (cu_w, mg_w, cu_th),
         }
-        self._reads["greedy"] = (self._reads["value"], self._reads["stage2"], self._reads["avail"])
+        self._reads["value"] = (self._reads["kernel"], self.p_gk.tobytes())
+        self._reads["match"] = (self._reads["stage2"], self._reads["avail"])
+        self._reads["greedy"] = (self._reads["value"], self._reads["match"])
         self.exhaustive_scores: dict = {}
         self.greedy_scores: dict = {}
+        self.greedy_rows: dict = {}
         self.match_setups: dict = {}
         if prev is not None:
             held = vars(prev)
             for name, reads in _SHARED.items():
                 if name in held and prev._reads[reads] == self._reads[reads]:
                     setattr(self, name, held[name])
+            if (
+                "_silenced" in held
+                and "_silenced" not in vars(self)
+                and prev._reads["kernel"] == self._reads["kernel"]
+            ):
+                # only p_gk moved: rebuild the channels whose column moved
+                moved = np.flatnonzero((self.p_gk != prev.p_gk).any(axis=0))
+                if len(moved) < self.C:
+                    self._splice = held["_silenced"], moved
         if "sig_cu" not in vars(self):
             self._link_strengths(cu_w)
 
@@ -375,20 +401,32 @@ class EvalContext:
         SIRs, hence nobody new fails and one pass settles. The silenced score
         is therefore just the raw entry at the surviving sub-mask, which
         keeps the kernel the single arithmetic authority.
+
+        A context that holds ``_splice``, the previous context's (value,
+        survivors) and the channels whose ``p_gk`` column moved, builds
+        those rows only and takes the others from it: the kernel reads
+        each channel's inputs alone, so a row equals that row of the full
+        build bitwise. The reference is dropped here.
         """
-        contrib_rx = self.u_contrib_rx * self.p_gk[:, None, :]
-        contrib_bs = self.u_contrib_bs * self.p_gk
+        held, ch = vars(self).pop("_splice", (None, slice(None)))
+        contrib_rx = self.u_contrib_rx[:, :, ch] * self.p_gk[:, None, ch]
+        contrib_bs = self.u_contrib_bs[:, ch] * self.p_gk[:, ch]
         raw, surv = build_value_table(
-            self.base_I_rx,
+            self.base_I_rx[ch],
             contrib_rx,
-            self.sig_cu,
+            self.sig_cu[ch],
             contrib_bs,
             self.links.offsets,
             self.links.group_sizes,
             self._mg_th,
             self._cu_th,
         )
-        return np.take_along_axis(raw, surv, axis=1), surv
+        value = np.take_along_axis(raw, surv, axis=1)
+        if held is None:
+            return value, surv
+        out = held[0].copy(), held[1].copy()
+        out[0][ch], out[1][ch] = value, surv
+        return out
 
     @property
     def value(self) -> np.ndarray:
@@ -503,7 +541,8 @@ _SHARED = {
     **dict.fromkeys(("_silenced", "gain", "baseline", "exhaustive_scores"), "value"),
     "stage2": "stage2",
     "avail": "avail",
-    **dict.fromkeys(("greedy_scores", "match_setups"), "greedy"),
+    **dict.fromkeys(("greedy_rows", "match_setups"), "match"),
+    "greedy_scores": "greedy",
 }
 
 
@@ -799,30 +838,36 @@ def _upper_bounds(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
     return u
 
 
-def _search(ctx: EvalContext, cache: dict, fam_masks: np.ndarray, blocks, score, pick) -> tuple:
+def _search(ctx: EvalContext, cache: dict, vectors: dict, fam_masks, blocks, score, pick) -> tuple:
     """The (family index, slot-channel row, value) ``pick`` chooses over
-    ``fam_masks``. ``score(fams)`` returns per-family arrays, each family's
-    value last. ``pick(fams, *arrays)`` applies a search's tie rules and
-    returns its choice plus a rank; the first family in enumeration order
+    ``fam_masks``, held in ``cache`` under ``blocks``, the (sizes, start,
+    end) bounds of the mode's whole table, so a mode searches once per
+    ``cache``. ``score(fams)`` returns per-family arrays;
+    ``pick(fams, *arrays)`` applies a search's tie rules and returns its
+    (family index, row, value, rank); the first family in enumeration order
     wins equal ranks.
 
-    A table of at most _BLOCK families is scored whole, read through the
-    per-size-vector ``cache`` (``_scores_by_vector``). A larger one is
-    bounded and pruned: the _SEED families of highest ``_upper_bounds``
-    are scored for a lower bound lb on the best value, and only the
-    families with u_f >= lb are scored, _BLOCK at a time in enumeration
-    order, each block's pick kept when its rank beats the picks before it.
-    Every family reaching the best value v has u_f >= v >= lb, so the
-    result and its tie rules are unchanged. It is cached under ``blocks``,
-    the mode's whole table; no size vector's entry is written, as no block
-    was scored whole, and no bound or kept row outlives the call.
+    A table of at most _BLOCK families is scored whole, read through
+    ``vectors``, a per-size-vector cache (``_scores_by_vector``). A larger
+    one is bounded and pruned: the _SEED families of highest
+    ``_upper_bounds`` are picked from for a lower bound lb on the best
+    value, and only the families with u_f >= lb are scored, _BLOCK at a
+    time in enumeration order, each block's pick kept when its rank beats
+    the picks before it. Every family reaching the best value v has
+    u_f >= v >= lb, so the result and its tie rules are unchanged. No
+    size vector's entry is written, as no block was scored whole, and no
+    bound or kept row outlives the call.
     """
+    if blocks in cache:
+        return cache[blocks]
+    # each kept row is a copy, so it holds no block's arrays past the block
     if len(fam_masks) <= _BLOCK:
-        return pick(fam_masks, *_scores_by_vector(cache, blocks, fam_masks, score))[:3]
-    if blocks not in cache:
+        fi, row, value, _ = pick(fam_masks, *_scores_by_vector(vectors, blocks, fam_masks, score))
+        best = fi, row.copy(), value
+    else:
         u = _upper_bounds(ctx, fam_masks)
-        lb = score(fam_masks[np.argpartition(u, -_SEED)[-_SEED:]])[-1].max()
-        keep = np.flatnonzero(u >= lb)
+        seed = fam_masks[np.argpartition(u, -_SEED)[-_SEED:]]
+        keep = np.flatnonzero(u >= pick(seed, *score(seed))[2])
         del u  # the bound is not held while the kept families are scored
         best = None
         for lo in range(0, len(keep), _BLOCK):
@@ -831,7 +876,7 @@ def _search(ctx: EvalContext, cache: dict, fam_masks: np.ndarray, blocks, score,
             fi, row, value, rank = pick(fams, *score(fams))
             if best is None or rank > best[3]:
                 best = int(at[fi]), row.copy(), value, rank
-        cache[blocks] = best[:3]
+    cache[blocks] = best[:3]
     return cache[blocks]
 
 
@@ -840,12 +885,12 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     its (family index, slot-channel row, value).
 
     Each family's best value comes from ``_exhaustive_values`` through
-    ``_search`` over the size-vector ``blocks`` of ``fam_masks``: a table of
-    at most _BLOCK families is read through ``ctx.exhaustive_scores`` per
-    size vector, so a block is scored once per context whichever modes
-    admit it; a larger one is bounded and pruned, and its result kept
-    there under ``blocks``, so ``optimal`` and ``all:exhaustive:grid(n)``
-    search once.
+    ``_search`` over the size-vector ``blocks`` of ``fam_masks``. Both the
+    per-size-vector values of a table of at most _BLOCK families and each
+    mode's result, under its ``blocks``, are kept in
+    ``ctx.exhaustive_scores``: a block is scored once per context whichever
+    modes admit it, and ``optimal`` and ``all:exhaustive:grid(n)`` search
+    once.
 
     Exact ties are common: a muted group contributes zero rate and zero
     interference, so families differing only in where they put it evaluate
@@ -869,7 +914,8 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
         pi = int(np.argmax(_slot_sums(ctx, pats, fams[fi]) == best))
         return fi, pats[pi], float(best), (best, covered.max())
 
-    return _search(ctx, ctx.exhaustive_scores, fam_masks, blocks, score, pick)
+    cache = ctx.exhaustive_scores
+    return _search(ctx, cache, cache, fam_masks, blocks, score, pick)
 
 
 def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
@@ -881,12 +927,14 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     ``stage2`` scores each (channel, subset) pair by the worst sum
     interference a member would see, and greedy_match takes the smallest
     scores first. Subsets left over when channels run out stay unassigned.
-    A family's row reads only its own columns, so the rows and values go
-    through ``_search`` over the size-vector ``blocks`` of ``fam_masks``
-    and ``ctx.greedy_scores``, as in ``_exhaustive_best``: per size vector
-    up to _BLOCK families, bounded and pruned past that. greedy_match's
-    set-up is held per slot count in ``ctx.match_setups``, so the calls on
-    one context build it once.
+    A family's row reads only its own columns and never the gain table, so
+    the rows go through ``_search`` per size vector in ``ctx.greedy_rows``,
+    which a context adopts wherever the stage-2 table and the availability
+    are unchanged, and the pick sums each row's gains afresh. Each mode's
+    result is kept in ``ctx.greedy_scores`` under its ``blocks``. Past
+    _BLOCK families the table is bounded and pruned, as in
+    ``_exhaustive_best``. greedy_match's set-up is held per slot count in
+    ``ctx.match_setups`` beside the rows.
     """
     setups = ctx.match_setups
 
@@ -894,14 +942,14 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
         S = fams.shape[1]
         if S not in setups:
             setups[S] = _match_setup(ctx.stage2, ctx.avail, S)
-        row_of = greedy_match(ctx.stage2, ctx.avail, fams, setups[S])
-        return row_of, _slot_sums(ctx, row_of, fams)
+        return (greedy_match(ctx.stage2, ctx.avail, fams, setups[S]),)
 
-    def pick(fams, row_of, tv):
+    def pick(fams, row_of):
+        tv = _slot_sums(ctx, row_of, fams)
         fi = int(np.argmax(tv))
         return fi, row_of[fi], float(tv[fi]), tv[fi]
 
-    return _search(ctx, ctx.greedy_scores, fam_masks, blocks, score, pick)
+    return _search(ctx, ctx.greedy_scores, ctx.greedy_rows, fam_masks, blocks, score, pick)
 
 
 def _grid_refine(

@@ -22,15 +22,17 @@ context of the same draw (`geometry.same_draw`, the shared CU and group
 lists: a P_G or R_c_min step, or a D step that drops no receiver) is built
 from the previous point's and adopts each of its tables whose inputs are
 bitwise equal (see `allocation.EvalContext`): such a step that leaves every
-feasible power unchanged builds no value table and scores no exhaustive
-family. Every worker takes one contiguous block of scenario indices for
-all points. Results are reduced per point in scenario-index order no matter
-how many worker processes computed them, so the CSV is byte-identical
-across parallelism levels and equal to what scoring each point alone would
-write. Wall-clock columns default to zero for the same reason; pass
-timing=True to fill each with its point's evaluation time summed over the
-workers (a draw counts toward the point that made it), and give up
-byte-stability.
+feasible power unchanged builds no value table and runs no exhaustive
+search again. Such a D or P_G step that moves some feasible powers builds
+the value rows of those powers' channels only, and such a D step matches
+no family greedily again. Every worker takes one contiguous block of
+scenario indices for all points. Results are reduced per point in
+scenario-index order no matter how many worker processes computed them,
+so the CSV is byte-identical across parallelism levels and equal to what
+scoring each point alone would write. Wall-clock columns default to zero
+for the same reason; pass timing=True to fill each with its point's
+evaluation time summed over the workers (a draw counts toward the point
+that made it), and give up byte-stability.
 
 Degenerate scenarios (no multicast group kept any receiver) are counted and
 excluded from the averages rather than resampled, so every scheme at a point

@@ -481,7 +481,7 @@ def test_exhaustive_best_equals_pair_table_oracle(num_groups, num_channels):
 class _Tables:
     """The fields both searches read, over given value and stage-2 tables
     and channel availability; baseline and gain are EvalContext's own
-    cached properties, computed once from ``value``, and the score and
+    cached properties, computed once from ``value``, and the score, row and
     set-up caches start empty."""
 
     baseline = EvalContext.baseline
@@ -495,6 +495,7 @@ class _Tables:
         self.G = n.bit_length() - 1
         self.exhaustive_scores = {}
         self.greedy_scores = {}
+        self.greedy_rows = {}
         self.match_setups = {}
 
 
@@ -505,7 +506,8 @@ def test_searches_equal_oracles_on_tie_heavy_tables(data):
     tie-break of both searches decides the outcome. Closed channels are
     drawn at random, all closed and fewer open than slots included. Two
     drawn modes run in sequence on one set of tables: the second reads the
-    size vectors the first scored and scores only the others."""
+    size vectors the first scored and scores only the others, and a mode
+    drawn twice reads its held result."""
     _check_tie_heavy_tables(data)
 
 
@@ -514,8 +516,8 @@ def test_searches_equal_oracles_on_tie_heavy_tables(data):
 def test_pruned_searches_equal_oracles_on_tie_heavy_tables(data):
     """The tie-heavy tables above with ``_BLOCK`` at 3 and ``_SEED`` at 2:
     every table of more than 3 families is bounded and pruned from a
-    2-family seed and scored in blocks of 3, and its result is cached under
-    the mode's blocks alone."""
+    2-family seed and scored in blocks of 3, and only its result is cached,
+    under the mode's blocks."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(allocation, "_BLOCK", 3)
         m.setattr(allocation, "_SEED", 2)
@@ -539,24 +541,26 @@ def _check_tie_heavy_tables(data):
         rows = greedy_rows_loop(tables, fams)
         assert greedy_match(stage2, row_ok, fams).tolist() == rows
         searches = (
-            (_exhaustive_best, tables.exhaustive_scores, exhaustive_best_table(tables, fams)[:3]),
-            (_greedy_best, tables.greedy_scores, greedy_best_loop(tables, fams, rows)),
+            (_exhaustive_best, tables.exhaustive_scores, tables.exhaustive_scores,
+             exhaustive_best_table(tables, fams)[:3]),
+            (_greedy_best, tables.greedy_scores, tables.greedy_rows,
+             greedy_best_loop(tables, fams, rows)),
         )
-        for search, cache, expect in searches:
-            held = dict(cache)
+        for search, cache, vectors, expect in searches:
+            held = {**cache, **vectors}
             fi, row, tv = search(tables, fams, blocks=blocks)
             assert (fi, row.tolist(), tv) == expect, (mode, search.__name__)
-            if len(fams) > allocation._BLOCK:
-                # pruned: one entry for the mode's table, no size vector's
-                assert set(cache) == set(held) | {blocks}
-                fi, row, tv = cache[blocks]
-                assert (fi, row.tolist(), tv) == expect
-                continue
-            assert set(cache) == set(held) | {b[0] for b in blocks}
-            assert all(cache[v] is held[v] for v in held)
+            # every mode that runs holds its result under its blocks
+            fi, row, tv = cache[blocks]
+            assert (fi, row.tolist(), tv) == expect
+            assert all({**cache, **vectors}[k] is held[k] for k in held)
+            # a pruned table holds no size vector's entry
+            new = set() if len(fams) > allocation._BLOCK else {b[0] for b in blocks} - set(held)
+            assert set(cache) | set(vectors) == set(held) | {blocks} | new
+            assert new <= set(vectors)
             # the newly held vectors share the one pass that scored them
-            scored = {id(out): len(out[0]) for v, (out, _, _) in cache.items() if v not in held}
-            assert sum(scored.values()) == sum(hi - lo for v, lo, hi in blocks if v not in held)
+            scored = {id(vectors[v][0]): len(vectors[v][0][0]) for v in new}
+            assert sum(scored.values()) == sum(hi - lo for v, lo, hi in blocks if v in new)
 
 
 @pytest.mark.parametrize("num_groups, num_channels", _sizes((8, 3), (9, 3), (10, 3), (9, 2), (10, 2)))
@@ -597,16 +601,19 @@ def _outcome(ctx, scheme):
     return tv, a, powers.cu_power_w.tobytes(), powers.mg_power_w.tobytes()
 
 
-def _cache_keys(ctx, schemes, method) -> set:
-    """The keys of a context's score cache for ``method`` after it ran
-    ``schemes``: the size vectors of each mode of at most _BLOCK families,
-    and the blocks of each larger mode, whose search was pruned."""
-    keys = set()
+def _cache_keys(ctx, schemes, method) -> tuple:
+    """What a context holds for ``method`` after it ran ``schemes``: the
+    blocks of each mode that searched, keying its result, and the size
+    vectors of each such mode of at most _BLOCK families, keying their
+    per-family scores; a larger mode's search was pruned."""
+    results, vectors = set(), set()
     for sc in schemes:
-        if sc.assignment_method == method:
+        if sc.assignment_method == method and sc.check_size(ctx.G, ctx.C):
             fams, blocks = _family_table(ctx.G, min(ctx.C, ctx.G), sc.selection_mode)
-            keys |= {blocks} if len(fams) > allocation._BLOCK else {b[0] for b in blocks}
-    return keys
+            results.add(blocks)
+            if len(fams) <= allocation._BLOCK:
+                vectors |= {b[0] for b in blocks}
+    return results, vectors
 
 
 @pytest.mark.parametrize("num_groups", [5, 7, 9])
@@ -614,8 +621,9 @@ def test_shared_context_equals_fresh_contexts(num_groups):
     """Schemes run on one context, in any order, give bitwise the result
     each gives alone on a fresh context, where the search scores the mode's
     table alone; so do the fixed(n) schemes of an n_per_channel sweep on its
-    reused context. Each cache then holds the size vectors of the modes run
-    whole and one entry per pruned mode."""
+    reused context. Each search then holds one result per mode it ran and
+    the per-family scores of the size vectors of the modes run whole: the
+    exhaustive values beside the results, the greedy rows apart."""
     schemes = [SchemeConfig.from_token(t) for t in CACHED_SCHEMES]
     per_channel = [SchemeConfig(f"fixed({n})", m) for n in (1, 2) for m in ("exhaustive", "greedy")]
     scenarios = _scenarios_with(num_groups, 3)
@@ -629,17 +637,24 @@ def test_shared_context_equals_fresh_contexts(num_groups):
             ctx = build_context(s)
             for sc in order:
                 assert _outcome(ctx, sc) == want[sc], (num_groups, sc, order.index(sc))
-            assert set(ctx.exhaustive_scores) == _cache_keys(ctx, order, "exhaustive")
-            assert set(ctx.greedy_scores) == _cache_keys(ctx, order, "greedy")
+            results, vectors = _cache_keys(ctx, order, "exhaustive")
+            assert set(ctx.exhaustive_scores) == results | vectors
+            results, vectors = _cache_keys(ctx, order, "greedy")
+            assert (set(ctx.greedy_scores), set(ctx.greedy_rows)) == (results, vectors)
         S = min(ctx.C, ctx.G)
-        held = {v for n in (1, 2) for v in enumerate_size_vectors(ctx.G, S, f"fixed({n})")}
-        assert set(ctx.exhaustive_scores) == set(ctx.greedy_scores) == held
+        modes = [f"fixed({n})" for n in (1, 2) if n * S <= ctx.G]
+        held = {v for m in modes for v in enumerate_size_vectors(ctx.G, S, m)}
+        assert set(ctx.greedy_scores) == {_family_table(ctx.G, S, m)[1] for m in modes}
+        assert set(ctx.greedy_rows) == held
+        assert set(ctx.exhaustive_scores) == held | set(ctx.greedy_scores)
 
 
 def test_a_scheme_scores_only_its_own_blocks(monkeypatch):
     """A scheme scores the size vectors its mode admits that the context does
-    not hold yet, and nothing else; held blocks are reused, not rescored."""
-    scored = []
+    not hold yet, and nothing else; held blocks are reused, not rescored. A
+    mode searched once is not picked from again: ``all:exhaustive:grid(2)``
+    after ``optimal`` reads its result."""
+    scored, picks = [], []
     for name in ("_exhaustive_values", "greedy_match"):
         fn = getattr(allocation, name)
 
@@ -648,32 +663,47 @@ def test_a_scheme_scores_only_its_own_blocks(monkeypatch):
             return fn(a, b, *rest)
 
         monkeypatch.setattr(allocation, name, counting)
+    slot_sums = allocation._slot_sums  # each pick sums one family's slots once
+
+    def picking(ctx, rows, fams):
+        picks.append(len(rows))
+        return slot_sums(ctx, rows, fams)
+
+    monkeypatch.setattr(allocation, "_slot_sums", picking)
     ctx = build_context(_scenarios_with(7, 1)[0])
     G, S = ctx.G, min(ctx.C, ctx.G)
+    assert len(_family_table(G, S, "all")[0]) <= allocation._BLOCK
 
     def vectors(mode):
         return set(enumerate_size_vectors(G, S, mode))
 
+    def blocks(*modes):
+        return {_family_table(G, S, m)[1] for m in modes}
+
     allocate(ctx, SchemeConfig("equal"))
-    assert set(ctx.exhaustive_scores) == vectors("equal") and not ctx.greedy_scores
+    assert set(ctx.exhaustive_scores) == vectors("equal") | blocks("equal")
+    assert not ctx.greedy_scores and not ctx.greedy_rows
     assert scored == [("_exhaustive_values", distinct_count(G, S, "equal"))]
     held = dict(ctx.exhaustive_scores)
     allocate(ctx, SchemeConfig("all"))
-    assert set(ctx.exhaustive_scores) == vectors("all")
+    assert set(ctx.exhaustive_scores) == vectors("all") | blocks("equal", "all")
     assert all(ctx.exhaustive_scores[v] is held[v] for v in held)
     missing = distinct_count(G, S, "all") - distinct_count(G, S, "equal")
     assert scored[1:] == [("_exhaustive_values", missing)]
     allocate(ctx, SchemeConfig("almost_equal"))
+    assert len(scored) == 2 and len(picks) == 3
     allocate(ctx, SchemeConfig("all", power_policy="grid(2)"))
-    assert len(scored) == 2
+    assert len(scored) == 2 and len(picks) == 3
 
     allocate(ctx, SchemeConfig("fixed(2)", "greedy"))
-    assert set(ctx.greedy_scores) == vectors("fixed(2)") == {(2, 2, 2)}
-    held = dict(ctx.greedy_scores)
+    assert set(ctx.greedy_rows) == vectors("fixed(2)") == {(2, 2, 2)}
+    assert set(ctx.greedy_scores) == blocks("fixed(2)")
+    held = dict(ctx.greedy_rows)
     allocate(ctx, SchemeConfig("all", "greedy"))
     allocate(ctx, SchemeConfig("equal", "greedy"))
-    assert set(ctx.greedy_scores) == vectors("all")
-    assert ctx.greedy_scores[(2, 2, 2)] is held[(2, 2, 2)]
+    assert set(ctx.greedy_rows) == vectors("all")
+    assert set(ctx.greedy_scores) == blocks("fixed(2)", "all", "equal")
+    assert ctx.greedy_rows[(2, 2, 2)] is held[(2, 2, 2)]
     missing = distinct_count(G, S, "all") - distinct_count(G, S, "fixed(2)")
     fixed2 = distinct_count(G, S, "fixed(2)")
     assert scored[2:] == [("greedy_match", fixed2), ("greedy_match", missing)]
@@ -730,9 +760,11 @@ def _fingerprint(*arrays) -> tuple:
 def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
     """Along a run, the value and stage-2 tables are built again exactly at
     the points whose table inputs differ from the previous point's, the
-    exhaustive scores exactly with the value table, and the greedy scores
-    exactly where the value table, the stage-2 table or the channel
-    availability differ. The inputs are read from fresh contexts' calls."""
+    exhaustive scores exactly with the value table, and the greedy rows
+    exactly where the inputs of the stage-2 table or of the channel
+    availability differ. The table inputs are read from fresh contexts'
+    calls; the availability reads the draw's path gains, which a run keeps,
+    and the parameters."""
     calls = []
     for name in ("build_value_table", "build_stage2_table", "_exhaustive_values", "greedy_match"):
         fn = getattr(allocation, name)
@@ -753,9 +785,9 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
             for sc in schemes:
                 allocate(fresh, sc)
             tables = dict(calls)
-            inputs.append(
-                (tables["build_value_table"], tables["build_stage2_table"], fresh.avail.tobytes())
-            )
+            p = point.params
+            avail = (p.max_cu_power_w, p.max_mg_power_w, p.cu_sir_threshold)
+            inputs.append((tables["build_value_table"], tables["build_stage2_table"], avail))
         calls.clear()
         ctx = None
         for point in points:
@@ -767,7 +799,7 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
         assert counts["build_value_table"] == counts["_exhaustive_values"] == sum(new)
         new = [i == 0 or inputs[i][1] != inputs[i - 1][1] for i in range(len(points))]
         assert counts["build_stage2_table"] == sum(new)
-        new = [i == 0 or inputs[i] != inputs[i - 1] for i in range(len(points))]
+        new = [i == 0 or inputs[i][1:] != inputs[i - 1][1:] for i in range(len(points))]
         assert counts["greedy_match"] == sum(new)
         rebuilt += counts["build_value_table"] - 1
         transitions += len(points) - 1
@@ -779,15 +811,21 @@ def test_d_steps_rebuild_a_table_exactly_where_the_groups_or_powers_move(monkeyp
     """Along a D sweep, each point's scenario taken from the previous
     point's and its context built on the previous point's when their draws
     are the same, as the harness builds them, builds the value table exactly
-    where the groups or the feasible powers' bytes move, and the stage-2
-    table exactly where the groups move; every scheme's outcome is bitwise
-    that of a fresh context."""
+    where the groups or the feasible powers' bytes move, on exactly the
+    channels whose power column moved unless the groups move, and scores
+    the exhaustive families exactly there too; it builds the stage-2 table
+    and matches greedily exactly where the groups move, which alone move
+    the stage-2 inputs and the availability on a D step. Every scheme's
+    outcome is bitwise that of a fresh context."""
     built = Counter()
-    for name in ("build_value_table", "build_stage2_table"):
+    value_args = []
+    for name in ("build_value_table", "build_stage2_table", "_exhaustive_values", "greedy_match"):
         fn = getattr(allocation, name)
 
         def counting(*a, fn=fn, name=name):
             built[name] += 1
+            if name == "build_value_table":
+                value_args.append(_fingerprint(*a))
             return fn(*a)
 
         monkeypatch.setattr(allocation, name, counting)
@@ -805,18 +843,41 @@ def test_d_steps_rebuild_a_table_exactly_where_the_groups_or_powers_move(monkeyp
         ctx = None
         for i, (s, f) in enumerate(zip(points, fresh)):
             built.clear()
+            value_args.clear()
             prev = ctx if ctx is not None and same_draw(ctx.scenario, s) else None
             ctx = build_context(s, prev=prev)
             assert [_outcome(ctx, sc) for sc in schemes] == want[i]
             groups = i == 0 or _group_bits(s) != _group_bits(points[i - 1])
             powers = i == 0 or f.p_gk.tobytes() != fresh[i - 1].p_gk.tobytes()
             assert (prev is None) == groups
-            assert built["build_value_table"] == (groups or powers)
-            assert built["build_stage2_table"] == groups
-            steps[groups, powers] += i > 0
-    # D steps that keep the groups, with and without the same powers, and
-    # steps that move them
-    assert steps[False, False] and steps[False, True] and steps[True, True]
+            assert built["build_value_table"] == built["_exhaustive_values"] == (groups or powers)
+            assert built["build_stage2_table"] == built["greedy_match"] == groups
+            moved = np.ones(ctx.C, dtype=bool)
+            if not groups:
+                moved = (f.p_gk != fresh[i - 1].p_gk).any(axis=0)
+            if groups or powers:
+                assert value_args == [_value_inputs(f, moved)]
+            steps[groups, powers, int(moved.sum())] += i > 0
+    # D steps that keep the groups and the powers, that keep the groups and
+    # move the powers of some channels only, and that move the groups
+    assert steps[False, False, 0] and steps[True, True, ctx.C]
+    assert any(n for (g, p, m), n in steps.items() if not g and 0 < m < ctx.C)
+
+
+def _value_inputs(ctx, channels) -> tuple:
+    """The fingerprint of a fresh context's value-table inputs on
+    ``channels``, as ``build_value_table`` takes them."""
+    L = ctx.links
+    return _fingerprint(
+        ctx.base_I_rx[channels],
+        (ctx.u_contrib_rx * ctx.p_gk[:, None, :])[:, :, channels],
+        ctx.sig_cu[channels],
+        (ctx.u_contrib_bs * ctx.p_gk)[:, channels],
+        L.offsets,
+        L.group_sizes,
+        ctx._mg_th,
+        ctx._cu_th,
+    )
 
 
 def _group_bits(scenario) -> list:

@@ -443,6 +443,35 @@ def test_d_sweep_on_adopted_tables_writes_the_bytes_of_fresh_contexts(monkeypatc
     assert sum(d_steps) > len(d_steps) / 2
 
 
+def test_p_g_sweep_on_adopted_rows_writes_the_bytes_of_fresh_contexts(monkeypatch):
+    """A P_G sweep, whose steps keep the draw and the thresholds but move
+    the powers, writes serial and pooled the bytes of building every
+    point's context afresh, though its contexts rebuild only the value
+    rows of the channels whose powers moved."""
+    cfg = _tiny_config(
+        base=SimParams(num_groups=5),
+        sweep_variable="P_G",
+        sweep_values=(-10.0, 0.0, 10.0, 20.0, 30.0),
+        schemes=("optimal", "all:exhaustive:grid(3)", "heuristic"),
+        n_scenarios=8,
+    )
+    _allow_cpus(monkeypatch, 2)
+    spliced = []
+
+    def spy(scenario, prev=None):
+        ctx = build_context(scenario, prev=prev)
+        spliced.append("_splice" in vars(ctx))
+        return ctx
+
+    monkeypatch.setattr(harness, "build_context", spy)
+    serial = format_rows("P_G", run_experiment(cfg))
+    # some step builds part of its value table on the previous point's
+    assert any(spliced)
+    assert format_rows("P_G", run_experiment(replace(cfg, parallelism=2))) == serial
+    monkeypatch.setattr(harness, "build_context", lambda s, prev=None: build_context(s))
+    assert format_rows("P_G", run_experiment(cfg)) == serial
+
+
 def test_sweep_points_share_one_scenario_stream():
     # A sweep value must reproduce its rows exactly at any position in the
     # sweep, whether its scenarios were drawn for it or shared with other

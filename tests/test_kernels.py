@@ -2,6 +2,7 @@
 loop oracles, and the tables must reproduce what the radio-layer oracle
 computes link by link."""
 
+import itertools
 import math
 
 import numpy as np
@@ -130,6 +131,38 @@ def test_value_table_bitwise_equal_on_real_scenarios():
         if checked == 3:
             break
     assert checked == 3
+
+
+@pytest.mark.parametrize("num_groups", [5, 7, 9])
+def test_value_table_rows_of_any_channels_equal_the_full_build(num_groups):
+    """The kernel reads each channel's inputs alone: a table built from any
+    channels, in any order, holds bitwise those rows of the full build. On
+    real scenarios, with channel 1 muted for every group."""
+    p = SimParams(num_groups=num_groups)
+    checked = 0
+    for idx in range(40):
+        s = generate_scenario(p, idx)
+        if s.degenerate or len(s.groups) < num_groups - 1:
+            continue
+        kw = _table_inputs(EvalContext(s))
+        kw["contrib_rx"][:, :, 1] = 0.0
+        kw["contrib_bs"][:, 1] = 0.0
+        full = kernels.build_value_table(**kw)
+        assert not full[1][1].any()  # no group clears the threshold on channel 1
+        C = len(kw["sig_cu"])
+        for r in range(1, C + 1):
+            for ch in map(list, itertools.permutations(range(C), r)):
+                part = kernels.build_value_table(
+                    kw["base_I_rx"][ch], kw["contrib_rx"][:, :, ch], kw["sig_cu"][ch],
+                    kw["contrib_bs"][:, ch], kw["offsets"], kw["sizes"], kw["mg_th"], kw["cu_th"],
+                )
+                for got, want in zip(part, full):
+                    assert got.shape == (r, want.shape[1])
+                    assert got.tobytes() == want[ch].tobytes(), (idx, ch)
+        checked += 1
+        if checked == 2:
+            break
+    assert checked == 2
 
 
 @pytest.mark.parametrize("num_groups", [5, 7, 9])
