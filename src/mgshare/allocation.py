@@ -28,14 +28,18 @@ channels still open, so each round is one lookup per slot.
 A selection mode only chooses which size vectors take part: its family
 table is a run of whole per-vector blocks, and a family's best matching
 value, like its greedy row, does not depend on the mode that admitted it.
-So on a table of at most _BLOCK families both searches keep their
-per-family scores on the EvalContext, keyed by size vector: each call
-names the blocks of the rows it searches, and a context that holds none of
-them scores the whole table in one pass. The schemes run on one context
-score each block once, and each scheme applies its tie rules to its own
-mode's blocks in enumeration order. A greedy row reads the stage-2 table
-and the availability but never the gains, so the rows are kept apart from
-the values and outlive a change of powers: the pick sums them afresh.
+So on a table of at most _BLOCK families both searches keep their scores
+on the EvalContext, keyed by size vector: each call names the blocks of
+the rows it searches, and a context that holds none of them scores the
+whole table in one pass. The schemes run on one context score each block
+once, and each scheme applies its tie rules to its own mode's blocks in
+enumeration order. The exhaustive search keeps only each block's best
+value and the first family reaching it: the families of a block cover the
+same number of groups, the sum of its size vector, so its tie rules need
+no more, and a mode's pick walks its blocks. The greedy search keeps each
+family's row. A greedy row reads the stage-2 table and the availability
+but never the gains, so the rows are kept apart from the values and
+outlive a change of powers: the pick sums them afresh.
 
 A larger table (the `all` mode from 8 groups on 3 channels) is bounded and
 pruned, branch and bound (Land & Doig 1960) kept exact by the same
@@ -64,7 +68,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import combinations, permutations
 
 import numpy as np
@@ -256,9 +260,10 @@ class EvalContext:
     table lookups. Tables are lazy: the heuristic's interference table is
     only built when the heuristic runs.
 
-    The searches' per-family scores are kept per size vector:
-    ``exhaustive_scores`` holds each vector's families' best exhaustive
-    values, ``greedy_rows`` their greedy rows, both in the form
+    The searches' scores are kept per size vector: ``exhaustive_scores``
+    maps each vector to (best value, first row reaching it) over its block
+    of families, the row counted from the block's start, and
+    ``greedy_rows`` holds each vector's families' greedy rows in the form
     ``_scores_by_vector`` stores. A selection mode only chooses which
     vectors take part, so every scheme run on the context reads the blocks
     its mode admits and scores only those not yet held; a mode whose table
@@ -275,8 +280,8 @@ class EvalContext:
     receiver. A ``prev`` of another draw is refused. The context takes the
     links and fading from ``prev`` and adopts each table, as the very object
     ``prev`` holds, whose inputs besides them are bitwise equal to the ones
-    ``prev`` read (``_reads``; the powers and thresholds are positive and
-    finite, so ``==`` compares their bits):
+    ``prev`` read (``_same_reads``; the powers and thresholds are positive
+    and finite, so ``==`` compares their bits):
 
     - path gains, unit-power link strengths and the rescoring lists of
       ``channel_value``: the maximum CU power;
@@ -285,10 +290,10 @@ class EvalContext:
       and the feasible powers ``p_gk`` byte for byte;
     - ``stage2``: both maximum powers;
     - ``avail``: both maximum powers and the CU threshold;
-    - ``greedy_rows`` and ``match_setups``: whenever ``stage2`` and
-      ``avail`` both are;
-    - ``greedy_scores``: whenever ``gain``, ``stage2`` and ``avail`` all
-      are.
+    - ``greedy_rows`` and ``match_setups``: both maximum powers, and the
+      (C,) availability byte for byte, so an R_c_min step that opens and
+      closes no channel keeps them;
+    - ``greedy_scores``: whenever ``gain`` and ``greedy_rows`` both are.
 
     Where the maximum CU power and both thresholds hold and only ``p_gk``
     moved (a P_G step, or a D step of the same draw), the value table is
@@ -298,9 +303,10 @@ class EvalContext:
 
     Every context computes its own feasible powers, which read the powers,
     thresholds, outage budgets, densities and D, so D reaches the tables
-    only through ``p_gk``. Each score cache is shared only together with
-    every table its scores read, so a cache never outlives a table it read:
-    a context that rebuilds a table starts that table's caches empty.
+    only through ``p_gk``. Each score cache is shared only where every
+    table its scores read is shared or bitwise equal, so a cache never
+    outlives the values it read: a context whose table differs starts that
+    table's caches empty. An empty cache is not adopted.
     """
 
     def __init__(self, scenario, fading=None, *, prev=None):
@@ -351,16 +357,21 @@ class EvalContext:
             "avail": (cu_w, mg_w, cu_th),
         }
         self._reads["value"] = (self._reads["kernel"], self.p_gk.tobytes())
-        self._reads["match"] = (self._reads["stage2"], self._reads["avail"])
-        self._reads["greedy"] = (self._reads["value"], self._reads["match"])
         self.exhaustive_scores: dict = {}
         self.greedy_scores: dict = {}
         self.greedy_rows: dict = {}
         self.match_setups: dict = {}
+        if prev is None or prev._reads["strengths"] != self._reads["strengths"]:
+            self._link_strengths(cu_w)
         if prev is not None:
             held = vars(prev)
             for name, reads in _SHARED.items():
-                if name in held and prev._reads[reads] == self._reads[reads]:
+                # an empty cache is not worth comparing the availability for
+                if (
+                    name in held
+                    and (not isinstance(held[name], dict) or held[name])
+                    and self._same_reads(prev, reads)
+                ):
                     setattr(self, name, held[name])
             if (
                 "_silenced" in held
@@ -371,8 +382,16 @@ class EvalContext:
                 moved = np.flatnonzero((self.p_gk != prev.p_gk).any(axis=0))
                 if len(moved) < self.C:
                     self._splice = held["_silenced"], moved
-        if "sig_cu" not in vars(self):
-            self._link_strengths(cu_w)
+
+    def _same_reads(self, prev: EvalContext, reads: str) -> bool:
+        """Whether ``prev`` read what this context reads under ``reads``: an
+        entry of ``_reads``; "match", the stage-2 reads and the
+        availability's bytes; or "greedy", both "value" and "match"."""
+        if reads == "greedy":
+            return self._same_reads(prev, "value") and self._same_reads(prev, "match")
+        if reads == "match":
+            return self._same_reads(prev, "stage2") and prev.avail.tobytes() == self.avail.tobytes()
+        return prev._reads[reads] == self._reads[reads]
 
     def _link_strengths(self, cu_w: float) -> None:
         """Path gains and unit-power link strengths (powers multiply in
@@ -531,7 +550,8 @@ class EvalContext:
 
 
 # The attributes a context built with ``prev`` adopts from it, each with the
-# entry of ``EvalContext._reads`` that must be equal in both.
+# reads ``EvalContext._same_reads`` compares. The strengths come first: the
+# availability compared under "match" reads them.
 _SHARED = {
     **dict.fromkeys(
         ("_g_cu_bs", "_g_mg_bs", "_g_cu_rx", "_g_mg_rx", "cu_power_w", "sig_cu", "base_I_rx",
@@ -737,14 +757,14 @@ def greedy_match(matrix: np.ndarray, row_ok, col_sets: np.ndarray, setup=None) -
 # full per-scenario allocation
 
 
-def _scores_by_vector(cache: dict, blocks, fam_masks: np.ndarray, score) -> tuple:
-    """``score(fam_masks)``, a tuple of per-family arrays, read through a
-    cache of per-size-vector blocks.
+def _scores_by_vector(cache: dict, blocks, fam_masks: np.ndarray, score) -> np.ndarray:
+    """``score(fam_masks)``, a per-family array, read through a cache of
+    per-size-vector blocks.
 
     ``blocks`` are the (sizes, start, end) bounds of ``fam_masks``. The
     blocks missing from ``cache`` are scored in one pass; when every block
     is missing, ``fam_masks`` itself is scored, with no gather. The cache
-    maps each size vector to (arrays, start, end): the read-only arrays its
+    maps each size vector to (array, start, end): the read-only array its
     block was scored in and its rows there, sliced only when read back. A
     family's scores must not depend on the other rows scored with it, so the
     result equals scoring ``fam_masks`` bitwise.
@@ -754,16 +774,15 @@ def _scores_by_vector(cache: dict, blocks, fam_masks: np.ndarray, score) -> tupl
         whole = len(missing) == len(blocks)
         rows = fam_masks if whole else np.concatenate([fam_masks[lo:hi] for _, lo, hi in missing])
         out = score(rows)
-        for a in out:
-            a.flags.writeable = False
+        out.flags.writeable = False
         at = 0
         for sizes, lo, hi in missing:
             cache[sizes] = (out, at, at + hi - lo)
             at += hi - lo
         if whole:
             return out
-    parts = [[a[lo:hi] for a in out] for out, lo, hi in (cache[b[0]] for b in blocks)]
-    return tuple(parts[0]) if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    parts = [out[lo:hi] for out, lo, hi in (cache[b[0]] for b in blocks)]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _slot_sums(ctx: EvalContext, rows: np.ndarray, fams: np.ndarray) -> np.ndarray:
@@ -838,44 +857,44 @@ def _upper_bounds(ctx: EvalContext, fam_masks: np.ndarray) -> np.ndarray:
     return u
 
 
-def _search(ctx: EvalContext, cache: dict, vectors: dict, fam_masks, blocks, score, pick) -> tuple:
-    """The (family index, slot-channel row, value) ``pick`` chooses over
+def _search(ctx: EvalContext, cache: dict, fam_masks, blocks, whole, score, pick) -> tuple:
+    """The (family index, slot-channel row, value) a search chooses over
     ``fam_masks``, held in ``cache`` under ``blocks``, the (sizes, start,
     end) bounds of the mode's whole table, so a mode searches once per
-    ``cache``. ``score(fams)`` returns per-family arrays;
-    ``pick(fams, *arrays)`` applies a search's tie rules and returns its
-    (family index, row, value, rank); the first family in enumeration order
-    wins equal ranks.
+    ``cache``; the first family in enumeration order wins equal ranks.
 
-    A table of at most _BLOCK families is scored whole, read through
-    ``vectors``, a per-size-vector cache (``_scores_by_vector``). A larger
-    one is bounded and pruned: the _SEED families of highest
-    ``_upper_bounds`` are picked from for a lower bound lb on the best
-    value, and only the families with u_f >= lb are scored, _BLOCK at a
-    time in enumeration order, each block's pick kept when its rank beats
-    the picks before it. Every family reaching the best value v has
-    u_f >= v >= lb, so the result and its tie rules are unchanged. No
-    size vector's entry is written, as no block was scored whole, and no
-    bound or kept row outlives the call.
+    A table of at most _BLOCK families is searched whole by ``whole()``,
+    which returns that triple. A larger one is bounded and pruned:
+    ``score(fams)`` returns a per-family array and ``pick(at, fams,
+    scores)``, for the families at table indices ``at``, applies the
+    search's tie rules and returns its (family index, row, value, rank).
+    The _SEED families of highest ``_upper_bounds`` are picked from for a
+    lower bound lb on the best value, and only the families with u_f >= lb
+    are scored, _BLOCK at a time in enumeration order, each block's pick
+    kept when its rank beats the picks before it. Every family reaching the
+    best value v has u_f >= v >= lb, so the result and its tie rules are
+    unchanged. No size vector's entry is written, as no block was scored
+    whole, and no bound or kept row outlives the call.
     """
     if blocks in cache:
         return cache[blocks]
     # each kept row is a copy, so it holds no block's arrays past the block
     if len(fam_masks) <= _BLOCK:
-        fi, row, value, _ = pick(fam_masks, *_scores_by_vector(vectors, blocks, fam_masks, score))
+        fi, row, value = whole()
         best = fi, row.copy(), value
     else:
         u = _upper_bounds(ctx, fam_masks)
-        seed = fam_masks[np.argpartition(u, -_SEED)[-_SEED:]]
-        keep = np.flatnonzero(u >= pick(seed, *score(seed))[2])
+        seed = np.argpartition(u, -_SEED)[-_SEED:]
+        fams = fam_masks[seed]
+        keep = np.flatnonzero(u >= pick(seed, fams, score(fams))[2])
         del u  # the bound is not held while the kept families are scored
         best = None
         for lo in range(0, len(keep), _BLOCK):
             at = keep[lo : lo + _BLOCK]
             fams = fam_masks[at]
-            fi, row, value, rank = pick(fams, *score(fams))
+            fi, row, value, rank = pick(at, fams, score(fams))
             if best is None or rank > best[3]:
-                best = int(at[fi]), row.copy(), value, rank
+                best = fi, row.copy(), value, rank
     cache[blocks] = best[:3]
     return cache[blocks]
 
@@ -884,38 +903,65 @@ def _exhaustive_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
     """The best candidate of ``fam_masks`` under every channel matching:
     its (family index, slot-channel row, value).
 
-    Each family's best value comes from ``_exhaustive_values`` through
-    ``_search`` over the size-vector ``blocks`` of ``fam_masks``. Both the
-    per-size-vector values of a table of at most _BLOCK families and each
-    mode's result, under its ``blocks``, are kept in
-    ``ctx.exhaustive_scores``: a block is scored once per context whichever
-    modes admit it, and ``optimal`` and ``all:exhaustive:grid(n)`` search
-    once.
-
     Exact ties are common: a muted group contributes zero rate and zero
     interference, so families differing only in where they put it evaluate
     bitwise equal. Among the families reaching the optimum, the one
     covering the most groups wins (muted ones count too, so this is not the
     number that transmit), the first in enumeration order among equals,
     under the first row of ``assignment_patterns`` whose slot-order sum
-    reaches the optimum.
+    reaches the optimum. A family's subsets are disjoint, so the groups it
+    covers are the sum of its size vector.
+
+    Each family's best value comes from ``_exhaustive_values`` through
+    ``_search``. On a table of at most _BLOCK families, the size vectors of
+    ``blocks`` missing from ``ctx.exhaustive_scores`` are scored in one pass,
+    and each is held there as its block's best value and the first row of
+    the block reaching it, no per-family array. The pick walks the mode's
+    blocks in enumeration order: the best value wins, then the most covered
+    groups, then the first block. Each mode's result is held there too,
+    under its ``blocks``: a block is scored once per context whichever modes
+    admit it, and ``optimal`` and ``all:exhaustive:grid(n)`` search once.
     """
+    cache = ctx.exhaustive_scores
 
-    def score(fams):
-        return (_exhaustive_values(ctx, fams),)
+    def whole():
+        missing = [b for b in blocks if b[0] not in cache]
+        if missing:
+            rows = fam_masks
+            if len(missing) < len(blocks):
+                rows = np.concatenate([fam_masks[lo:hi] for _, lo, hi in missing])
+            M = _exhaustive_values(ctx, rows)
+            lengths = [hi - lo for _, lo, hi in missing]
+            starts = np.cumsum([0] + lengths[:-1])
+            top = np.maximum.reduceat(M, starts)
+            reach = np.flatnonzero(M == np.repeat(top, lengths))
+            first = reach[np.searchsorted(reach, starts)] - starts
+            for (sizes, _, _), value, r in zip(missing, top.tolist(), first.tolist()):
+                cache[sizes] = value, r
+        rank = fi = None
+        for sizes, lo, _ in blocks:
+            value, r = cache[sizes]
+            if rank is None or (value, sum(sizes)) > rank:
+                rank, fi = (value, sum(sizes)), lo + r
+        return fi, _best_row(ctx, fam_masks[fi], rank[0]), rank[0]
 
-    def pick(fams, M):
+    def pick(at, fams, M):
         best = M.max()
         reach = np.flatnonzero(M == best)
-        union = np.bitwise_or.reduce(fams[reach], axis=1)
-        covered = ((union[:, None] >> np.arange(ctx.G)) & 1).sum(axis=1)
-        fi = int(reach[np.argmax(covered)])
-        pats = assignment_patterns(fams.shape[1], ctx.C)
-        pi = int(np.argmax(_slot_sums(ctx, pats, fams[fi]) == best))
-        return fi, pats[pi], float(best), (best, covered.max())
+        # each family's covered groups, the sum of its block's size vector
+        ends = [hi for _, _, hi in blocks]
+        covered = np.take([sum(b[0]) for b in blocks], np.searchsorted(ends, at[reach], "right"))
+        i = int(reach[np.argmax(covered)])
+        return int(at[i]), _best_row(ctx, fams[i], best), float(best), (best, covered.max())
 
-    cache = ctx.exhaustive_scores
-    return _search(ctx, cache, cache, fam_masks, blocks, score, pick)
+    return _search(ctx, cache, fam_masks, blocks, whole, partial(_exhaustive_values, ctx), pick)
+
+
+def _best_row(ctx: EvalContext, fam: np.ndarray, value: float) -> np.ndarray:
+    """The first row of ``assignment_patterns`` whose slot-order sum over
+    the family row ``fam`` reaches ``value``, its best value."""
+    pats = assignment_patterns(len(fam), ctx.C)
+    return pats[int(np.argmax(_slot_sums(ctx, pats, fam) == value))]
 
 
 def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
@@ -942,14 +988,18 @@ def _greedy_best(ctx: EvalContext, fam_masks: np.ndarray, *, blocks):
         S = fams.shape[1]
         if S not in setups:
             setups[S] = _match_setup(ctx.stage2, ctx.avail, S)
-        return (greedy_match(ctx.stage2, ctx.avail, fams, setups[S]),)
+        return greedy_match(ctx.stage2, ctx.avail, fams, setups[S])
 
-    def pick(fams, row_of):
+    def pick(at, fams, row_of):
         tv = _slot_sums(ctx, row_of, fams)
-        fi = int(np.argmax(tv))
-        return fi, row_of[fi], float(tv[fi]), tv[fi]
+        i = int(np.argmax(tv))
+        return int(at[i]), row_of[i], float(tv[i]), tv[i]
 
-    return _search(ctx, ctx.greedy_scores, ctx.greedy_rows, fam_masks, blocks, score, pick)
+    def whole():
+        rows = _scores_by_vector(ctx.greedy_rows, blocks, fam_masks, score)
+        return pick(range(len(fam_masks)), fam_masks, rows)[:3]
+
+    return _search(ctx, ctx.greedy_scores, fam_masks, blocks, whole, score, pick)
 
 
 def _grid_refine(

@@ -18,36 +18,46 @@ bit] + c_lowest gives when unrolled, so the tables are bitwise equal to that
 scalar recursion (tests/ keeps it as the oracle). Adding the lowest group
 first would sum in a different order and drift by an ulp or so.
 
-A receiver's own-group term is excluded by reading the sum at the mask with
-that group's bit cleared, never by subtracting it back out of the inclusive
-sum: the own term dominates by orders of magnitude and the subtraction would
-wipe out the co-channel digits. Each group's worst member SIR is gathered
-over the masks that hold it, and group rates are added onto the CU rate in
-increasing group order, a failing group adding 0.0, which is exact. A rate
-is the spectral efficiency log2(1 + SIR) in bit/s/Hz, with every SIR capped
-at params.SIR_CAP. Rates take log2 from libm one value at a time rather than
-from numpy's vectorized log2, which may differ in the last bit depending on
-the SIMD extensions of the CPU; the tables, and so the results, are then the
-same on every machine.
+The value table is built in one pass over all groups. Its sums hold one row
+per receiver and a last row for the base station, so a single doubling
+gives every denominator. A receiver's own-group term enters the doubling as
++0.0: adding an exact zero in its slot leaves, bitwise, the sum at the mask
+with that group's bit cleared, in the same order. It is never subtracted
+back out of the inclusive sum, where the own term dominates by orders of
+magnitude and the subtraction would wipe out the co-channel digits. The
+SIRs are computed in place over those sums, a non-positive denominator
+(0/0 included) giving the cap. The masks run along the last axis, so each
+group's worst member SIR at every mask is one min over the group's whole
+rows, and the CU's SIR is the last row. Every value is gated once, and
+group rates are added onto the CU rate in increasing group order, a
+failing group or one outside the mask adding 0.0, which is exact. A rate
+is the spectral efficiency log2(1 + SIR) in bit/s/Hz, with every SIR
+capped at params.SIR_CAP. Rates take log2 from libm one value at a time
+rather than from numpy's vectorized log2, which may differ in the last bit
+depending on the SIMD extensions of the CPU; the tables, and so the
+results, are then the same on every machine.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .params import SIR_CAP
 
 
-def _subset_sums(base: np.ndarray, terms: np.ndarray) -> np.ndarray:
+def _subset_sums(base: np.ndarray, terms: np.ndarray, out=None) -> np.ndarray:
     """(2^G, *base.shape) sums: row m is base plus terms[g] for each g in m.
 
     Group G-1 goes in first and group 0 last, so every row sums from the
-    highest group down, the lowest-bit recursion's order.
+    highest group down, the lowest-bit recursion's order. The sums fill
+    ``out`` when given, which may be a strided view.
     """
     G = terms.shape[0]
-    out = np.empty((1 << G,) + base.shape)
+    if out is None:
+        out = np.empty((1 << G,) + base.shape)
     out[0] = base
     for g in range(G - 1, -1, -1):
         # masks whose bits below g are clear: without g at [:, 0, 0], with g at [:, 1, 0]
@@ -65,24 +75,26 @@ def _with_group(table: np.ndarray, g: int) -> np.ndarray:
     return table.reshape((-1, 2, 1 << g) + table.shape[1:])
 
 
-def _sir(sig, den):
-    """sig / den capped at SIR_CAP; a non-positive denominator gives the cap."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(den <= 0.0, SIR_CAP, np.minimum(sig / den, SIR_CAP))
+_CAP_RATE = math.log2(1.0 + SIR_CAP)
 
 
 def _rate(sir: np.ndarray) -> np.ndarray:
-    """log2(1 + sir), with libm's log2 applied value by value."""
-    logs = np.fromiter(map(math.log2, (1.0 + sir).ravel().tolist()), float, sir.size)
-    return logs.reshape(sir.shape)
+    """log2(1 + sir) of a 1-D array, with libm's log2 applied value by
+    value; the SIRs at the cap, often half of them, share one call."""
+    out = np.full(len(sir), _CAP_RATE)
+    below = sir < SIR_CAP
+    out[below] = np.fromiter(map(math.log2, (1.0 + sir[below]).tolist()), float)
+    return out
 
 
-def _gated_rate(sir: np.ndarray, threshold: float):
-    """Rates where sir clears the threshold, 0.0 elsewhere, and that gate."""
-    ok = sir >= threshold
-    rate = np.zeros(sir.shape)
-    rate[ok] = _rate(sir[ok])
-    return rate, ok
+@lru_cache(maxsize=None)
+def _members(G: int) -> np.ndarray:
+    """Read-only (G+1, 2^G) bools: row g < G says whether g is in each
+    mask, and row G, the CU's, is all set."""
+    out = (np.arange(1 << G) >> np.arange(G + 1)[:, None]) & 1 == 1
+    out[G] = True
+    out.flags.writeable = False
+    return out
 
 
 def build_value_table(base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes, mg_th, cu_th):
@@ -91,30 +103,59 @@ def build_value_table(base_I_rx, contrib_rx, sig_cu, contrib_bs, offsets, sizes,
     Returns a (C, 2^G) float table and a (C, 2^G) int64 table. Entry [k, m]
     of the second holds the sub-bitmask of m whose groups clear the worst
     member SIR threshold when all of m transmits on channel k, which is what
-    the one-shot silencing step in the allocator keys off.
+    the one-shot silencing step in the allocator keys off. Receivers lie
+    group-major: group g holds receivers offsets[g] to offsets[g] +
+    sizes[g] - 1, and no group is empty.
     """
     base_I_rx = np.asarray(base_I_rx, dtype=np.float64)  # (C, n)
     contrib_rx = np.asarray(contrib_rx, dtype=np.float64)  # (G, n, C)
     sig_cu = np.asarray(sig_cu, dtype=np.float64)  # (C,)
     contrib_bs = np.asarray(contrib_bs, dtype=np.float64)  # (G, C)
-    mg_th, cu_th = float(mg_th), float(cu_th)
-    C = base_I_rx.shape[0]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    C, n = base_I_rx.shape
     G = contrib_rx.shape[0]
+    # each group's first row, then the base station's (row n), then the end
+    rows = [0, *np.cumsum(sizes).tolist(), n + 1]
+    if sizes.min(initial=1) < 1 or rows[:G] != np.asarray(offsets).tolist() or rows[G] != n:
+        raise ValueError("offsets and sizes must tile the receivers group-major, no group empty")
 
-    I_rx = _subset_sums(base_I_rx, contrib_rx.transpose(0, 2, 1))  # (M, C, n)
-    I_bs = _subset_sums(np.zeros(C), contrib_bs)  # (M, C)
-    total, _ = _gated_rate(_sir(sig_cu, I_bs), cu_th)
-    passing = np.zeros(total.shape, dtype=np.int64)
+    # rows: receivers, whose own group adds +0.0, then the base station
+    rx = np.arange(n)
+    own = np.repeat(np.arange(G), sizes)
+    terms = np.empty((G, n + 1, C))
+    terms[:, :n] = contrib_rx
+    terms[own, rx] = 0.0
+    terms[:, n] = contrib_bs
+    base = np.zeros((n + 1, C))
+    base[:n] = base_I_rx.T
+    sig = np.empty((n + 1, C, 1))
+    sig[:n, :, 0] = contrib_rx[own, rx]
+    sig[n, :, 0] = sig_cu
+
+    sir = np.empty((n + 1, C, 1 << G))  # masks last: the denominators, then the SIRs
+    _subset_sums(base, terms, out=sir.transpose(2, 0, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        capped = sir <= 0.0
+        np.divide(sig, sir, out=sir)
+    np.minimum(sir, SIR_CAP, out=sir)
+    sir[capped] = SIR_CAP
+    # each group's worst member, then the CU, one min over whole rows each:
+    # np.minimum.reduceat would loop once per (channel, mask) cell
+    worst = np.empty((G + 1, C, 1 << G))
+    for g in range(G + 1):
+        np.minimum.reduce(sir[rows[g] : rows[g + 1]], axis=0, out=worst[g])
+    del sir, capped
+    ok = worst >= float(mg_th)
+    ok[G] = worst[G] >= float(cu_th)
+    ok &= _members(G)[:, None, :]
+    rate = worst  # in place: the rate where a value passes, 0.0 elsewhere
+    rate[ok] = _rate(worst[ok])
+    rate[~ok] = 0.0
+    total = rate[G].copy()
     for g in range(G):
-        lo = int(offsets[g])
-        hi = lo + int(sizes[g])
-        den = _with_group(I_rx, g)[:, 0, :, :, lo:hi]  # (.., .., C, members)
-        sig = contrib_rx[g, lo:hi, :].T  # (C, members)
-        worst = _sir(sig, den).min(axis=-1, initial=math.inf)
-        rate, ok = _gated_rate(worst, mg_th)
-        _with_group(total, g)[:, 1] += rate
-        _with_group(passing, g)[:, 1] |= ok.astype(np.int64) << g
-    return np.ascontiguousarray(total.T), np.ascontiguousarray(passing.T)
+        total += rate[g]
+    passing = (1 << np.arange(G)) @ ok[:G].reshape(G, C << G)
+    return total, passing.reshape(C, 1 << G)
 
 
 def build_stage2_table(cu_victim, mg_victim, rx_group) -> np.ndarray:

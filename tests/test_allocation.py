@@ -534,12 +534,26 @@ def _check_tie_heavy_tables(data):
     stage2 = np.array(data.draw(cells, label="stage2"), dtype=float).reshape(C, 1 << G)
     row_ok = data.draw(st.lists(st.booleans(), min_size=C, max_size=C), label="row_ok")
     tables = _Tables(value, stage2, row_ok)
+    scored = []  # the families each scoring call was given
+    with pytest.MonkeyPatch.context() as m:
+        for name, arg in (("_exhaustive_values", 1), ("greedy_match", 2)):
+            fn = getattr(allocation, name)
+
+            def counting(*a, fn=fn, arg=arg):
+                scored.append(len(a[arg]))
+                return fn(*a)
+
+            m.setattr(allocation, name, counting)
+        _check_modes_on_tables(modes, tables, G, S, scored)
+
+
+def _check_modes_on_tables(modes, tables, G, S, scored):
     for mode in modes:
         fams, blocks = _family_table(G, S, mode)
         if len(fams) == 0:
             continue  # allocate returns CU-only without searching
         rows = greedy_rows_loop(tables, fams)
-        assert greedy_match(stage2, row_ok, fams).tolist() == rows
+        assert greedy_match(tables.stage2, tables.avail, fams).tolist() == rows
         searches = (
             (_exhaustive_best, tables.exhaustive_scores, tables.exhaustive_scores,
              exhaustive_best_table(tables, fams)[:3]),
@@ -548,6 +562,7 @@ def _check_tie_heavy_tables(data):
         )
         for search, cache, vectors, expect in searches:
             held = {**cache, **vectors}
+            scored.clear()
             fi, row, tv = search(tables, fams, blocks=blocks)
             assert (fi, row.tolist(), tv) == expect, (mode, search.__name__)
             # every mode that runs holds its result under its blocks
@@ -559,8 +574,8 @@ def _check_tie_heavy_tables(data):
             assert set(cache) | set(vectors) == set(held) | {blocks} | new
             assert new <= set(vectors)
             # the newly held vectors share the one pass that scored them
-            scored = {id(vectors[v][0]): len(vectors[v][0][0]) for v in new}
-            assert sum(scored.values()) == sum(hi - lo for v, lo, hi in blocks if v in new)
+            if len(fams) <= allocation._BLOCK:
+                assert scored == ([sum(hi - lo for v, lo, hi in blocks if v in new)] if new else [])
 
 
 @pytest.mark.parametrize("num_groups, num_channels", _sizes((8, 3), (9, 3), (10, 3), (9, 2), (10, 2)))
@@ -761,10 +776,9 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
     """Along a run, the value and stage-2 tables are built again exactly at
     the points whose table inputs differ from the previous point's, the
     exhaustive scores exactly with the value table, and the greedy rows
-    exactly where the inputs of the stage-2 table or of the channel
-    availability differ. The table inputs are read from fresh contexts'
-    calls; the availability reads the draw's path gains, which a run keeps,
-    and the parameters."""
+    exactly where the stage-2 inputs or the channel availability's bytes
+    differ. The table inputs are read from fresh contexts' calls, the
+    availability from fresh contexts."""
     calls = []
     for name in ("build_value_table", "build_stage2_table", "_exhaustive_values", "greedy_match"):
         fn = getattr(allocation, name)
@@ -785,8 +799,7 @@ def test_run_rebuilds_a_table_exactly_when_its_inputs_differ(monkeypatch, run):
             for sc in schemes:
                 allocate(fresh, sc)
             tables = dict(calls)
-            p = point.params
-            avail = (p.max_cu_power_w, p.max_mg_power_w, p.cu_sir_threshold)
+            avail = fresh.avail.tobytes()
             inputs.append((tables["build_value_table"], tables["build_stage2_table"], avail))
         calls.clear()
         ctx = None

@@ -101,6 +101,45 @@ def test_value_table_bitwise_equal_with_zero_cu_interference():
     assert (table >= math.log2(1.0 + SIR_CAP)).all()
 
 
+def test_value_table_zero_denominators_read_the_cap():
+    """A receiver's own-group term enters its sums as +0.0, so a receiver
+    that nothing else reaches divides by a bare 0.0 and reads the cap: the
+    receivers of a group alone on the channel with no CU interference, and
+    those of a muted group seeing 0.0 too, whose SIR is 0/0."""
+    kw = _random_inputs(13, 5)
+    offsets, sizes = kw["offsets"], kw["sizes"]
+    alone, muted = 1, 3
+    for g in (alone, muted):
+        kw["base_I_rx"][:, offsets[g] : offsets[g] + sizes[g]] = 0.0
+    kw["contrib_rx"][muted] = 0.0
+    kw["contrib_bs"][muted] = 0.0
+    _assert_value_table_matches_loop(kw)
+    table, passing = kernels.build_value_table(**kw)
+    cap = math.log2(1.0 + SIR_CAP)
+    for g in (alone, muted):
+        assert (passing[:, 1 << g] == 1 << g).all()
+    # the muted group leaves the CU alone too: both rates sit at the cap
+    assert (table[:, 1 << muted] == cap + cap).all()
+
+
+@pytest.mark.parametrize(
+    "offsets, sizes",
+    [([0, 2, 2], [2, 0, 1]), ([0, 1, 3], [2, 1, 1]), ([1, 2, 3], [1, 1, 1])],
+    ids=["empty-group", "overlapping", "first-receiver-skipped"],
+)
+def test_value_table_refuses_groups_that_do_not_tile_the_receivers(offsets, sizes):
+    """Each group's worst member is a min over its rows, so an empty group
+    would read the next group's first receiver; the kernel refuses it, and
+    offsets that do not lay the groups out one after another."""
+    kw = _random_inputs(3, 3)
+    n = max(offsets[-1] + sizes[-1], sum(sizes))
+    kw["base_I_rx"] = kw["base_I_rx"][:, :1].repeat(n, axis=1)
+    kw["contrib_rx"] = kw["contrib_rx"][:, :1].repeat(n, axis=1)
+    kw["offsets"], kw["sizes"] = np.array(offsets), np.array(sizes)
+    with pytest.raises(ValueError, match="tile the receivers"):
+        kernels.build_value_table(**kw)
+
+
 def _table_inputs(ctx):
     """Value-table kernel inputs of a scenario at its table powers."""
     p = ctx.params
